@@ -8,9 +8,11 @@ path counting is the whole point.
 
 Zero-weight arcs are legal (zero-fee channels exist) and need real care:
 
-- chains of zero arcs make Dijkstra's settle order unusable for dependency
-  accumulation, so each source pass orders the shortest-path DAG
-  topologically instead;
+- along chains of zero arcs distance alone does not order the
+  shortest-path DAG, so ports are numbered once in a topological order of
+  the zero arcs and each source's Dijkstra breaks distance ties by port
+  number; its settle order is then topological and drives the dependency
+  accumulation directly;
 - mutually-zero-fee node groups form zero-weight cycles, where counting
   shortest *walks* diverges from counting shortest *paths* (paths cannot
   revisit a node). Path counts are the defined semantics, so zero-weight
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
-from collections import deque
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -136,7 +138,7 @@ def build_graph(
     amount are dropped entirely.
     """
     index = {node_id: i for i, node_id in enumerate(view.nodes)}
-    best: dict[tuple[int, int], int] = {}
+    arcs = []
     for arc in view.arcs:
         policy = arc.policy
         if enforce_htlc_bounds:
@@ -148,15 +150,10 @@ def build_graph(
             ):
                 continue
         weight = fee_weight(policy, amount_msat)
-        src = index[arc.source]
-        dst = index[arc.target]
-        if src == dst:
-            continue
-        key = (src, dst)
-        if key not in best or weight < best[key]:
-            best[key] = weight
-    arcs = tuple(sorted((u, v, w) for (u, v), w in best.items()))
-    return WeightedDigraph(view.nodes, arcs, amount_msat, view.as_of)
+        # a snapshot does not guarantee distinct channel endpoints
+        if arc.source != arc.target:
+            arcs.append((index[arc.source], index[arc.target], weight))
+    return WeightedDigraph.from_arcs(view.nodes, arcs, amount_msat, view.as_of)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +216,9 @@ def _cluster_bundles(
 ) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
     """Exact simple-route table for one zero-fee cluster.
 
-    Returns bundles (entry, exit, route_count, interior visit counts) for
-    every ordered member pair connected by zero arcs, plus the trivial
-    enter-and-leave bundle per member.
+    Returns bundles (entry, exit, route_count, interior visit counts),
+    sorted by (entry, exit), for every ordered member pair connected by zero
+    arcs, plus the trivial enter-and-leave bundle per member.
     """
     member_set = set(members)
     local = {u: [v for v in zero_out[u] if v in member_set] for u in members}
@@ -256,12 +253,12 @@ def _cluster_bundles(
             path.append(nxt)
             on_path.add(nxt)
             iters.append(iter(local[nxt]))
-    bundles = [(x, x, 1, ()) for x in members]
-    for key in sorted(counts):
-        x, y = key
-        interior = tuple(sorted(visits.get(key, {}).items()))
-        bundles.append((x, y, counts[key], interior))
-    return bundles
+    for x in members:
+        counts[x, x] = 1
+    return [
+        (x, y, counts[x, y], tuple(sorted(visits.get((x, y), {}).items())))
+        for x, y in sorted(counts)
+    ]
 
 
 @dataclass(frozen=True)
@@ -271,6 +268,9 @@ class _PortGraph:
     Cluster members get an entry and an exit port; bundle arcs between
     ports carry multiplicities (simple zero-cost route counts). Trivial
     nodes keep one port that serves as both.
+
+    Ports are numbered in a topological order of the zero-weight arcs: every
+    zero arc, bundle or not, leads from a lower port to a higher one.
     """
 
     n_nodes: int
@@ -280,6 +280,8 @@ class _PortGraph:
     cluster_of: list[int]  # -1 for trivial nodes
     # per port: (dst_port, weight, multiplicity, bundle_id or -1)
     out_edges: list[list[tuple[int, int, int, int]]]
+    # per port: (src_port, weight, multiplicity, bundle_id or -1)
+    in_edges: list[list[tuple[int, int, int, int]]]
     is_out_port: list[bool]
     bundles: list[tuple[int, int, int, tuple[tuple[int, int], ...]]]
 
@@ -290,33 +292,36 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
     for src, dst, weight in graph.arcs:
         if weight == 0:
             zero_out[src].append(dst)
-    clusters = sorted(
-        sorted(comp) for comp in _strong_components(n, zero_out) if len(comp) >= 2
-    )
+    components = _strong_components(n, zero_out)
+    clusters = sorted(sorted(comp) for comp in components if len(comp) >= 2)
     cluster_of = [-1] * n
     for ci, members in enumerate(clusters):
         for u in members:
             cluster_of[u] = ci
 
+    # Tarjan emits components in reverse topological order of the zero arcs;
+    # inside a cluster every entry port precedes every exit port
     h_in_of = [0] * n
     h_out_of = [0] * n
     h_count = 0
-    for u in range(n):
-        if cluster_of[u] < 0:
+    for comp in reversed(components):
+        for u in comp:
             h_in_of[u] = h_out_of[u] = h_count
             h_count += 1
-        else:
-            h_in_of[u] = h_count
-            h_out_of[u] = h_count + 1
-            h_count += 2
+        if len(comp) >= 2:
+            for u in comp:
+                h_out_of[u] = h_count
+                h_count += 1
 
     out_edges: list[list[tuple[int, int, int, int]]] = [[] for _ in range(h_count)]
+    in_edges: list[list[tuple[int, int, int, int]]] = [[] for _ in range(h_count)]
     for src, dst, weight in graph.arcs:
         if cluster_of[src] >= 0 and cluster_of[src] == cluster_of[dst]:
             # zero arcs are absorbed into bundles; a positive arc inside a
             # cluster is never on a shortest path (a zero route exists)
             continue
         out_edges[h_out_of[src]].append((h_in_of[dst], weight, 1, -1))
+        in_edges[h_in_of[dst]].append((h_out_of[src], weight, 1, -1))
 
     bundles: list[tuple[int, int, int, tuple[tuple[int, int], ...]]] = []
     for members in clusters:
@@ -325,6 +330,7 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
             bundles.append(bundle)
             x, y, mult, _ = bundle
             out_edges[h_in_of[x]].append((h_out_of[y], 0, mult, bundle_id))
+            in_edges[h_out_of[y]].append((h_in_of[x], 0, mult, bundle_id))
 
     is_out_port = [False] * h_count
     for u in range(n):
@@ -337,79 +343,57 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
         h_out_of=h_out_of,
         cluster_of=cluster_of,
         out_edges=out_edges,
+        in_edges=in_edges,
         is_out_port=is_out_port,
         bundles=bundles,
     )
 
 
-def _ratio_exact(a: int, b: int) -> Fraction:
-    return Fraction(a, b)
-
-
-def _ratio_float(a: int, b: int) -> float:
-    return a / b
-
-
 def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
     """Dependency accumulation for one source; returns per-node credits."""
-    ratio: Callable[[int, int], Value] = _ratio_exact if exact else _ratio_float
+    ratio: Callable[[int, int], Value] = Fraction if exact else operator.truediv
     zero: Value = Fraction(0) if exact else 0.0
 
     src = pg.h_in_of[s]
     dist: list[Optional[int]] = [None] * pg.h_count
+    sigma = [0] * pg.h_count
+    dist[src] = 0
+    sigma[src] = 1
+    order = []
     heap = [(0, src)]
+    # keyed by (distance, port): a positive arc raises the distance and a
+    # zero arc leads to a higher port, so every shortest-path predecessor
+    # settles first and the settle order is topological
     while heap:
         d, v = heapq.heappop(heap)
-        if dist[v] is not None:
+        if d > dist[v]:
             continue
-        dist[v] = d
-        for dst, weight, _, _ in pg.out_edges[v]:
-            if dist[dst] is None:
-                heapq.heappush(heap, (d + weight, dst))
-
-    # shortest-path DAG over reachable ports; acyclic because zero cycles
-    # were contracted away
-    dag_in: list[list[tuple[int, int, int]]] = [[] for _ in range(pg.h_count)]
-    dag_out: list[list[tuple[int, int]]] = [[] for _ in range(pg.h_count)]
-    indegree = [0] * pg.h_count
-    for v in range(pg.h_count):
-        dv = dist[v]
-        if dv is None:
-            continue
-        for dst, weight, mult, bundle_id in pg.out_edges[v]:
-            if dist[dst] is not None and dv + weight == dist[dst]:
-                dag_in[dst].append((v, mult, bundle_id))
-                dag_out[v].append((dst, mult))
-                indegree[dst] += 1
-
-    topo = []
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        topo.append(v)
-        for dst, _ in dag_out[v]:
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                queue.append(dst)
-
-    sigma = [0] * pg.h_count
-    sigma[src] = 1
-    for v in topo:
+        order.append(v)
         sv = sigma[v]
-        for dst, mult in dag_out[v]:
-            sigma[dst] += sv * mult
+        for dst, weight, mult, _ in pg.out_edges[v]:
+            dd = d + weight
+            known = dist[dst]
+            if known is None or dd < known:
+                dist[dst] = dd
+                sigma[dst] = sv * mult
+                heapq.heappush(heap, (dd, dst))
+            elif dd == known:
+                sigma[dst] += sv * mult
 
     # accumulate dependencies backwards; per-pair targets are out ports
     # (the source's own out port never counts as a target)
     delta: list[Value] = [zero] * pg.h_count
     credit: list[Value] = [zero] * pg.n_nodes
     source_out = pg.h_out_of[s]
-    for v in reversed(topo):
+    for v in reversed(order):
         dv = delta[v]
         tv = 1 if (pg.is_out_port[v] and v != source_out) else 0
         if tv == 0 and dv == 0:
             continue
-        for u, mult, bundle_id in dag_in[v]:
+        for u, weight, mult, bundle_id in pg.in_edges[v]:
+            du = dist[u]
+            if du is None or du + weight != dist[v]:
+                continue
             r = ratio(sigma[u] * mult, sigma[v])
             flow_cont = r * dv
             flow_all = flow_cont + (r if tv else zero)

@@ -5,7 +5,8 @@ images), and write a reproducibility manifest next to their outputs. The
 LNTM_THREADS environment variable caps worker processes; output bytes do
 not depend on it.
 
-Exit codes: 1 for unreadable/unparseable inputs, 2 for write failures.
+Exit codes: 1 for unreadable/unparseable inputs, 2 for write failures and
+for usage errors such as an ``--amount-msat`` outside the u64 range.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import click
 
 from . import __version__
 from .centrality import (
+    U64_MAX,
     CentralityError,
     CentralityReport,
     ReportFormatError,
@@ -140,7 +142,7 @@ def _histogram_csv(report: CentralityReport) -> str:
 
 @main.command()
 @click.option("--snapshot", "snapshot_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Snapshot JSON produced by the snapshot command.")
-@click.option("--amount-msat", "amounts", multiple=True, type=int, help="Transaction size in msat (repeatable). Defaults to 10^7, 10^9, 10^10.")
+@click.option("--amount-msat", "amounts", multiple=True, type=click.IntRange(0, U64_MAX), help="Transaction size in msat (repeatable). Defaults to 10^7, 10^9, 10^10.")
 @click.option("--enforce-htlc-bounds", is_flag=True, help="Drop arcs whose htlc_minimum/htlc_maximum exclude the amount.")
 @click.option("--prune-stale-after", type=int, default=None, help="Drop arcs whose policy is older than as_of minus this many seconds.")
 @click.option("--include-disabled", is_flag=True, help="Keep arcs whose policy is flagged disabled.")
@@ -183,7 +185,7 @@ def centrality(
         top_note = f", top {top[0].hex()[:16]}… = {float(top[1])!r}" if top else ""
         click.echo(
             f"amount {amount} msat: {len(report.values)} nodes, "
-            f"{report.leaf_count} leaves{top_note}"
+            f"{report.leaf_count} zero-valued nodes{top_note}"
         )
     write_manifest(
         Path(f"{out_prefix}-manifest.json"),

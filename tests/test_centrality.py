@@ -11,6 +11,7 @@ from lntm.centrality import (
     NegativeWeightError,
     TooLargeError,
     WeightedDigraph,
+    _prepare,
     betweenness,
     brute_force_betweenness,
     build_graph,
@@ -108,6 +109,11 @@ class TestBuildGraph:
         graph = build_graph(view, 10**7)
         assert graph.amount_msat == 10**7
         assert graph.arcs[0][2] == 2500
+
+    def test_self_arc_dropped(self):
+        # a hand-edited snapshot may name the same node at both channel ends
+        view, _ = make_view("ab", [("a", "a", policy()), ("a", "b", policy(base=7))])
+        assert build_graph(view, 0).arcs == ((0, 1, 7),)
 
 
 class TestBetweennessFixtures:
@@ -244,6 +250,22 @@ class TestZeroWeights:
             graph = WeightedDigraph.from_arcs(node_ids, arcs)
             assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
 
+    def test_ports_numbered_topologically(self):
+        rng = random.Random(99)
+        for _ in range(100):
+            n = rng.randrange(2, 12)
+            node_ids = tuple(msggen.node_id(i) for i in range(n))
+            arcs = [
+                (u, v, 0 if rng.random() < 0.5 else 1)
+                for u in range(n)
+                for v in range(n)
+                if u != v and rng.random() < 0.3
+            ]
+            pg = _prepare(WeightedDigraph.from_arcs(node_ids, arcs))
+            for port, edges in enumerate(pg.out_edges):
+                for dst, weight, _, _ in edges:
+                    assert weight > 0 or dst > port
+
 
 def random_graph(rng, max_nodes=10, edge_prob=0.3, zero_prob=0.08, max_weight=1000):
     n = rng.randrange(2, max_nodes + 1)
@@ -273,6 +295,27 @@ class TestOracleEquivalence:
             for node_id, expected in want.items():
                 expected = float(expected)
                 assert abs(got[node_id] - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    def test_float_mode_matches_networkx_at_300_nodes(self):
+        import networkx as nx  # test-only oracle
+        rng = random.Random(300)
+        n = 300
+        node_ids = tuple(msggen.node_id(i) for i in range(n))
+        # small weights make equal-cost ties common
+        arcs = [
+            (u, v, rng.randrange(1, 6))
+            for u in range(n)
+            for v in rng.sample(range(n), 6)
+            if u != v
+        ]
+        graph = WeightedDigraph.from_arcs(node_ids, arcs)
+        nx_graph = nx.DiGraph()
+        nx_graph.add_nodes_from(range(n))
+        nx_graph.add_weighted_edges_from(graph.arcs)
+        want = nx.betweenness_centrality(nx_graph, weight="weight", normalized=False, endpoints=False)
+        got = betweenness(graph).values
+        for i, node_id in enumerate(node_ids):
+            assert abs(got[node_id] - want[i]) <= 1e-9 * max(1.0, abs(want[i]))
 
 
 class TestInvariants:

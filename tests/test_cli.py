@@ -177,6 +177,17 @@ class TestCentralityCommand:
         manifest = json.loads((tmp_path / "run-manifest.json").read_text())
         assert manifest["parameters"]["amounts_msat"] == [10000000, 1000000000, 10000000000]
 
+    def test_amount_out_of_u64_range_is_a_usage_error(self, runner, tmp_path):
+        snap = make_snapshot(runner, tmp_path)
+        for amount in ("-5", str(2**64)):
+            result = runner.invoke(
+                main,
+                ["centrality", "--snapshot", str(snap), "--amount-msat", amount, "--out", str(tmp_path / "r")],
+            )
+            assert result.exit_code == 2, result.output
+            assert "--amount-msat" in result.stderr
+            assert "Traceback" not in result.stderr
+
     def test_parse_failure_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
