@@ -82,6 +82,13 @@ def _write_text(path: Path, text: str) -> None:
         _fail(exc, 2)
 
 
+def _write_manifest(path: Path, **fields) -> None:
+    try:
+        write_manifest(path, **fields)
+    except OSError as exc:
+        _fail(exc, 2)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="lntm")
 def main():
@@ -96,13 +103,12 @@ def main():
 def snapshot(store_path: str, as_of: int, out_path: str):
     """Replay an archive up to an instant and write the network snapshot."""
     try:
-        feed = deduplicate_and_order(open_store(store_path))
+        snap = replay(open_store(store_path), as_of)
     except StoreError as exc:
         _fail(exc, 1)
-    snap = replay(feed, as_of)
     out = Path(out_path)
     _write_text(out, snapshot_to_json(snap))
-    write_manifest(
+    _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         command="snapshot",
         inputs=[store_path],
@@ -187,7 +193,7 @@ def centrality(
             f"amount {amount} msat: {len(report.values)} nodes, "
             f"{report.leaf_count} zero-valued nodes{top_note}"
         )
-    write_manifest(
+    _write_manifest(
         Path(f"{out_prefix}-manifest.json"),
         command="centrality",
         inputs=[snapshot_path],
@@ -259,7 +265,7 @@ def inequality(
     _write_text(shares_path, top_shares_to_csv(shares))
     _write_text(timeline_path, timelines_to_csv(timelines, labels, rank_cap=rank_cap))
     outputs += [trend_path, shares_path, timeline_path]
-    write_manifest(
+    _write_manifest(
         Path(f"{out_prefix}-manifest.json"),
         command="inequality",
         inputs=[path for _, path in labeled_paths],
@@ -289,7 +295,7 @@ def compact(store_path: str, out_path: str):
         count = write_store(out_path, feed_to_records(feed))
     except OSError as exc:
         _fail(exc, 2)
-    write_manifest(
+    _write_manifest(
         Path(out_path + ".manifest.json"),
         command="compact",
         inputs=[store_path],

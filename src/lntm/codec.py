@@ -29,6 +29,7 @@ Signatures are carried opaquely and never verified.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Union
 
@@ -196,16 +197,6 @@ class ChannelUpdate:
 GossipMessage = Union[NodeAnnouncement, ChannelAnnouncement, ChannelUpdate]
 
 
-def message_type_code(msg: GossipMessage) -> int:
-    if isinstance(msg, ChannelAnnouncement):
-        return MSG_CHANNEL_ANNOUNCEMENT
-    if isinstance(msg, NodeAnnouncement):
-        return MSG_NODE_ANNOUNCEMENT
-    if isinstance(msg, ChannelUpdate):
-        return MSG_CHANNEL_UPDATE
-    raise TypeError(f"not a gossip message: {type(msg).__name__}")
-
-
 def alias_text(alias: bytes) -> str:
     """Lossy human-readable form of a raw alias (wild aliases may be invalid UTF-8)."""
     return alias.rstrip(b"\x00").decode("utf-8", errors="replace")
@@ -255,7 +246,7 @@ def decode_message(data: bytes) -> GossipMessage:
     if type_code == MSG_NODE_ANNOUNCEMENT:
         return _decode_node_announcement(r)
     if type_code == MSG_CHANNEL_UPDATE:
-        return _decode_channel_update(r)
+        return _decode_channel_update(data)
     raise UnknownTypeError(type_code, 0)
 
 
@@ -310,24 +301,55 @@ def _decode_node_announcement(r: _Reader) -> NodeAnnouncement:
     )
 
 
-def _decode_channel_update(r: _Reader) -> ChannelUpdate:
-    signature = r.take(64, "signature")
-    chain_hash = r.take(32, "chain_hash")
-    scid = ShortChannelId.unpack(r.take(8, "short_channel_id"))
-    timestamp = r.uint(4, "timestamp")
-    message_flags = r.uint(1, "message_flags")
-    channel_flags = r.uint(1, "channel_flags")
-    cltv_expiry_delta = r.uint(2, "cltv_expiry_delta")
-    htlc_minimum_msat = r.uint(8, "htlc_minimum_msat")
-    fee_base_msat = r.uint(4, "fee_base_msat")
-    fee_proportional_millionths = r.uint(4, "fee_proportional_millionths")
+# channel_update fields after the type code, in wire order; the one Struct
+# both the key peek and the full decoder read them with
+_UPDATE_FIELDS = (
+    ("signature", "64s"),
+    ("chain_hash", "32s"),
+    ("short_channel_id", "8s"),
+    ("timestamp", "I"),
+    ("message_flags", "B"),
+    ("channel_flags", "B"),
+    ("cltv_expiry_delta", "H"),
+    ("htlc_minimum_msat", "Q"),
+    ("fee_base_msat", "I"),
+    ("fee_proportional_millionths", "I"),
+)
+_UPDATE = struct.Struct(">" + "".join(fmt for _, fmt in _UPDATE_FIELDS))
+_UPDATE_TYPE = MSG_CHANNEL_UPDATE.to_bytes(2, "big")
+_UPDATE_END = 2 + _UPDATE.size
+_HTLC_MAXIMUM = struct.Struct(">Q")
+
+
+def _unpack_channel_update(data: bytes) -> tuple:
+    """The fixed channel_update fields, with the length checks (and errors)
+    of a field-by-field read."""
+    if len(data) < _UPDATE_END:
+        offset = 2
+        for what, fmt in _UPDATE_FIELDS:
+            end = offset + struct.calcsize(">" + fmt)
+            if end > len(data):
+                raise TruncatedError(what, offset)
+            offset = end
+    fields = _UPDATE.unpack_from(data, 2)
+    if fields[4] & FLAG_HTLC_MAXIMUM and len(data) < _UPDATE_END + _HTLC_MAXIMUM.size:
+        raise TruncatedError("htlc_maximum_msat", _UPDATE_END)
+    return fields
+
+
+def _decode_channel_update(data: bytes) -> ChannelUpdate:
+    (signature, chain_hash, scid, timestamp, message_flags, channel_flags,
+     cltv_expiry_delta, htlc_minimum_msat, fee_base_msat,
+     fee_proportional_millionths) = _unpack_channel_update(data)
     htlc_maximum_msat = None
+    end = _UPDATE_END
     if message_flags & FLAG_HTLC_MAXIMUM:
-        htlc_maximum_msat = r.uint(8, "htlc_maximum_msat")
+        (htlc_maximum_msat,) = _HTLC_MAXIMUM.unpack_from(data, end)
+        end += _HTLC_MAXIMUM.size
     return ChannelUpdate(
         signature=signature,
         chain_hash=chain_hash,
-        short_channel_id=scid,
+        short_channel_id=ShortChannelId.unpack(scid),
         timestamp=timestamp,
         message_flags=message_flags,
         channel_flags=channel_flags,
@@ -336,8 +358,28 @@ def _decode_channel_update(r: _Reader) -> ChannelUpdate:
         fee_base_msat=fee_base_msat,
         fee_proportional_millionths=fee_proportional_millionths,
         htlc_maximum_msat=htlc_maximum_msat,
-        extension=r.rest(),
+        extension=data[end:],
     )
+
+
+def peek_message(data: bytes) -> tuple[int, int | None, bytes, int]:
+    """Validate a message and return only what orders and supersedes it:
+    ``(type_code, timestamp, key, channel_flags)``.
+
+    ``key`` is the packed short_channel_id for both channel messages and
+    the node id for a node_announcement; ``timestamp`` is None for a
+    channel_announcement, which carries none, and ``channel_flags`` is 0
+    for the two announcements. Raises exactly what decode_message raises
+    on the same bytes. A channel_update is read with one struct unpack and
+    never becomes a ChannelUpdate; the two rarer types are fully decoded.
+    """
+    if data[:2] == _UPDATE_TYPE:
+        fields = _unpack_channel_update(data)
+        return MSG_CHANNEL_UPDATE, fields[3], fields[2], fields[5]
+    msg = decode_message(data)
+    if isinstance(msg, ChannelAnnouncement):
+        return MSG_CHANNEL_ANNOUNCEMENT, None, msg.short_channel_id.pack(), 0
+    return MSG_NODE_ANNOUNCEMENT, msg.timestamp, msg.node_id, 0
 
 
 def _fixed(name: str, value: bytes, n: int) -> bytes:

@@ -1,26 +1,33 @@
-"""Replay a gossip feed up to an instant and materialize the network view.
+"""Fold archived gossip up to an instant into the network view.
 
-Channel closes are invisible to gossip, so a snapshot never deletes a
-channel; newer channel_updates supersede older ones per (channel,
-direction). The optional staleness window on the routing view approximates
-liveness (two weeks, 1209600 s, is the conventional cutoff).
+A snapshot is one pass over archive records in any order. Every replay rule
+is a min or max reduction, so neither the record order nor duplicates
+change it, and no time-ordered feed is needed. Channel closes are invisible
+to gossip, so a snapshot never deletes a channel; newer channel_updates
+supersede older ones per (channel, direction). The optional staleness
+window on the routing view approximates liveness (two weeks, 1209600 s, is
+the conventional cutoff).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .codec import (
-    ChannelAnnouncement,
+    FLAG_DIRECTION,
+    MSG_CHANNEL_ANNOUNCEMENT,
+    MSG_CHANNEL_UPDATE,
     ChannelUpdate,
-    NodeAnnouncement,
+    CodecError,
     NodeId,
     ShortChannelId,
     alias_text,
+    decode_message,
+    peek_message,
 )
-from .store import OrderedFeed
+from .store import DecodeFailureError, OrderedFeed, StoreRecord, feed_to_records
 
 SNAPSHOT_FORMAT = "gossip-network-snapshot"
 SNAPSHOT_VERSION = 1
@@ -115,97 +122,99 @@ class RoutingView:
     arcs: tuple[Arc, ...]
 
 
-def replay(feed: OrderedFeed, as_of: int) -> NetworkSnapshot:
-    """Fold the feed up to and including ``as_of`` into a snapshot.
+def replay(source: OrderedFeed | Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
+    """Fold archive records into the snapshot as of ``as_of`` (inclusive).
 
     The snapshot holds every channel announced at or before as_of; per
     (channel, direction) the policy with the greatest timestamp <= as_of;
     and every node referenced by an included channel, with metadata from
     its latest node_announcement <= as_of. Updates for unannounced channels
-    and announcements for unreferenced nodes are tallied, not fatal.
+    and announcements for unreferenced nodes are tallied, not fatal; both
+    tallies count distinct messages.
+
+    Every record is validated, those after as_of too: the first that does
+    not decode raises DecodeFailureError with its index in ``source``. An
+    OrderedFeed is folded as the records it compacts to. Only the payloads
+    that govern the snapshot are decoded in full.
     """
-    prefix = []
-    for entry in feed:
-        if entry.effective_ts > as_of:
-            break
-        prefix.append(entry)
+    records = feed_to_records(source) if isinstance(source, OrderedFeed) else source
+    # per scid the least (arrival, payload) announcement: endpoints never
+    # change, so snapshots stay monotone even if a conflicting
+    # re-announcement shows up
+    announcements: dict[bytes, tuple[int, bytes]] = {}
+    # per (scid, direction) the newest update; same-timestamp clones go to
+    # the smallest payload
+    updates: dict[tuple[bytes, int], tuple[int, bytes]] = {}
+    # distinct (direction, timestamp) of updates for scids not announced yet
+    unannounced: dict[bytes, set[tuple[int, int]]] = {}
+    # per node every distinct (timestamp, payload); the greatest governs
+    node_versions: dict[NodeId, set[tuple[int, bytes]]] = {}
+    for index, rec in enumerate(records):
+        try:
+            type_code, timestamp, key, flags = peek_message(rec.payload)
+        except CodecError as exc:
+            raise DecodeFailureError(index, exc) from exc
+        if type_code == MSG_CHANNEL_UPDATE:
+            if timestamp > as_of:
+                continue
+            direction = flags & FLAG_DIRECTION
+            best = updates.get((key, direction))
+            if best is None or timestamp > best[0] or (timestamp == best[0] and rec.payload < best[1]):
+                updates[key, direction] = (timestamp, rec.payload)
+            if key not in announcements:
+                unannounced.setdefault(key, set()).add((direction, timestamp))
+        elif type_code == MSG_CHANNEL_ANNOUNCEMENT:
+            if rec.arrival_ts > as_of:
+                continue
+            candidate = (rec.arrival_ts, rec.payload)
+            best = announcements.get(key)
+            if best is None or candidate < best:
+                announcements[key] = candidate
+            unannounced.pop(key, None)
+        elif timestamp <= as_of:
+            node_versions.setdefault(key, set()).add((timestamp, rec.payload))
 
-    # first announcement wins per channel id: endpoints never change, so
-    # snapshots stay monotone even if a conflicting re-announcement shows up
-    pairs: dict[ShortChannelId, tuple[NodeId, NodeId]] = {}
-    for entry in prefix:
-        msg = entry.message
-        if isinstance(msg, ChannelAnnouncement):
-            pairs.setdefault(msg.short_channel_id, (msg.node_id_1, msg.node_id_2))
-
-    best_update: dict[tuple[ShortChannelId, int], ChannelUpdate] = {}
-    updates_unknown = 0
-    for entry in prefix:
-        msg = entry.message
-        if not isinstance(msg, ChannelUpdate):
-            continue
-        if msg.short_channel_id not in pairs:
-            updates_unknown += 1
-            continue
-        key = (msg.short_channel_id, msg.direction)
-        current = best_update.get(key)
-        if current is None or msg.timestamp >= current.timestamp:
-            best_update[key] = msg
-
+    channels: dict[ShortChannelId, Channel] = {}
     node_set = set()
-    for node_1, node_2 in pairs.values():
-        node_set.add(node_1)
-        node_set.add(node_2)
-
-    best_ann: dict[NodeId, NodeAnnouncement] = {}
-    orphans = 0
-    for entry in prefix:
-        msg = entry.message
-        if not isinstance(msg, NodeAnnouncement):
-            continue
-        if msg.node_id not in node_set:
-            orphans += 1
-            continue
-        current = best_ann.get(msg.node_id)
-        if current is None or msg.timestamp >= current.timestamp:
-            best_ann[msg.node_id] = msg
+    for key in sorted(announcements):  # packed scids sort like ShortChannelId
+        ann = decode_message(announcements[key][1])
+        channels[ann.short_channel_id] = Channel(
+            short_channel_id=ann.short_channel_id,
+            node_1=ann.node_id_1,
+            node_2=ann.node_id_2,
+            policies=(_policy(updates.get((key, 0))), _policy(updates.get((key, 1)))),
+        )
+        node_set.add(ann.node_id_1)
+        node_set.add(ann.node_id_2)
 
     nodes: dict[NodeId, NodeInfo] = {}
     for node_id in sorted(node_set):
-        ann = best_ann.get(node_id)
-        if ann is None:
+        versions = node_versions.get(node_id)
+        if versions is None:
             nodes[node_id] = NodeInfo()
         else:
+            ann = decode_message(max(versions)[1])
             nodes[node_id] = NodeInfo(
                 alias=alias_text(ann.alias),
                 rgb_color=ann.rgb_color.hex(),
                 last_seen=ann.timestamp,
             )
 
-    channels: dict[ShortChannelId, Channel] = {}
-    for scid in sorted(pairs):
-        node_1, node_2 = pairs[scid]
-        policy_0 = best_update.get((scid, 0))
-        policy_1 = best_update.get((scid, 1))
-        channels[scid] = Channel(
-            short_channel_id=scid,
-            node_1=node_1,
-            node_2=node_2,
-            policies=(
-                ChannelPolicy.from_update(policy_0) if policy_0 else None,
-                ChannelPolicy.from_update(policy_1) if policy_1 else None,
-            ),
-        )
-
     return NetworkSnapshot(
         as_of=as_of,
         nodes=nodes,
         channels=channels,
         diagnostics=ReplayDiagnostics(
-            updates_unknown_channel=updates_unknown,
-            orphan_node_announcements=orphans,
+            updates_unknown_channel=sum(map(len, unannounced.values())),
+            orphan_node_announcements=sum(
+                len(versions) for node_id, versions in node_versions.items() if node_id not in node_set
+            ),
         ),
     )
+
+
+def _policy(best: Optional[tuple[int, bytes]]) -> Optional[ChannelPolicy]:
+    return None if best is None else ChannelPolicy.from_update(decode_message(best[1]))
 
 
 def routing_view(

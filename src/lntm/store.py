@@ -7,10 +7,12 @@ message bytes start with the u16 gossip type code.
 A JSON-lines debug format is also read: one object per line with fields
 ``arrival_ts`` (int, seconds) and ``hex`` (hex-encoded message).
 
-Ordering model: the feed keeps *every* distinct message version so a replay
-can answer "state at time T" for arbitrary T. Only exact duplicates and
-same-timestamp channel_update clones are collapsed here; supersession is
-applied at replay time.
+Ordering model: the feed keeps *every* distinct message version, so the
+compacted archive it is written out as still answers "state at time T" for
+any T. Only exact duplicates and same-timestamp channel_update clones are
+collapsed here. Records are keyed with ``codec.peek_message`` and no
+message object is kept. Replay does not need the feed: it folds records in
+any order (see ``replay``).
 """
 
 from __future__ import annotations
@@ -19,16 +21,9 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
-from .codec import (
-    ChannelAnnouncement,
-    ChannelUpdate,
-    CodecError,
-    GossipMessage,
-    decode_message,
-    message_type_code,
-)
+from .codec import FLAG_DIRECTION, MSG_CHANNEL_UPDATE, CodecError, peek_message
 
 STORE_MAGIC = b"GSR1"
 
@@ -69,12 +64,12 @@ class StoreRecord:
     payload: bytes  # raw message bytes, starting with the u16 type code
 
 
-@dataclass(frozen=True)
-class FeedEntry:
+class FeedEntry(NamedTuple):
+    """Fields in feed order, so entries sort as plain tuples."""
+
     effective_ts: int
     type_code: int
     payload: bytes
-    message: GossipMessage
 
 
 @dataclass(frozen=True)
@@ -130,13 +125,14 @@ def write_store(path: str | Path, records: Iterable[StoreRecord]) -> int:
 
 
 def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
-    """Stream records from the JSON-lines debug format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    """Stream records from the JSON-lines debug format: UTF-8, one object
+    per line. A line that is not UTF-8 is a JsonLinesError like any other."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 arrival_ts = int(obj["arrival_ts"])
                 payload = bytes.fromhex(obj["hex"])
@@ -154,53 +150,41 @@ def open_store(path: str | Path) -> Iterator[StoreRecord]:
     return read_store_jsonl(path)
 
 
-def effective_timestamp(record_arrival_ts: int, msg: GossipMessage) -> int:
-    """Ordering timestamp: the embedded one, or collector arrival time for
-    channel_announcement (which carries none)."""
-    if isinstance(msg, ChannelAnnouncement):
-        return record_arrival_ts
-    return msg.timestamp
-
-
 def deduplicate_and_order(records: Iterable[StoreRecord]) -> OrderedFeed:
     """Collapse duplicates and sort records into a deterministic feed.
 
     - exact byte-duplicates collapse to one entry; for channel_announcement
-      the earliest arrival time is kept (it is the only observable proxy)
+      the earliest arrival time is kept (it carries no timestamp, and the
+      arrival is the only observable proxy)
     - distinct channel_updates sharing (scid, direction, timestamp) collapse
       to the lexicographically smallest payload, keeping ordering total and
       permutation-invariant
-    - every distinct-timestamp version of an update survives; replay decides
-      which version governs at a query instant
+    - every distinct-timestamp version of an update survives
     """
-    by_payload: dict[bytes, tuple[int, GossipMessage]] = {}
+    earliest: dict[bytes, tuple[int, int]] = {}  # announcement payload -> (ts, type)
+    clone_winner: dict[tuple[bytes, int, int], bytes] = {}
     for index, rec in enumerate(records):
         try:
-            msg = decode_message(rec.payload)
+            type_code, timestamp, key, flags = peek_message(rec.payload)
         except CodecError as exc:
             raise DecodeFailureError(index, exc) from exc
-        eff = effective_timestamp(rec.arrival_ts, msg)
-        known = by_payload.get(rec.payload)
-        if known is None or eff < known[0]:
-            by_payload[rec.payload] = (eff, msg)
+        if type_code == MSG_CHANNEL_UPDATE:
+            clone = (key, flags & FLAG_DIRECTION, timestamp)
+            best = clone_winner.get(clone)
+            if best is None or rec.payload < best:
+                clone_winner[clone] = rec.payload
+        else:
+            eff = rec.arrival_ts if timestamp is None else timestamp
+            known = earliest.get(rec.payload)
+            if known is None or eff < known[0]:
+                earliest[rec.payload] = (eff, type_code)
 
-    # at most one channel_update per (scid, direction, timestamp)
-    update_winner: dict[tuple, bytes] = {}
-    for payload, (_, msg) in by_payload.items():
-        if isinstance(msg, ChannelUpdate):
-            key = (msg.short_channel_id, msg.direction, msg.timestamp)
-            best = update_winner.get(key)
-            if best is None or payload < best:
-                update_winner[key] = payload
-
-    entries = []
-    for payload, (eff, msg) in by_payload.items():
-        if isinstance(msg, ChannelUpdate):
-            key = (msg.short_channel_id, msg.direction, msg.timestamp)
-            if update_winner[key] != payload:
-                continue
-        entries.append(FeedEntry(eff, message_type_code(msg), payload, msg))
-    entries.sort(key=lambda e: (e.effective_ts, e.type_code, e.payload))
+    entries = [
+        FeedEntry(timestamp, MSG_CHANNEL_UPDATE, payload)
+        for (_, _, timestamp), payload in clone_winner.items()
+    ]
+    entries += [FeedEntry(eff, type_code, payload) for payload, (eff, type_code) in earliest.items()]
+    entries.sort()
     return OrderedFeed(tuple(entries))
 
 

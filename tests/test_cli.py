@@ -113,6 +113,14 @@ class TestSnapshotCommand:
         result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "1", "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 1
 
+    def test_non_utf8_jsonl_exits_1(self, runner, tmp_path):
+        store = tmp_path / "bad.jsonl"
+        store.write_bytes(b'{"arrival_ts": 1, "hex": "0102", "note": "\xff"}\n')
+        result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "1", "--out", str(tmp_path / "x.json")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: bad record on line 1:")
+        assert "Traceback" not in result.stderr
+
     def test_write_failure_exits_2(self, runner, tmp_path):
         store = tmp_path / "corpus.gsr"
         build_corpus(store)
@@ -278,3 +286,39 @@ class TestCompactCommand:
         result = runner.invoke(main, ["compact", "--store", str(store), "--out", str(compacted)])
         assert result.exit_code == 0
         assert f"wrote {len(records) - 1} records" in result.output  # one duplicate in corpus
+
+
+class TestManifestWriteFailure:
+    def _assert_exits_2(self, runner, argv, manifest):
+        manifest.mkdir()  # a directory where the manifest file should go
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
+    def test_every_command_exits_2(self, runner, tmp_path):
+        store = tmp_path / "corpus.gsr"
+        build_corpus(store)
+        snap = tmp_path / "snap.json"
+        self._assert_exits_2(
+            runner,
+            ["snapshot", "--store", str(store), "--at", "999", "--out", str(snap)],
+            tmp_path / "snap.json.manifest.json",
+        )
+        compacted = tmp_path / "compacted.gsr"
+        self._assert_exits_2(
+            runner,
+            ["compact", "--store", str(store), "--out", str(compacted)],
+            tmp_path / "compacted.gsr.manifest.json",
+        )
+        self._assert_exits_2(
+            runner,
+            ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000", "--out", str(tmp_path / "run")],
+            tmp_path / "run-manifest.json",
+        )
+        report = tmp_path / "run-centrality-10000000.json"
+        self._assert_exits_2(
+            runner,
+            ["inequality", "--report", str(report), "--out", str(tmp_path / "ineq")],
+            tmp_path / "ineq-manifest.json",
+        )

@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lntm.codec import (
+    MSG_CHANNEL_ANNOUNCEMENT,
+    MSG_CHANNEL_UPDATE,
+    MSG_NODE_ANNOUNCEMENT,
     ChannelAnnouncement,
     ChannelUpdate,
     CodecError,
@@ -17,6 +21,7 @@ from lntm.codec import (
     alias_text,
     decode_message,
     encode_message,
+    peek_message,
 )
 
 import msggen
@@ -118,6 +123,27 @@ class TestDecodeErrors:
             decode_message(raw[:80])
         assert 0 < err.value.offset <= 80
 
+    def test_truncated_update_names_field_and_offset(self):
+        raw = encode_message(msggen.make_channel_update(msggen.scid(1), 1, htlc_maximum_msat=9))
+        expected = {
+            1: ("type code", 0),
+            50: ("signature", 2),
+            80: ("chain_hash", 66),
+            100: ("short_channel_id", 98),
+            108: ("timestamp", 106),
+            110: ("message_flags", 110),
+            111: ("channel_flags", 111),
+            113: ("cltv_expiry_delta", 112),
+            120: ("htlc_minimum_msat", 114),
+            125: ("fee_base_msat", 122),
+            129: ("fee_proportional_millionths", 126),
+            137: ("htlc_maximum_msat", 130),
+        }
+        for cut, (what, offset) in expected.items():
+            with pytest.raises(TruncatedError) as err:
+                decode_message(raw[:cut])
+            assert (err.value.what, err.value.offset) == (what, offset)
+
     def test_bad_node_id_prefix(self):
         raw = bytearray(encode_message(msggen.make_node_announcement(msggen.node_id(1), 5)))
         # node_id starts after type(2) + sig(64) + features_len(2) + ts(4)
@@ -209,6 +235,57 @@ class TestFuzzSafety:
                 decode_message(bytes(raw[:cut]))
             except CodecError:
                 pass
+
+
+def _expected_peek(msg) -> tuple:
+    if isinstance(msg, ChannelUpdate):
+        return MSG_CHANNEL_UPDATE, msg.timestamp, msg.short_channel_id.pack(), msg.channel_flags
+    if isinstance(msg, ChannelAnnouncement):
+        return MSG_CHANNEL_ANNOUNCEMENT, None, msg.short_channel_id.pack(), 0
+    return MSG_NODE_ANNOUNCEMENT, msg.timestamp, msg.node_id, 0
+
+
+def _assert_peek_agrees(raw: bytes) -> None:
+    try:
+        msg = decode_message(raw)
+    except CodecError as exc:
+        with pytest.raises(CodecError) as err:
+            peek_message(raw)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    assert peek_message(raw) == _expected_peek(msg)
+
+
+class TestPeekMatchesDecode:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        maker=st.sampled_from(
+            (
+                msggen.random_node_announcement,
+                msggen.random_channel_announcement,
+                msggen.random_channel_update,
+            )
+        ),
+        mask=st.integers(1, 255),
+    )
+    def test_every_truncation_and_single_byte_mutation(self, seed, maker, mask):
+        raw = encode_message(maker(random.Random(seed)))
+        for cut in range(len(raw) + 1):
+            _assert_peek_agrees(raw[:cut])
+        for pos in range(len(raw)):
+            mutated = bytearray(raw)
+            mutated[pos] ^= mask
+            _assert_peek_agrees(bytes(mutated))
+
+    def test_htlc_maximum_flag_without_the_field(self):
+        upd = msggen.make_channel_update(msggen.scid(3), 7)
+        raw = bytearray(encode_message(upd))
+        raw[2 + 64 + 32 + 8 + 4] |= 0x01  # message_flags: claim htlc_maximum_msat
+        with pytest.raises(TruncatedError) as err:
+            peek_message(bytes(raw))
+        assert err.value.what == "htlc_maximum_msat"
+        _assert_peek_agrees(bytes(raw))
 
 
 class TestAliasText:

@@ -12,7 +12,8 @@ from lntm.replay import (
     snapshot_from_json,
     snapshot_to_json,
 )
-from lntm.store import deduplicate_and_order
+from lntm.codec import encode_message
+from lntm.store import DecodeFailureError, StoreRecord, deduplicate_and_order
 
 import msggen
 
@@ -128,6 +129,121 @@ class TestReplay:
         a = snapshot_to_json(replay(feed_of(*records), 50))
         b = snapshot_to_json(replay(feed_of(*reversed(records)), 50))
         assert a == b
+
+
+def msggen_corpus(rng, nodes=12, channels=30, versions=6):
+    """Channels with many update versions, same-timestamp clones, re-seen
+    and conflicting announcements, updates for never-announced channels
+    and node announcements, orphans included."""
+    records = []
+    for i in range(channels):
+        s = msggen.scid(1000 + i // 3, i % 3)
+        a, b = rng.sample(range(nodes), 2)
+        announced_at = rng.randrange(0, 500)
+        ann = msggen.make_channel_announcement(s, msggen.node_id(a), msggen.node_id(b))
+        records.append(msggen.record(announced_at, ann))
+        if rng.random() < 0.2:
+            records.append(msggen.record(rng.randrange(0, 700), ann))
+        if rng.random() < 0.1:
+            c = rng.choice([n for n in range(nodes + 3) if n not in (a, b)])
+            other = msggen.make_channel_announcement(s, msggen.node_id(a), msggen.node_id(c))
+            records.append(msggen.record(rng.randrange(0, 700), other))
+        for direction in (0, 1):
+            for _ in range(rng.randrange(versions)):
+                ts = announced_at + rng.randrange(-50, 600)
+                upd = msggen.make_channel_update(
+                    s, max(ts, 0), direction=direction, fee_base_msat=rng.randrange(4),
+                    disabled=rng.random() < 0.1,
+                )
+                records.append(msggen.record(rng.randrange(0, 900), upd))
+                if rng.random() < 0.2:
+                    clone = msggen.make_channel_update(
+                        s, upd.timestamp, direction=direction, fee_base_msat=7 + rng.randrange(4)
+                    )
+                    records.append(msggen.record(rng.randrange(0, 900), clone))
+    for i in range(5):
+        upd = msggen.make_channel_update(msggen.scid(9000 + i), rng.randrange(0, 900))
+        records.append(msggen.record(rng.randrange(0, 900), upd))
+    for n in range(nodes + 3):
+        for _ in range(rng.randrange(4)):
+            ts = rng.randrange(0, 900)
+            alias = bytes([97 + rng.randrange(3)])
+            records.append(msggen.record(ts, msggen.make_node_announcement(msggen.node_id(n), ts, alias=alias)))
+    return records
+
+
+class TestFold:
+    def test_same_timestamp_node_announcements_greatest_payload_wins(self):
+        a = msggen.make_node_announcement(N1, 50, alias=b"a")
+        b = msggen.make_node_announcement(N1, 50, alias=b"b")
+        winner = max((a, b), key=encode_message)
+        ann = msggen.record(10, msggen.make_channel_announcement(S12, N1, N2))
+        for order in ((a, b), (b, a)):
+            records = [ann] + [msggen.record(50, m) for m in order]
+            snap = replay(records, 60)
+            assert snap.nodes[N1].alias == winner.alias.rstrip(b"\x00").decode()
+            assert snapshot_to_json(snap) == snapshot_to_json(replay(feed_of(*records), 60))
+
+    def test_conflicting_reannouncement_keeps_least_arrival_then_payload(self):
+        small = msggen.make_channel_announcement(S12, N1, N2)
+        large = msggen.make_channel_announcement(S12, N1, N3)
+        assert encode_message(small) < encode_message(large)
+        # the earliest arrival governs, whatever its payload
+        records = [
+            msggen.record(20, small),
+            msggen.record(30, msggen.make_node_announcement(N2, 30)),
+            msggen.record(10, large),
+        ]
+        assert replay(records, 5).channels == {}
+        for t in (15, 99):
+            channel = replay(records, t).channels[S12]
+            assert (channel.node_1, channel.node_2) == (N1, N3)
+        snap = replay(records, 99)
+        assert set(snap.nodes) == {N1, N3}
+        assert snap.diagnostics.orphan_node_announcements == 1
+        # at equal arrivals the smaller payload governs
+        tied = [msggen.record(10, large), msggen.record(10, small)]
+        assert replay(tied, 99).channels[S12].node_2 == N2
+
+    def test_update_before_its_announcement_in_file_order(self):
+        records = [
+            msggen.record(50, msggen.make_channel_update(S12, 50, fee_base_msat=7)),
+            msggen.record(50, msggen.make_channel_update(S12, 50, fee_base_msat=7)),
+            msggen.record(100, msggen.make_channel_announcement(S12, N1, N2)),
+        ]
+        early = replay(records, 80)
+        assert early.channels == {}
+        assert early.diagnostics.updates_unknown_channel == 1
+        snap = replay(records, 150)
+        assert snap.channels[S12].policies[0].fee_base_msat == 7
+        assert snap.diagnostics.updates_unknown_channel == 0
+
+    def test_bad_record_after_as_of_fails_with_its_file_index(self):
+        late = encode_message(msggen.make_channel_update(S12, 999))
+        records = [
+            msggen.record(10, msggen.make_channel_announcement(S12, N1, N2)),
+            msggen.record(20, msggen.make_channel_update(S12, 20)),
+            StoreRecord(999, late[:120]),  # timestamp readable, fee fields cut
+            StoreRecord(5, b"\x01"),
+        ]
+        with pytest.raises(DecodeFailureError) as err:
+            replay(records, 50)
+        assert err.value.index == 2
+
+    def test_fold_equals_replay_of_shuffled_duplicated_feed(self):
+        rng = random.Random(11)
+        records = msggen_corpus(rng)
+        messy = records + rng.sample(records, len(records) // 4)
+        rng.shuffle(messy)
+        feed = deduplicate_and_order(messy)
+        diagnosed = 0
+        for t in (0, 100, 250, 400, 550, 700, 2**40):
+            direct = replay(records, t)
+            assert snapshot_to_json(direct) == snapshot_to_json(replay(feed, t))
+            assert direct == replay(messy, t)
+            diagnosed += direct.diagnostics.updates_unknown_channel > 0
+            diagnosed += direct.diagnostics.orphan_node_announcements > 0
+        assert diagnosed > 4
 
 
 class TestRoutingView:

@@ -92,6 +92,19 @@ class TestJsonLines:
             list(read_store_jsonl(path))
         assert err.value.line_no == 2
 
+    def test_non_utf8_line_reports_number(self, tmp_path):
+        rec = msggen.record(42, msggen.make_node_announcement(msggen.node_id(3), 9))
+        path = tmp_path / "debug.jsonl"
+        line = json.dumps({"arrival_ts": 42, "hex": rec.payload.hex()}).encode()
+        # the bad byte sits in a field nobody reads: still not UTF-8
+        bad = line[:-1] + b', "note": "\xff"}'
+        path.write_bytes(line + b"\n" + bad + b"\n" + line + b"\n")
+        records = read_store_jsonl(path)
+        assert next(records) == rec
+        with pytest.raises(JsonLinesError) as err:
+            next(records)
+        assert err.value.line_no == 2
+
     def test_open_store_sniffs_format(self, tmp_path):
         rec = msggen.record(7, msggen.make_node_announcement(msggen.node_id(1), 7))
         gsr = tmp_path / "a.gsr"
