@@ -22,6 +22,21 @@ Zero-weight arcs are legal (zero-fee channels exist) and need real care:
   shortest path crosses such a cluster in one contiguous segment (leaving
   and re-entering would cost extra), so the contraction is exact.
 
+Degree-1 nodes get no source pass of their own (Baglioni et al., ASONAM
+2012; Sariyuce et al., SDM 2013). A leaf ``l`` outside any zero-fee cluster
+whose only neighbour is ``u``, with an arc ``l->u``, folds into ``u`` (in a
+two-node component the higher index folds into the lower). Its only way out
+is ``l->u``, so every shortest ``l->t`` path is that arc followed by a
+shortest ``u->t`` path: ``l``'s pass is ``u``'s pass one arc further out.
+It credits every node except ``u`` exactly as ``u``'s pass does (``l`` as a
+target adds no interior credit there, having no other in-neighbour), and
+credits ``u`` with one for every node ``t`` not in ``{l, u}`` that ``u``
+reaches. So ``u``'s pass scales its credits by ``1 + k`` for its ``k``
+folded leaves and adds ``k * R - r`` to ``u`` itself, where ``R`` counts the
+nodes other than ``u`` the pass reached and ``r`` the folded leaves among
+them. A cluster-member hub needs nothing more: its bundles only ever credit
+members other than the source.
+
 The per-source loop is embarrassingly parallel; partial results are always
 reduced in source order so the thread count never changes the output.
 """
@@ -284,6 +299,31 @@ class _PortGraph:
     in_edges: list[list[tuple[int, int, int, int]]]
     is_out_port: list[bool]
     bundles: list[tuple[int, int, int, tuple[tuple[int, int], ...]]]
+    leaves: list[list[int]]  # per node: the leaves folded into it
+    sources: list[int]  # nodes that get a source pass: all but folded leaves
+
+
+def _fold_leaves(n: int, arcs, cluster_of: list[int]) -> list[list[int]]:
+    """Per node, the degree-1 nodes whose source pass folds into its own."""
+    neighbour = [-1] * n  # the only neighbour: -1 while none, -2 once several
+    has_out = [False] * n
+    for src, dst, _ in arcs:
+        has_out[src] = True
+        for x, y in ((src, dst), (dst, src)):
+            if neighbour[x] == -1:
+                neighbour[x] = y
+            elif neighbour[x] != y:
+                neighbour[x] = -2
+    hub_of = [
+        hub if has_out[leaf] and cluster_of[leaf] < 0 else -1
+        for leaf, hub in enumerate(neighbour)
+    ]
+    leaves: list[list[int]] = [[] for _ in range(n)]
+    for leaf, hub in enumerate(hub_of):
+        # a leaf's hub can only be a leaf itself in a two-node component
+        if hub >= 0 and (hub_of[hub] < 0 or leaf > hub):
+            leaves[hub].append(leaf)
+    return leaves
 
 
 def _prepare(graph: WeightedDigraph) -> _PortGraph:
@@ -336,6 +376,9 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
     for u in range(n):
         is_out_port[h_out_of[u]] = True
 
+    leaves = _fold_leaves(n, graph.arcs, cluster_of)
+    folded = {leaf for group in leaves for leaf in group}
+
     return _PortGraph(
         n_nodes=n,
         h_count=h_count,
@@ -346,11 +389,14 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
         in_edges=in_edges,
         is_out_port=is_out_port,
         bundles=bundles,
+        leaves=leaves,
+        sources=[s for s in range(n) if s not in folded],
     )
 
 
 def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
-    """Dependency accumulation for one source; returns per-node credits."""
+    """Dependency accumulation for one source and the leaves folded into
+    it; returns per-node credits."""
     ratio: Callable[[int, int], Value] = Fraction if exact else operator.truediv
     zero: Value = Fraction(0) if exact else 0.0
 
@@ -416,6 +462,16 @@ def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
     for u in range(pg.n_nodes):
         if pg.cluster_of[u] < 0 and u != s:
             credit[u] += delta[pg.h_out_of[u]]
+
+    leaves = pg.leaves[s]
+    if leaves:
+        # each folded leaf repeats this pass one arc further out, with s
+        # interior to every pair (leaf, t) for t reached and not the leaf
+        multiplier = 1 + len(leaves)
+        credit = [c * multiplier for c in credit]
+        reached = sum(1 for port in pg.h_out_of if dist[port] is not None) - 1
+        reached_leaves = sum(1 for leaf in leaves if dist[pg.h_out_of[leaf]] is not None)
+        credit[s] += len(leaves) * reached - reached_leaves
     return credit
 
 
@@ -456,15 +512,16 @@ def betweenness(
     pg = _prepare(graph)
     totals: list[Value] = [Fraction(0) if exact else 0.0] * n
 
-    if processes and processes > 1 and n > 1:
+    sources = pg.sources
+    if processes and processes > 1 and len(sources) > 1:
         ctx = multiprocessing.get_context("fork")
-        chunk = max(1, n // (processes * 4))
+        chunk = max(1, len(sources) // (processes * 4))
         with ctx.Pool(processes, initializer=_pool_init, initargs=(pg, exact)) as pool:
-            for sparse in pool.imap(_pool_source, range(n), chunksize=chunk):
+            for sparse in pool.imap(_pool_source, sources, chunksize=chunk):
                 for i, value in sparse:
                     totals[i] += value
     else:
-        for s in range(n):
+        for s in sources:
             for i, value in _sparse_credit(_source_pass(pg, s, exact)):
                 totals[i] += value
 

@@ -3,7 +3,8 @@
 All commands are non-interactive and file-based, emit plot-ready data (never
 images), and write a reproducibility manifest next to their outputs. The
 LNTM_THREADS environment variable caps worker processes; output bytes do
-not depend on it.
+not depend on it. Every output file is written to a temporary file and
+moved into place, so a failed command never leaves a partial one.
 
 Exit codes: 1 for unreadable/unparseable inputs, 2 for write failures and
 for usage errors such as an ``--amount-msat`` outside the u64 range.
@@ -44,7 +45,7 @@ from .inequality import (
     top_share,
     top_shares_to_csv,
 )
-from .manifest import write_manifest
+from .manifest import atomic_write, write_manifest
 from .replay import (
     SnapshotFormatError,
     replay,
@@ -77,7 +78,8 @@ def _fail(exc: Exception, code: int):
 
 def _write_text(path: Path, text: str) -> None:
     try:
-        path.write_text(text, encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(text)
     except OSError as exc:
         _fail(exc, 2)
 

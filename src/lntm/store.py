@@ -5,7 +5,8 @@ or more frames of ``arrival_ts:u64 BE | msg_len:u32 BE | msg bytes``. The
 message bytes start with the u16 gossip type code.
 
 A JSON-lines debug format is also read: one object per line with fields
-``arrival_ts`` (int, seconds) and ``hex`` (hex-encoded message).
+``arrival_ts`` (a JSON integer in [0, 2^64), seconds) and ``hex``
+(hex-encoded message).
 
 Ordering model: the feed keeps *every* distinct message version, so the
 compacted archive it is written out as still answers "state at time T" for
@@ -24,6 +25,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .codec import FLAG_DIRECTION, MSG_CHANNEL_UPDATE, CodecError, peek_message
+from .manifest import atomic_write
 
 STORE_MAGIC = b"GSR1"
 
@@ -113,9 +115,10 @@ def _read_frames(fh: IO[bytes]) -> Iterator[StoreRecord]:
 
 
 def write_store(path: str | Path, records: Iterable[StoreRecord]) -> int:
-    """Write records as a GSR1 archive; returns the record count."""
+    """Write records as a GSR1 archive; returns the record count. The file
+    appears only once every record is written."""
     count = 0
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(STORE_MAGIC)
         for rec in records:
             fh.write(_FRAME_HEADER.pack(rec.arrival_ts, len(rec.payload)))
@@ -126,7 +129,9 @@ def write_store(path: str | Path, records: Iterable[StoreRecord]) -> int:
 
 def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
     """Stream records from the JSON-lines debug format: UTF-8, one object
-    per line. A line that is not UTF-8 is a JsonLinesError like any other."""
+    per line. A line that is not UTF-8, or whose ``arrival_ts`` is not an
+    integer that fits the u64 frame field, is a JsonLinesError like any
+    other."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -134,10 +139,16 @@ def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
                 if not line:
                     continue
                 obj = json.loads(line)
-                arrival_ts = int(obj["arrival_ts"])
+                arrival_ts = obj["arrival_ts"]
                 payload = bytes.fromhex(obj["hex"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise JsonLinesError(line_no, str(exc)) from exc
+            # bool is an int subclass; floats and out-of-range values would
+            # only fail later, when a frame header is packed
+            if type(arrival_ts) is not int or not 0 <= arrival_ts < 1 << 64:
+                raise JsonLinesError(
+                    line_no, f"arrival_ts {arrival_ts!r} is not an integer in [0, 2^64)"
+                )
             yield StoreRecord(arrival_ts, payload)
 
 

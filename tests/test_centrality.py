@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lntm import centrality
 from lntm.centrality import (
     CentralityReport,
     FeeOverflowError,
@@ -279,6 +280,125 @@ def random_graph(rng, max_nodes=10, edge_prob=0.3, zero_prob=0.08, max_weight=10
     return WeightedDigraph.from_arcs(node_ids, arcs)
 
 
+def assert_float_matches_networkx(graph):
+    """Float mode within 1e-9 relative of networkx (no zero-weight arcs)."""
+    import networkx as nx  # test-only oracle
+    nx_graph = nx.DiGraph()
+    nx_graph.add_nodes_from(range(len(graph.node_ids)))
+    nx_graph.add_weighted_edges_from(graph.arcs)
+    want = nx.betweenness_centrality(nx_graph, weight="weight", normalized=False, endpoints=False)
+    got = betweenness(graph).values
+    for i, node_id in enumerate(graph.node_ids):
+        assert abs(got[node_id] - want[i]) <= 1e-9 * max(1.0, abs(want[i]))
+
+
+def leafy_graph(rng, core=6, leaves=5, zero_prob=0.3, max_weight=20):
+    """Random core (zero-fee clusters likely) with degree-1 nodes of every
+    kind hung off it: two-way, leaf->hub only, hub->leaf only, zero-weight
+    arcs either way, several on one hub, leaves of leaves, a two-node
+    component and an isolated node."""
+    arcs = []
+
+    def weight():
+        return 0 if rng.random() < zero_prob else rng.randrange(1, max_weight + 1)
+
+    for u in range(core):
+        for v in range(core):
+            if u != v and rng.random() < 0.4:
+                arcs.append((u, v, weight()))
+    n = core
+    for _ in range(leaves):
+        leaf, n = n, n + 1
+        hub = rng.randrange(leaf) if rng.random() < 0.2 else rng.randrange(core)
+        kind = rng.choice(("both", "both", "out", "in"))
+        if kind in ("both", "out"):
+            arcs.append((leaf, hub, weight()))
+        if kind in ("both", "in"):
+            arcs.append((hub, leaf, weight()))
+    if rng.random() < 0.5:  # two-node component
+        kind = rng.choice(("both", "one-way"))
+        arcs.append((n, n + 1, weight()))
+        if kind == "both":
+            arcs.append((n + 1, n, weight()))
+        n += 2
+    if rng.random() < 0.5:  # isolated node
+        n += 1
+    node_ids = tuple(msggen.node_id(i) for i in range(n))
+    return WeightedDigraph.from_arcs(node_ids, arcs)
+
+
+class TestLeafFolding:
+    def test_exact_matches_brute_force_with_forced_leaves(self):
+        rng = random.Random(1012)
+        folded = 0
+        hubs_in_clusters = 0
+        for _ in range(300):
+            graph = leafy_graph(
+                rng, core=rng.randrange(1, 5), leaves=rng.randrange(1, 6)
+            )
+            pg = _prepare(graph)
+            folded += len(graph.node_ids) - len(pg.sources)
+            hubs_in_clusters += sum(
+                1 for u, group in enumerate(pg.leaves) if group and pg.cluster_of[u] >= 0
+            )
+            assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+        # the fold must actually have applied, also on zero-fee cluster hubs
+        assert folded > 300
+        assert hubs_in_clusters > 10
+
+    def test_star_plus_core_runs_one_pass_per_unfolded_node(self, monkeypatch):
+        # core a-b-c-d; hub a gets a two-way leaf e, an e->a-only leaf f, an
+        # a->g-only leaf g (not folded: no way out) and a zero-fee leaf h;
+        # i-j is a two-node component (j folds into i); k is isolated
+        edges = [(x, y, 3) for x, y in ("ab", "ba", "bc", "cb", "cd", "dc", "da", "ad")]
+        edges += [("e", "a", 2), ("a", "e", 5), ("f", "a", 1), ("a", "g", 4)]
+        edges += [("h", "a", 0), ("a", "h", 7), ("i", "j", 1), ("j", "i", 1)]
+        graph, ids = make_graph("abcdefghijk", edges)
+        index = {nid: i for i, nid in enumerate(graph.node_ids)}
+        folded = {index[ids[x]] for x in "efhj"}
+        calls = []
+        real_pass = centrality._source_pass
+
+        def counting_pass(pg, s, exact):
+            calls.append(s)
+            return real_pass(pg, s, exact)
+
+        monkeypatch.setattr(centrality, "_source_pass", counting_pass)
+        report = betweenness(graph, exact=True)
+        assert sorted(calls) == sorted(set(range(len(graph.node_ids))) - folded)
+        assert report.values == brute_force_betweenness(graph).values
+        assert by_label(report, ids)["a"] > 0
+
+    def test_hub_with_only_leaves(self):
+        # every leaf folds; the hub's credit comes from the fold alone
+        edges = [(x, "h", 1) for x in "abcde"] + [("h", x, 1) for x in "abc"]
+        graph, ids = make_graph("habcde", edges)
+        assert len(_prepare(graph).sources) == 1
+        values = by_label(betweenness(graph, exact=True), ids)
+        assert values["h"] == 5 * 3 - 3  # each leaf reaches the 3 others h reaches
+        assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+
+    def test_float_mode_matches_networkx_with_40_percent_leaves(self):
+        rng = random.Random(340)
+        n, core = 300, 180
+        arcs = [
+            (u, v, rng.randrange(1, 6))
+            for u in range(core)
+            for v in rng.sample(range(core), 5)
+            if u != v
+        ]
+        for leaf in range(core, n):
+            hub = rng.randrange(core)
+            kind = rng.choice(("both", "both", "out", "in"))
+            if kind in ("both", "out"):
+                arcs.append((leaf, hub, rng.randrange(1, 6)))
+            if kind in ("both", "in"):
+                arcs.append((hub, leaf, rng.randrange(1, 6)))
+        graph = WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(n)), arcs)
+        assert len(graph.node_ids) - len(_prepare(graph).sources) > 60
+        assert_float_matches_networkx(graph)
+
+
 class TestOracleEquivalence:
     def test_exact_match_on_random_graphs(self):
         rng = random.Random(20_21)
@@ -297,7 +417,6 @@ class TestOracleEquivalence:
                 assert abs(got[node_id] - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_float_mode_matches_networkx_at_300_nodes(self):
-        import networkx as nx  # test-only oracle
         rng = random.Random(300)
         n = 300
         node_ids = tuple(msggen.node_id(i) for i in range(n))
@@ -308,14 +427,7 @@ class TestOracleEquivalence:
             for v in rng.sample(range(n), 6)
             if u != v
         ]
-        graph = WeightedDigraph.from_arcs(node_ids, arcs)
-        nx_graph = nx.DiGraph()
-        nx_graph.add_nodes_from(range(n))
-        nx_graph.add_weighted_edges_from(graph.arcs)
-        want = nx.betweenness_centrality(nx_graph, weight="weight", normalized=False, endpoints=False)
-        got = betweenness(graph).values
-        for i, node_id in enumerate(node_ids):
-            assert abs(got[node_id] - want[i]) <= 1e-9 * max(1.0, abs(want[i]))
+        assert_float_matches_networkx(WeightedDigraph.from_arcs(node_ids, arcs))
 
 
 class TestInvariants:
@@ -389,6 +501,16 @@ class TestDeterminismAcrossProcesses:
         serial = betweenness(graph)
         for processes in (2, 4):
             assert betweenness(graph, processes=processes).values == serial.values
+
+    def test_leaf_heavy_graph_output_is_byte_identical(self):
+        graph = leafy_graph(random.Random(56), core=30, leaves=40, zero_prob=0.1)
+        assert len(graph.node_ids) - len(_prepare(graph).sources) > 20
+        for exact in (False, True):
+            outputs = set()
+            for processes in (1, 2, 3):
+                report = betweenness(graph, exact=exact, processes=processes)
+                outputs.add((report_to_json(report), report_to_csv(report)))
+            assert len(outputs) == 1
 
 
 class TestReportSerialization:

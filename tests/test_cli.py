@@ -121,6 +121,31 @@ class TestSnapshotCommand:
         assert result.stderr.startswith("error: bad record on line 1:")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("arrival_ts", ["-5", "18446744073709551616", "true", "1.5"])
+    def test_bad_jsonl_arrival_ts_exits_1(self, runner, tmp_path, arrival_ts):
+        payload = msggen.record(9, msggen.make_node_announcement(msggen.node_id(1), 9)).payload
+        store = tmp_path / "bad.jsonl"
+        store.write_text(f'{{"arrival_ts": {arrival_ts}, "hex": "{payload.hex()}"}}\n')
+        out = tmp_path / "out.gsr"
+        result = runner.invoke(main, ["compact", "--store", str(store), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: bad record on line 1: arrival_ts")
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+    def test_failed_move_into_place_leaves_no_output(self, runner, tmp_path, monkeypatch):
+        store = tmp_path / "corpus.gsr"
+        build_corpus(store)
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("lntm.manifest.os.replace", no_space)
+        result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "999", "--out", str(tmp_path / "x.json")])
+        assert result.exit_code == 2
+        assert "No space left on device" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
+
     def test_write_failure_exits_2(self, runner, tmp_path):
         store = tmp_path / "corpus.gsr"
         build_corpus(store)
@@ -295,6 +320,7 @@ class TestManifestWriteFailure:
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
+        assert not [p for p in manifest.parent.iterdir() if p.name.endswith(".tmp")]
 
     def test_every_command_exits_2(self, runner, tmp_path):
         store = tmp_path / "corpus.gsr"

@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from lntm.codec import decode_message
+from lntm.manifest import atomic_write
 from lntm.store import (
     BadMagicError,
     CorruptFrameError,
@@ -76,6 +77,56 @@ class TestFraming:
         assert blob[16:] == rec.payload
 
 
+class TestAtomicWrite:
+    def _record(self):
+        return msggen.record(7, msggen.make_node_announcement(msggen.node_id(1), 7))
+
+    def test_failure_part_way_leaves_no_file(self, tmp_path):
+        def records():
+            yield self._record()
+            yield self._record()
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError):
+            write_store(tmp_path / "out.gsr", records())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unpackable_record_leaves_no_file(self, tmp_path):
+        with pytest.raises(struct.error):
+            write_store(tmp_path / "out.gsr", [self._record(), StoreRecord(-5, b"\x01\x02")])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_previous_output(self, tmp_path):
+        path = tmp_path / "out.gsr"
+        write_store(path, [self._record()])
+        before = path.read_bytes()
+
+        def records():
+            yield self._record()
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError):
+            write_store(path, records())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        target = tmp_path / "target.gsr"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.gsr"
+        link.symlink_to(target)
+        write_store(link, [self._record()])
+        assert link.is_symlink()
+        assert list(read_store(target)) == [self._record()]
+
+    def test_text_write_failure_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_write(tmp_path / "out.json") as fh:
+                fh.write("partial")
+                raise RuntimeError("serializer failed")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestJsonLines:
     def test_reads_records(self, tmp_path):
         rec = msggen.record(42, msggen.make_node_announcement(msggen.node_id(3), 9))
@@ -104,6 +155,31 @@ class TestJsonLines:
         with pytest.raises(JsonLinesError) as err:
             next(records)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("arrival_ts", ["-5", "18446744073709551616", "true", "1.5"])
+    def test_arrival_ts_must_be_a_u64_integer(self, tmp_path, arrival_ts):
+        rec = msggen.record(42, msggen.make_node_announcement(msggen.node_id(3), 9))
+        good = json.dumps({"arrival_ts": 42, "hex": rec.payload.hex()})
+        bad = f'{{"arrival_ts": {arrival_ts}, "hex": "{rec.payload.hex()}"}}'
+        path = tmp_path / "debug.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        records = read_store_jsonl(path)
+        assert next(records) == rec
+        with pytest.raises(JsonLinesError) as err:
+            next(records)
+        assert err.value.line_no == 2
+        assert "arrival_ts" in str(err.value)
+
+    def test_arrival_ts_bounds_are_inclusive_of_u64_range(self, tmp_path):
+        rec = msggen.record(0, msggen.make_node_announcement(msggen.node_id(3), 9))
+        path = tmp_path / "debug.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"arrival_ts": ts, "hex": rec.payload.hex()}) + "\n"
+                for ts in (0, 2**64 - 1)
+            )
+        )
+        assert [r.arrival_ts for r in read_store_jsonl(path)] == [0, 2**64 - 1]
 
     def test_open_store_sniffs_format(self, tmp_path):
         rec = msggen.record(7, msggen.make_node_announcement(msggen.node_id(1), 7))
