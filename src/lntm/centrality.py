@@ -46,6 +46,7 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -628,25 +629,37 @@ class ReportFormatError(ValueError):
 
 
 def report_from_json(text: str) -> CentralityReport:
+    """Parse a report document. Values must be finite, non-negative JSON
+    numbers; anything else, or a field of the wrong type, raises
+    ReportFormatError."""
     import json
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ReportFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != REPORT_FORMAT:
         raise ReportFormatError("missing centrality report format marker")
     if doc.get("version") != REPORT_VERSION:
         raise ReportFormatError(f"unsupported report version {doc.get('version')!r}")
     try:
-        values = {
-            bytes.fromhex(node_hex): float(value)
-            for node_hex, value in doc["values"].items()
-        }
+        values = doc["values"]
+        if type(values) is not dict:
+            raise ValueError("values is not an object")
+        for node_hex, value in values.items():
+            # bool is an int subclass; the bound also excludes NaN, infinities
+            # and integers too large for a float
+            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"value {value!r} of node {node_hex} is not a finite number >= 0")
+        as_of, amount_msat = doc["as_of"], doc["amount_msat"]
+        if type(as_of) is not int:
+            raise ValueError(f"as_of {as_of!r} is not an integer")
+        if type(amount_msat) is not int or not 0 <= amount_msat <= U64_MAX:
+            raise ValueError(f"amount_msat {amount_msat!r} is not an integer in [0, 2^64)")
         return CentralityReport(
-            as_of=int(doc["as_of"]),
-            amount_msat=int(doc["amount_msat"]),
-            values=values,
+            as_of=as_of,
+            amount_msat=amount_msat,
+            values={bytes.fromhex(node_hex): float(value) for node_hex, value in values.items()},
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ReportFormatError(f"malformed report document: {exc}") from exc

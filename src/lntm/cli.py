@@ -3,11 +3,17 @@
 All commands are non-interactive and file-based, emit plot-ready data (never
 images), and write a reproducibility manifest next to their outputs. The
 LNTM_THREADS environment variable caps worker processes; output bytes do
-not depend on it. Every output file is written to a temporary file and
-moved into place, so a failed command never leaves a partial one.
+not depend on it.
 
-Exit codes: 1 for unreadable/unparseable inputs, 2 for write failures and
-for usage errors such as an ``--amount-msat`` outside the u64 range.
+Each command reads its inputs and computes every result before it writes
+anything; then ``_emit`` writes all outputs and the manifest. Every file
+goes to a temporary file that is moved into place, so none is ever left
+half-written.
+
+Exit codes: 1 when an input cannot be read, parsed or used, a computation
+it makes fail included (``_Pipeline``); 2 when an output cannot be written
+(``_emit``) and for usage errors, such as an ``--amount-msat`` outside the
+u64 range.
 """
 
 from __future__ import annotations
@@ -17,15 +23,14 @@ import os
 import sys
 from bisect import bisect_right
 from pathlib import Path
+from typing import Callable
 
 import click
 
 from . import __version__
 from .centrality import (
     U64_MAX,
-    CentralityError,
     CentralityReport,
-    ReportFormatError,
     betweenness,
     build_graph,
     report_from_json,
@@ -34,8 +39,6 @@ from .centrality import (
     report_to_json,
 )
 from .inequality import (
-    EmptyReportError,
-    UnknownAnchorError,
     gini_trend,
     gini_trend_to_csv,
     lorenz,
@@ -46,13 +49,7 @@ from .inequality import (
     top_shares_to_csv,
 )
 from .manifest import atomic_write, write_manifest
-from .replay import (
-    SnapshotFormatError,
-    replay,
-    routing_view,
-    snapshot_from_json,
-    snapshot_to_json,
-)
+from .replay import replay, routing_view, snapshot_from_json, snapshot_to_json
 from .store import StoreError, deduplicate_and_order, feed_to_records, open_store, write_store
 
 # the three transaction sizes used throughout: 0.0001, 0.01 and 0.1 BTC
@@ -76,22 +73,42 @@ def _fail(exc: Exception, code: int):
     sys.exit(code)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _emit(
+    manifest: Path,
+    command: str,
+    inputs: list[str],
+    parameters: dict,
+    files: list[tuple[Path, str | Callable[[Path], object]]],
+) -> None:
+    """Write every output, each atomically, then the manifest listing them;
+    an OSError exits 2. Files moved into place before a failure stay.
+    ``files`` pairs each path with its text or with a function that writes
+    the file at the path it is given."""
     try:
-        with atomic_write(path) as fh:
-            fh.write(text)
+        for path, content in files:
+            if isinstance(content, str):
+                with atomic_write(path) as fh:
+                    fh.write(content)
+            else:
+                content(path)
+        write_manifest(manifest, command, inputs, parameters, [path for path, _ in files])
     except OSError as exc:
         _fail(exc, 2)
 
 
-def _write_manifest(path: Path, **fields) -> None:
-    try:
-        write_manifest(path, **fields)
-    except OSError as exc:
-        _fail(exc, 2)
+class _Pipeline(click.Group):
+    """Exits 1 when an input cannot be read (OSError), is a bad archive
+    (StoreError), or is a document or computation that cannot be used
+    (ValueError, the base of every other lntm error)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (OSError, StoreError, ValueError) as exc:
+            _fail(exc, 1)
 
 
-@click.group()
+@click.group(cls=_Pipeline)
 @click.version_option(version=__version__, prog_name="lntm")
 def main():
     """Reconstruct past payment-channel-network states from archived gossip
@@ -104,18 +121,13 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Snapshot JSON output path.")
 def snapshot(store_path: str, as_of: int, out_path: str):
     """Replay an archive up to an instant and write the network snapshot."""
-    try:
-        snap = replay(open_store(store_path), as_of)
-    except StoreError as exc:
-        _fail(exc, 1)
-    out = Path(out_path)
-    _write_text(out, snapshot_to_json(snap))
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        command="snapshot",
-        inputs=[store_path],
-        parameters={"as_of": as_of},
-        outputs=[out],
+    snap = replay(open_store(store_path), as_of)
+    _emit(
+        Path(f"{out_path}.manifest.json"),
+        "snapshot",
+        [store_path],
+        {"as_of": as_of},
+        [(Path(out_path), snapshot_to_json(snap))],
     )
     diag = snap.diagnostics
     click.echo(f"as_of {snap.as_of}: {len(snap.nodes)} nodes, {len(snap.channels)} channels, {snap.policy_count} policies")
@@ -166,47 +178,39 @@ def centrality(
     out_prefix: str,
 ):
     """Fee-weighted betweenness reports, one per transaction amount."""
-    try:
-        snap = snapshot_from_json(Path(snapshot_path).read_text(encoding="utf-8"))
-    except (OSError, SnapshotFormatError) as exc:
-        _fail(exc, 1)
+    snap = snapshot_from_json(Path(snapshot_path).read_text(encoding="utf-8"))
     amounts = amounts or DEFAULT_AMOUNTS_MSAT
     processes = _thread_count()
     view = routing_view(
         snap, prune_stale_after=prune_stale_after, include_disabled=include_disabled
     )
-    outputs = []
+    files = []
     for amount in amounts:
-        try:
-            graph = build_graph(view, amount, enforce_htlc_bounds=enforce_htlc_bounds)
-            report = betweenness(graph, exact=exact, processes=processes)
-        except CentralityError as exc:
-            _fail(exc, 1)
-        csv_path = Path(f"{out_prefix}-centrality-{amount}.csv")
-        json_path = Path(f"{out_prefix}-centrality-{amount}.json")
-        hist_path = Path(f"{out_prefix}-histogram-{amount}.csv")
-        _write_text(csv_path, report_to_csv(report))
-        _write_text(json_path, report_to_json(report))
-        _write_text(hist_path, _histogram_csv(report))
-        outputs += [csv_path, json_path, hist_path]
+        graph = build_graph(view, amount, enforce_htlc_bounds=enforce_htlc_bounds)
+        report = betweenness(graph, exact=exact, processes=processes)
+        files += [
+            (Path(f"{out_prefix}-centrality-{amount}.csv"), report_to_csv(report)),
+            (Path(f"{out_prefix}-centrality-{amount}.json"), report_to_json(report)),
+            (Path(f"{out_prefix}-histogram-{amount}.csv"), _histogram_csv(report)),
+        ]
         top = report_items(report)[0] if report.values else None
         top_note = f", top {top[0].hex()[:16]}… = {float(top[1])!r}" if top else ""
         click.echo(
             f"amount {amount} msat: {len(report.values)} nodes, "
             f"{report.leaf_count} zero-valued nodes{top_note}"
         )
-    _write_manifest(
+    _emit(
         Path(f"{out_prefix}-manifest.json"),
-        command="centrality",
-        inputs=[snapshot_path],
-        parameters={
+        "centrality",
+        [snapshot_path],
+        {
             "amounts_msat": list(amounts),
             "enforce_htlc_bounds": enforce_htlc_bounds,
             "prune_stale_after": prune_stale_after,
             "include_disabled": include_disabled,
             "exact": exact,
         },
-        outputs=outputs,
+        files,
     )
 
 
@@ -238,47 +242,35 @@ def inequality(
     """Lorenz curves, Gini trend, top-10% shares and rank timelines."""
     labeled_paths = _parse_labeled_reports(report_specs)
     labels = [label for label, _ in labeled_paths]
-    if len(set(labels)) != len(labels):
-        _fail(ValueError(f"duplicate labels in {labels}"), 1)
-    reports = []
-    for label, path in labeled_paths:
-        try:
-            reports.append((label, report_from_json(Path(path).read_text(encoding="utf-8"))))
-        except (OSError, ReportFormatError) as exc:
-            _fail(exc, 1)
+    reports = [
+        (label, report_from_json(Path(path).read_text(encoding="utf-8")))
+        for label, path in labeled_paths
+    ]
     anchor = anchor if anchor is not None else labels[-1]
-
-    outputs = []
-    try:
-        trend = gini_trend(reports)
-        shares = [(label, top_share(report, TOP_SHARE_FRACTION)) for label, report in reports]
-        timelines = rank_timelines(reports, k=k, anchor=anchor)
-        for label, report in reports:
-            path = Path(f"{out_prefix}-lorenz-{label}.csv")
-            _write_text(path, lorenz_to_csv(lorenz(report)))
-            outputs.append(path)
-    except (EmptyReportError, UnknownAnchorError, ValueError) as exc:
-        _fail(exc, 1)
-
-    trend_path = Path(f"{out_prefix}-gini-trend.csv")
-    shares_path = Path(f"{out_prefix}-top-share.csv")
-    timeline_path = Path(f"{out_prefix}-rank-timeline.csv")
-    _write_text(trend_path, gini_trend_to_csv(trend))
-    _write_text(shares_path, top_shares_to_csv(shares))
-    _write_text(timeline_path, timelines_to_csv(timelines, labels, rank_cap=rank_cap))
-    outputs += [trend_path, shares_path, timeline_path]
-    _write_manifest(
+    trend = gini_trend(reports)
+    shares = [(label, top_share(report, TOP_SHARE_FRACTION)) for label, report in reports]
+    timelines = rank_timelines(reports, k=k, anchor=anchor)
+    files = [
+        (Path(f"{out_prefix}-lorenz-{label}.csv"), lorenz_to_csv(lorenz(report)))
+        for label, report in reports
+    ]
+    files += [
+        (Path(f"{out_prefix}-gini-trend.csv"), gini_trend_to_csv(trend)),
+        (Path(f"{out_prefix}-top-share.csv"), top_shares_to_csv(shares)),
+        (Path(f"{out_prefix}-rank-timeline.csv"), timelines_to_csv(timelines, labels, rank_cap=rank_cap)),
+    ]
+    _emit(
         Path(f"{out_prefix}-manifest.json"),
-        command="inequality",
-        inputs=[path for _, path in labeled_paths],
-        parameters={
+        "inequality",
+        [path for _, path in labeled_paths],
+        {
             "labels": labels,
             "k": k,
             "anchor": anchor,
             "rank_cap": rank_cap,
             "top_share_fraction": TOP_SHARE_FRACTION,
         },
-        outputs=outputs,
+        files,
     )
     for label, gini in trend:
         click.echo(f"{label}: gini {gini!r}")
@@ -289,22 +281,15 @@ def inequality(
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Compacted GSR1 output path.")
 def compact(store_path: str, out_path: str):
     """Rewrite an archive as its deduplicated, time-ordered equivalent."""
-    try:
-        feed = deduplicate_and_order(open_store(store_path))
-    except StoreError as exc:
-        _fail(exc, 1)
-    try:
-        count = write_store(out_path, feed_to_records(feed))
-    except OSError as exc:
-        _fail(exc, 2)
-    _write_manifest(
-        Path(out_path + ".manifest.json"),
-        command="compact",
-        inputs=[store_path],
-        parameters={},
-        outputs=[out_path],
+    feed = deduplicate_and_order(open_store(store_path))
+    _emit(
+        Path(f"{out_path}.manifest.json"),
+        "compact",
+        [store_path],
+        {},
+        [(Path(out_path), lambda path: write_store(path, feed_to_records(feed)))],
     )
-    click.echo(f"wrote {count} records")
+    click.echo(f"wrote {len(feed)} records")
 
 
 if __name__ == "__main__":

@@ -266,17 +266,35 @@ def _policy_to_doc(policy: Optional[ChannelPolicy]) -> Optional[dict]:
     }
 
 
+def _typed(doc: dict, key: str, *types: type):
+    """``doc[key]``, whose type must be exactly one of ``types``, so that a
+    bool is never taken for an int."""
+    value = doc[key]
+    if type(value) not in types:
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ValueError(f"{key} {value!r} is not {names}")
+    return value
+
+
+def _uint(doc: dict, key: str, bits: int, *also: type) -> Optional[int]:
+    """``doc[key]`` as an unsigned integer of a wire field's width."""
+    value = _typed(doc, key, int, *also)
+    if type(value) is int and not 0 <= value < 1 << bits:
+        raise ValueError(f"{key} {value} is outside [0, 2^{bits})")
+    return value
+
+
 def _policy_from_doc(doc: Optional[dict]) -> Optional[ChannelPolicy]:
     if doc is None:
         return None
     return ChannelPolicy(
-        fee_base_msat=doc["fee_base_msat"],
-        fee_proportional_millionths=doc["fee_proportional_millionths"],
-        cltv_expiry_delta=doc["cltv_expiry_delta"],
-        htlc_minimum_msat=doc["htlc_minimum_msat"],
-        htlc_maximum_msat=doc["htlc_maximum_msat"],
-        disabled=doc["disabled"],
-        last_update_ts=doc["last_update_ts"],
+        fee_base_msat=_uint(doc, "fee_base_msat", 32),
+        fee_proportional_millionths=_uint(doc, "fee_proportional_millionths", 32),
+        cltv_expiry_delta=_uint(doc, "cltv_expiry_delta", 16),
+        htlc_minimum_msat=_uint(doc, "htlc_minimum_msat", 64),
+        htlc_maximum_msat=_uint(doc, "htlc_maximum_msat", 64, type(None)),
+        disabled=_typed(doc, "disabled", bool),
+        last_update_ts=_uint(doc, "last_update_ts", 32),
     )
 
 
@@ -319,9 +337,14 @@ def snapshot_to_json(snapshot: NetworkSnapshot) -> str:
 
 
 def snapshot_from_json(text: str) -> NetworkSnapshot:
+    """Parse a snapshot document. Anything snapshot_to_json could not have
+    written raises SnapshotFormatError: a missing field, a field of the
+    wrong JSON type, a policy integer outside its wire range, a policy list
+    that is not one entry per direction, or a channel endpoint missing from
+    ``nodes``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SnapshotFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotFormatError("missing snapshot format marker")
@@ -329,31 +352,36 @@ def snapshot_from_json(text: str) -> NetworkSnapshot:
         raise SnapshotFormatError(f"unsupported snapshot version {doc.get('version')!r}")
     try:
         nodes = {
-            bytes.fromhex(entry["id"]): NodeInfo(
-                alias=entry["alias"],
-                rgb_color=entry["rgb"],
-                last_seen=entry["last_seen"],
+            bytes.fromhex(_typed(entry, "id", str)): NodeInfo(
+                alias=_typed(entry, "alias", str, type(None)),
+                rgb_color=_typed(entry, "rgb", str, type(None)),
+                last_seen=_uint(entry, "last_seen", 32, type(None)),
             )
-            for entry in doc["nodes"]
+            for entry in _typed(doc, "nodes", list)
         }
         channels = {}
-        for entry in doc["channels"]:
-            scid = ShortChannelId.parse(entry["scid"])
+        for entry in _typed(doc, "channels", list):
+            scid = ShortChannelId.parse(_typed(entry, "scid", str))
+            node_1 = bytes.fromhex(_typed(entry, "node1", str))
+            node_2 = bytes.fromhex(_typed(entry, "node2", str))
+            if node_1 not in nodes or node_2 not in nodes:
+                raise ValueError(f"an endpoint of channel {scid} is not among the nodes")
+            policies = _typed(entry, "policies", list)
+            if len(policies) != 2:
+                raise ValueError(f"channel {scid} has {len(policies)} policies, not 2")
             channels[scid] = Channel(
                 short_channel_id=scid,
-                node_1=bytes.fromhex(entry["node1"]),
-                node_2=bytes.fromhex(entry["node2"]),
-                policies=(
-                    _policy_from_doc(entry["policies"][0]),
-                    _policy_from_doc(entry["policies"][1]),
-                ),
+                node_1=node_1,
+                node_2=node_2,
+                policies=(_policy_from_doc(policies[0]), _policy_from_doc(policies[1])),
             )
         diagnostics = ReplayDiagnostics(
-            updates_unknown_channel=doc["diagnostics"]["updates_unknown_channel"],
-            orphan_node_announcements=doc["diagnostics"]["orphan_node_announcements"],
+            updates_unknown_channel=_uint(doc["diagnostics"], "updates_unknown_channel", 64),
+            orphan_node_announcements=_uint(doc["diagnostics"], "orphan_node_announcements", 64),
         )
         return NetworkSnapshot(
-            as_of=doc["as_of"],
+            # an int, because --prune-stale-after subtracts from it
+            as_of=_typed(doc, "as_of", int),
             nodes=nodes,
             channels=channels,
             diagnostics=diagnostics,

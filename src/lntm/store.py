@@ -138,10 +138,10 @@ def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                obj = json.loads(line)  # RecursionError if nested too deeply
                 arrival_ts = obj["arrival_ts"]
                 payload = bytes.fromhex(obj["hex"])
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise JsonLinesError(line_no, str(exc)) from exc
             # bool is an int subclass; floats and out-of-range values would
             # only fail later, when a frame header is packed

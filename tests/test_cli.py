@@ -1,12 +1,19 @@
 """End-to-end CLI tests over a synthetic gossip corpus."""
 
+import copy
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
+from lntm.centrality import ReportFormatError, betweenness, build_graph, report_from_json, report_to_json
 from lntm.cli import main
 from lntm.manifest import sha256_file
+from lntm.replay import SnapshotFormatError, replay, routing_view, snapshot_from_json, snapshot_to_json
 from lntm.store import write_store
 
 import msggen
@@ -17,7 +24,7 @@ def runner():
     return CliRunner()
 
 
-def build_corpus(path):
+def corpus_records():
     """Three nodes in a line (1-2-3) plus a superseded fee change.
 
     Channel 1-2 announced at t=100 with both directions at t=110/115;
@@ -25,7 +32,7 @@ def build_corpus(path):
     """
     n1, n2, n3 = msggen.node_id(1), msggen.node_id(2), msggen.node_id(3)
     s12, s23 = msggen.scid(12), msggen.scid(23)
-    records = [
+    return [
         msggen.record(100, msggen.make_channel_announcement(s12, n1, n2)),
         msggen.record(110, msggen.make_channel_update(s12, 110, direction=0, fee_base_msat=10)),
         msggen.record(115, msggen.make_channel_update(s12, 115, direction=1, fee_base_msat=20)),
@@ -36,6 +43,10 @@ def build_corpus(path):
         # duplicate on purpose
         msggen.record(110, msggen.make_channel_update(s12, 110, direction=0, fee_base_msat=10)),
     ]
+
+
+def build_corpus(path):
+    records = corpus_records()
     write_store(path, records)
     return records
 
@@ -146,6 +157,22 @@ class TestSnapshotCommand:
         assert "No space left on device" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
 
+    @pytest.mark.parametrize("command", ["snapshot", "compact"])
+    def test_unreadable_archive_exits_1(self, runner, tmp_path, monkeypatch, command):
+        store = tmp_path / "corpus.gsr"
+        build_corpus(store)
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("lntm.store.open", denied, raising=False)
+        at = ["--at", "999"] if command == "snapshot" else []
+        result = runner.invoke(main, [command, "--store", str(store), *at, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: [Errno 13] Permission denied")
+        assert isinstance(result.exception, SystemExit)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
+
     def test_write_failure_exits_2(self, runner, tmp_path):
         store = tmp_path / "corpus.gsr"
         build_corpus(store)
@@ -220,6 +247,26 @@ class TestCentralityCommand:
             assert result.exit_code == 2, result.output
             assert "--amount-msat" in result.stderr
             assert "Traceback" not in result.stderr
+
+    def test_failure_at_a_later_amount_writes_nothing(self, runner, tmp_path):
+        snap = make_snapshot(runner, tmp_path, at=150)
+        doc = json.loads(snap.read_text())
+        # one policy whose fee overflows u64 at the largest amount only
+        doc["channels"][0]["policies"] = [
+            dict(doc["channels"][0]["policies"][0], fee_proportional_millionths=2_000_000),
+            None,
+        ]
+        snap.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000",
+             "--amount-msat", str(2**64 - 1), "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: fee ")
+        assert "exceeds u64" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert not list(tmp_path.glob("r-*"))
 
     def test_parse_failure_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -348,3 +395,134 @@ class TestManifestWriteFailure:
             ["inequality", "--report", str(report), "--out", str(tmp_path / "ineq")],
             tmp_path / "ineq-manifest.json",
         )
+
+
+# a valid snapshot of the corpus and a valid report on it, as JSON documents
+_SNAPSHOT = replay(corpus_records(), 999)
+SNAPSHOT_DOC = json.loads(snapshot_to_json(_SNAPSHOT))
+REPORT_DOC = json.loads(report_to_json(betweenness(build_graph(routing_view(_SNAPSHOT), 10_000_000))))
+
+
+def leaf_paths(doc, path=()):
+    """Key paths to every scalar of a JSON document, nulls included."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+def replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def run_on_document(kind: str, content: bytes, workdir: Path):
+    """Run centrality on a snapshot, or inequality on a report, whose file
+    holds ``content``; check that a failure is a clean exit 1."""
+    doc_path = workdir / "doc.json"
+    doc_path.write_bytes(content)
+    if kind == "snapshot":
+        argv = ["centrality", "--snapshot", str(doc_path), "--amount-msat", "10000000"]
+    else:
+        argv = ["inequality", "--report", str(doc_path)]
+    result = CliRunner().invoke(main, [*argv, "--out", str(workdir / "out")])
+    assert result.exit_code in (0, 1), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code == 1:
+        assert result.stderr.startswith("error:"), result.stderr
+        assert not list(workdir.glob("out-*"))
+    return result
+
+
+def _snapshot_edit(path, value):
+    return "snapshot", json.dumps(replaced(SNAPSHOT_DOC, path, value)).encode()
+
+
+def _report_edit(path, value):
+    return "report", json.dumps(replaced(REPORT_DOC, path, value)).encode()
+
+
+_POLICY = ("channels", 0, "policies", 0)
+
+BAD_DOCUMENTS = {
+    "snapshot-not-utf8": ("snapshot", b"\xff" + json.dumps(SNAPSHOT_DOC).encode()),
+    "snapshot-deeply-nested": ("snapshot", b"[" * 100_000),
+    "scid-int": _snapshot_edit(("channels", 0, "scid"), 5),
+    "fee-base-str": _snapshot_edit(_POLICY + ("fee_base_msat",), "10"),
+    "fee-base-over-u32": _snapshot_edit(_POLICY + ("fee_base_msat",), 2**32),
+    "fee-ppm-negative": _snapshot_edit(_POLICY + ("fee_proportional_millionths",), -1),
+    "cltv-over-u16": _snapshot_edit(_POLICY + ("cltv_expiry_delta",), 2**16),
+    "htlc-min-over-u64": _snapshot_edit(_POLICY + ("htlc_minimum_msat",), 2**64),
+    "htlc-max-float": _snapshot_edit(_POLICY + ("htlc_maximum_msat",), 1.5),
+    "disabled-int": _snapshot_edit(_POLICY + ("disabled",), 0),
+    "last-update-bool": _snapshot_edit(_POLICY + ("last_update_ts",), True),
+    "policies-one": _snapshot_edit(("channels", 0, "policies"), [None]),
+    "policies-str": _snapshot_edit(("channels", 0, "policies"), ""),
+    "endpoint-not-a-node": _snapshot_edit(("nodes",), SNAPSHOT_DOC["nodes"][1:]),
+    "as-of-str": _snapshot_edit(("as_of",), "999"),
+    "as-of-float": _snapshot_edit(("as_of",), 999.0),
+    "diagnostics-negative": _snapshot_edit(("diagnostics", "updates_unknown_channel"), -1),
+    "alias-int": _snapshot_edit(("nodes", 0, "alias"), 5),
+    "rgb-list": _snapshot_edit(("nodes", 0, "rgb"), []),
+    "last-seen-float": _snapshot_edit(("nodes", 0, "last_seen"), 150.0),
+    "report-not-utf8": ("report", b"\xff" + json.dumps(REPORT_DOC).encode()),
+    "report-deeply-nested": ("report", b"{\"a\": " * 100_000),
+    "values-list": _report_edit(("values",), []),
+    "values-number": _report_edit(("values",), 5),
+    "value-nan": _report_edit(("values", msggen.node_id(2).hex()), math.nan),
+    "value-inf": _report_edit(("values", msggen.node_id(2).hex()), math.inf),
+    "value-minus-inf": _report_edit(("values", msggen.node_id(2).hex()), -math.inf),
+    "value-negative": _report_edit(("values", msggen.node_id(2).hex()), -1.0),
+    "value-bool": _report_edit(("values", msggen.node_id(2).hex()), True),
+    "value-str": _report_edit(("values", msggen.node_id(2).hex()), "1.0"),
+    "value-too-large": _report_edit(("values", msggen.node_id(2).hex()), 10**400),
+    "report-as-of-float": _report_edit(("as_of",), 1.5),
+    "amount-over-u64": _report_edit(("amount_msat",), 2**64),
+}
+
+# stand-ins for a leaf: every JSON type, NaN and the infinities included
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.text(max_size=8),
+    st.just([]),
+    st.just({}),
+)
+
+
+class TestBadDocuments:
+    @pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+    def test_exits_1_without_traceback(self, tmp_path, name):
+        kind, content = BAD_DOCUMENTS[name]
+        parse, error = (snapshot_from_json, SnapshotFormatError) if kind == "snapshot" else (report_from_json, ReportFormatError)
+        try:
+            text = content.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            with pytest.raises(error):
+                parse(text)
+        assert run_on_document(kind, content, tmp_path).exit_code == 1
+
+    def test_valid_documents_pass(self, tmp_path):
+        for kind, doc in (("snapshot", SNAPSHOT_DOC), ("report", REPORT_DOC)):
+            assert run_on_document(kind, json.dumps(doc).encode(), tmp_path).exit_code == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["snapshot", "report"]), value=JSON_SCALARS)
+    def test_any_replaced_leaf_exits_0_or_1(self, data, kind, value):
+        doc = SNAPSHOT_DOC if kind == "snapshot" else REPORT_DOC
+        path = data.draw(st.sampled_from(list(leaf_paths(doc))))
+        old = doc
+        for key in path:
+            old = old[key]
+        assume(type(value) is not type(old) or value != value)  # NaN may replace a float
+        with tempfile.TemporaryDirectory() as workdir:
+            run_on_document(kind, json.dumps(replaced(doc, path, value)).encode(), Path(workdir))

@@ -143,6 +143,13 @@ class TestJsonLines:
             list(read_store_jsonl(path))
         assert err.value.line_no == 2
 
+    def test_deeply_nested_line_reports_number(self, tmp_path):
+        path = tmp_path / "debug.jsonl"
+        path.write_text('{"arrival_ts": 1, "hex": "0102"}\n' + "[" * 100_000 + "\n")
+        with pytest.raises(JsonLinesError) as err:
+            list(read_store_jsonl(path))
+        assert err.value.line_no == 2
+
     def test_non_utf8_line_reports_number(self, tmp_path):
         rec = msggen.record(42, msggen.make_node_announcement(msggen.node_id(3), 9))
         path = tmp_path / "debug.jsonl"
