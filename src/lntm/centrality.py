@@ -503,8 +503,9 @@ def betweenness(
 
     For node v this is the sum over ordered pairs (s, t), s != t, v not in
     {s, t}, of the fraction of minimum-fee s->t paths passing through v.
-    ``exact`` switches the accumulation from floats to rationals. The
-    result is independent of ``processes``.
+    ``exact`` switches the accumulation from floats to rationals. At most
+    ``processes`` workers run, and no more than there are source passes;
+    the result is independent of ``processes``.
     """
     for _, _, weight in graph.arcs:
         if weight < 0:
@@ -514,10 +515,11 @@ def betweenness(
     totals: list[Value] = [Fraction(0) if exact else 0.0] * n
 
     sources = pg.sources
-    if processes and processes > 1 and len(sources) > 1:
+    workers = min(processes or 1, len(sources))
+    if workers > 1:
         ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(sources) // (processes * 4))
-        with ctx.Pool(processes, initializer=_pool_init, initargs=(pg, exact)) as pool:
+        chunk = max(1, len(sources) // (workers * 4))
+        with ctx.Pool(workers, initializer=_pool_init, initargs=(pg, exact)) as pool:
             for sparse in pool.imap(_pool_source, sources, chunksize=chunk):
                 for i, value in sparse:
                     totals[i] += value

@@ -11,7 +11,8 @@ goes to a temporary file that is moved into place, so none is ever left
 half-written.
 
 Exit codes: 1 when an input cannot be read, parsed or used, a computation
-it makes fail included (``_Pipeline``); 2 when an output cannot be written
+it makes fail included (``_Pipeline``); the message of a document that does
+not parse starts with its path. 2 when an output cannot be written
 (``_emit``) and for usage errors, such as an ``--amount-msat`` outside the
 u64 range.
 """
@@ -23,7 +24,7 @@ import os
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import click
 
@@ -59,6 +60,8 @@ TOP_SHARE_FRACTION = 0.10
 
 HISTOGRAM_BINS = 50
 
+T = TypeVar("T")
+
 
 def _thread_count() -> int:
     raw = os.environ.get("LNTM_THREADS", "1")
@@ -66,6 +69,15 @@ def _thread_count() -> int:
         return max(1, int(raw))
     except ValueError:
         raise click.UsageError(f"LNTM_THREADS={raw!r} is not an integer")
+
+
+def _read_document(path: str, parse: Callable[[str], T]) -> T:
+    """Parse one input document; a parse error, a non-UTF-8 file included,
+    is prefixed with the file's path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _fail(exc: Exception, code: int):
@@ -178,7 +190,7 @@ def centrality(
     out_prefix: str,
 ):
     """Fee-weighted betweenness reports, one per transaction amount."""
-    snap = snapshot_from_json(Path(snapshot_path).read_text(encoding="utf-8"))
+    snap = _read_document(snapshot_path, snapshot_from_json)
     amounts = amounts or DEFAULT_AMOUNTS_MSAT
     processes = _thread_count()
     view = routing_view(
@@ -242,10 +254,7 @@ def inequality(
     """Lorenz curves, Gini trend, top-10% shares and rank timelines."""
     labeled_paths = _parse_labeled_reports(report_specs)
     labels = [label for label, _ in labeled_paths]
-    reports = [
-        (label, report_from_json(Path(path).read_text(encoding="utf-8")))
-        for label, path in labeled_paths
-    ]
+    reports = [(label, _read_document(path, report_from_json)) for label, path in labeled_paths]
     anchor = anchor if anchor is not None else labels[-1]
     trend = gini_trend(reports)
     shares = [(label, top_share(report, TOP_SHARE_FRACTION)) for label, report in reports]

@@ -22,6 +22,9 @@ the start of the message, i.e. they include the leading u16 type code.
         fee_proportional_millionths:u32
         [htlc_maximum_msat:u64 iff message_flags bit 0 is set]
 
+``_LAYOUTS`` is the one statement of these layouts in the code: decode,
+peek and encode all walk it.
+
 Any bytes past the defined fields are preserved verbatim as an opaque
 ``extension`` blob so that decode/encode round-trips are byte-identical.
 Signatures are carried opaquely and never verified.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Union
 
 MSG_CHANNEL_ANNOUNCEMENT = 256
@@ -202,35 +206,137 @@ def alias_text(alias: bytes) -> str:
     return alias.rstrip(b"\x00").decode("utf-8", errors="replace")
 
 
-class _Reader:
-    """Bounded cursor over a byte string; never reads past the end."""
+# Every message's fields after its u16 type code, in wire order, as
+# (name, struct format); each dataclass lists them in the same order. The
+# reader, the peek and the writer all walk this one table.
+_BLOB = "u16 length-prefixed bytes"
+_LAYOUTS = {
+    MSG_CHANNEL_ANNOUNCEMENT: (
+        ("node_signature_1", "64s"),
+        ("node_signature_2", "64s"),
+        ("bitcoin_signature_1", "64s"),
+        ("bitcoin_signature_2", "64s"),
+        ("features", _BLOB),
+        ("chain_hash", "32s"),
+        ("short_channel_id", "8s"),
+        ("node_id_1", "33s"),
+        ("node_id_2", "33s"),
+        ("bitcoin_key_1", "33s"),
+        ("bitcoin_key_2", "33s"),
+    ),
+    MSG_NODE_ANNOUNCEMENT: (
+        ("signature", "64s"),
+        ("features", _BLOB),
+        ("timestamp", "I"),
+        ("node_id", "33s"),
+        ("rgb_color", "3s"),
+        ("alias", "32s"),
+        ("addresses", _BLOB),
+    ),
+    MSG_CHANNEL_UPDATE: (
+        ("signature", "64s"),
+        ("chain_hash", "32s"),
+        ("short_channel_id", "8s"),
+        ("timestamp", "I"),
+        ("message_flags", "B"),
+        ("channel_flags", "B"),
+        ("cltv_expiry_delta", "H"),
+        ("htlc_minimum_msat", "Q"),
+        ("fee_base_msat", "I"),
+        ("fee_proportional_millionths", "I"),
+        ("htlc_maximum_msat", "Q"),
+    ),
+}
+# present iff bit 0 of message_flags (the fifth channel_update field) is set
+_GATED = "htlc_maximum_msat"
+_NODE_IDS = ("node_id_1", "node_id_2", "node_id")
+_CLASSES = {
+    MSG_CHANNEL_ANNOUNCEMENT: ChannelAnnouncement,
+    MSG_NODE_ANNOUNCEMENT: NodeAnnouncement,
+    MSG_CHANNEL_UPDATE: ChannelUpdate,
+}
+_U16 = struct.Struct(">H")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedError(what, self.pos)
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+def _steps(layout: tuple) -> tuple:
+    """Cut a layout into the steps the reader takes: each blob alone (no
+    Struct), the gated field alone, and each run of fixed fields between
+    them, read with one Struct. A run also lists its node ids as
+    ``(index, offset in the run, name)``."""
+    steps = []
+    for _, group in groupby(layout, lambda f: f if f[1] == _BLOB or f[0] == _GATED else None):
+        fields = tuple(group)
+        if fields[0][1] == _BLOB:
+            steps.append((None, fields, ()))
+            continue
+        formats = [">"] + [fmt for _, fmt in fields]
+        checks = tuple(
+            (i, struct.calcsize("".join(formats[: i + 1])), name)
+            for i, (name, _) in enumerate(fields)
+            if name in _NODE_IDS
+        )
+        steps.append((struct.Struct("".join(formats)), fields, checks))
+    return tuple(steps)
 
-    def uint(self, n: int, what: str) -> int:
-        return int.from_bytes(self.take(n, what), "big")
 
-    def rest(self) -> bytes:
-        chunk = self.data[self.pos :]
-        self.pos = len(self.data)
-        return chunk
+_STEPS = {type_code: _steps(layout) for type_code, layout in _LAYOUTS.items()}
+_UPDATE = _STEPS[MSG_CHANNEL_UPDATE][0][0]
+_UPDATE_TYPE = _U16.pack(MSG_CHANNEL_UPDATE)
+_UPDATE_END = 2 + _UPDATE.size
 
 
-def _take_node_id(r: _Reader, what: str) -> NodeId:
-    offset = r.pos
-    raw = r.take(NODE_ID_LEN, what)
-    if raw[0] not in (0x02, 0x03):
-        raise MalformedFieldError(f"{what} prefix byte {raw[0]:#04x}", offset)
-    return raw
+def _check_node_id(name: str, value: bytes, offset: int, previous: bytes) -> None:
+    """The prefix byte of a node id and, for node_id_2, the node order;
+    ``previous`` is the field before it (node_id_1 for node_id_2)."""
+    if value[0] not in (0x02, 0x03):
+        raise MalformedFieldError(f"{name} prefix byte {value[0]:#04x}", offset)
+    if name == "node_id_2" and not previous < value:
+        raise MalformedFieldError("node_id_2 not greater than node_id_1", offset)
+
+
+def _read(data: bytes) -> tuple[int, list, int]:
+    """Walk the layout of a message: its type code, its field values in
+    layout order (None for an absent htlc_maximum_msat) and the offset its
+    extension starts at. Raises what a field-by-field read raises, at the
+    first field that is short or malformed, and never reads past the end."""
+    if len(data) < 2:
+        raise TruncatedError("type code", 0)
+    (type_code,) = _U16.unpack_from(data)
+    steps = _STEPS.get(type_code)
+    if steps is None:
+        raise UnknownTypeError(type_code, 0)
+    values: list = []
+    pos = 2
+    for packer, fields, checks in steps:
+        if packer is None:
+            name = fields[0][0]
+            if pos + 2 > len(data):
+                raise TruncatedError(f"{name} length", pos)
+            end = pos + 2 + _U16.unpack_from(data, pos)[0]
+            if end > len(data):
+                raise TruncatedError(name, pos + 2)
+            values.append(data[pos + 2 : end])
+            pos = end
+        elif fields[0][0] == _GATED and not values[4] & FLAG_HTLC_MAXIMUM:
+            values.append(None)
+        elif pos + packer.size <= len(data):
+            first = len(values)
+            values += packer.unpack_from(data, pos)
+            for i, offset, name in checks:
+                _check_node_id(name, values[first + i], pos + offset, values[first + i - 1])
+            pos += packer.size
+        else:
+            # short: read field by field up to the one that does not fit
+            for name, fmt in fields:
+                size = struct.calcsize(">" + fmt)
+                if pos + size > len(data):
+                    raise TruncatedError(name, pos)
+                (value,) = struct.unpack_from(">" + fmt, data, pos)
+                if name in _NODE_IDS:
+                    _check_node_id(name, value, pos, values[-1])
+                values.append(value)
+                pos += size
+    return type_code, values, pos
 
 
 def decode_message(data: bytes) -> GossipMessage:
@@ -239,127 +345,11 @@ def decode_message(data: bytes) -> GossipMessage:
     Raises UnknownTypeError / TruncatedError / MalformedFieldError; never
     reads past the supplied bytes.
     """
-    r = _Reader(data)
-    type_code = r.uint(2, "type code")
-    if type_code == MSG_CHANNEL_ANNOUNCEMENT:
-        return _decode_channel_announcement(r)
-    if type_code == MSG_NODE_ANNOUNCEMENT:
-        return _decode_node_announcement(r)
-    if type_code == MSG_CHANNEL_UPDATE:
-        return _decode_channel_update(data)
-    raise UnknownTypeError(type_code, 0)
-
-
-def _decode_channel_announcement(r: _Reader) -> ChannelAnnouncement:
-    sig1 = r.take(64, "node_signature_1")
-    sig2 = r.take(64, "node_signature_2")
-    bsig1 = r.take(64, "bitcoin_signature_1")
-    bsig2 = r.take(64, "bitcoin_signature_2")
-    features = r.take(r.uint(2, "features length"), "features")
-    chain_hash = r.take(32, "chain_hash")
-    scid = ShortChannelId.unpack(r.take(8, "short_channel_id"))
-    node_id_1 = _take_node_id(r, "node_id_1")
-    offset_2 = r.pos
-    node_id_2 = _take_node_id(r, "node_id_2")
-    if not node_id_1 < node_id_2:
-        raise MalformedFieldError("node_id_2 not greater than node_id_1", offset_2)
-    key1 = r.take(33, "bitcoin_key_1")
-    key2 = r.take(33, "bitcoin_key_2")
-    return ChannelAnnouncement(
-        node_signature_1=sig1,
-        node_signature_2=sig2,
-        bitcoin_signature_1=bsig1,
-        bitcoin_signature_2=bsig2,
-        features=features,
-        chain_hash=chain_hash,
-        short_channel_id=scid,
-        node_id_1=node_id_1,
-        node_id_2=node_id_2,
-        bitcoin_key_1=key1,
-        bitcoin_key_2=key2,
-        extension=r.rest(),
-    )
-
-
-def _decode_node_announcement(r: _Reader) -> NodeAnnouncement:
-    signature = r.take(64, "signature")
-    features = r.take(r.uint(2, "features length"), "features")
-    timestamp = r.uint(4, "timestamp")
-    node_id = _take_node_id(r, "node_id")
-    rgb_color = r.take(3, "rgb_color")
-    alias = r.take(32, "alias")
-    addresses = r.take(r.uint(2, "addresses length"), "addresses")
-    return NodeAnnouncement(
-        signature=signature,
-        features=features,
-        timestamp=timestamp,
-        node_id=node_id,
-        rgb_color=rgb_color,
-        alias=alias,
-        addresses=addresses,
-        extension=r.rest(),
-    )
-
-
-# channel_update fields after the type code, in wire order; the one Struct
-# both the key peek and the full decoder read them with
-_UPDATE_FIELDS = (
-    ("signature", "64s"),
-    ("chain_hash", "32s"),
-    ("short_channel_id", "8s"),
-    ("timestamp", "I"),
-    ("message_flags", "B"),
-    ("channel_flags", "B"),
-    ("cltv_expiry_delta", "H"),
-    ("htlc_minimum_msat", "Q"),
-    ("fee_base_msat", "I"),
-    ("fee_proportional_millionths", "I"),
-)
-_UPDATE = struct.Struct(">" + "".join(fmt for _, fmt in _UPDATE_FIELDS))
-_UPDATE_TYPE = MSG_CHANNEL_UPDATE.to_bytes(2, "big")
-_UPDATE_END = 2 + _UPDATE.size
-_HTLC_MAXIMUM = struct.Struct(">Q")
-
-
-def _unpack_channel_update(data: bytes) -> tuple:
-    """The fixed channel_update fields, with the length checks (and errors)
-    of a field-by-field read."""
-    if len(data) < _UPDATE_END:
-        offset = 2
-        for what, fmt in _UPDATE_FIELDS:
-            end = offset + struct.calcsize(">" + fmt)
-            if end > len(data):
-                raise TruncatedError(what, offset)
-            offset = end
-    fields = _UPDATE.unpack_from(data, 2)
-    if fields[4] & FLAG_HTLC_MAXIMUM and len(data) < _UPDATE_END + _HTLC_MAXIMUM.size:
-        raise TruncatedError("htlc_maximum_msat", _UPDATE_END)
-    return fields
-
-
-def _decode_channel_update(data: bytes) -> ChannelUpdate:
-    (signature, chain_hash, scid, timestamp, message_flags, channel_flags,
-     cltv_expiry_delta, htlc_minimum_msat, fee_base_msat,
-     fee_proportional_millionths) = _unpack_channel_update(data)
-    htlc_maximum_msat = None
-    end = _UPDATE_END
-    if message_flags & FLAG_HTLC_MAXIMUM:
-        (htlc_maximum_msat,) = _HTLC_MAXIMUM.unpack_from(data, end)
-        end += _HTLC_MAXIMUM.size
-    return ChannelUpdate(
-        signature=signature,
-        chain_hash=chain_hash,
-        short_channel_id=ShortChannelId.unpack(scid),
-        timestamp=timestamp,
-        message_flags=message_flags,
-        channel_flags=channel_flags,
-        cltv_expiry_delta=cltv_expiry_delta,
-        htlc_minimum_msat=htlc_minimum_msat,
-        fee_base_msat=fee_base_msat,
-        fee_proportional_millionths=fee_proportional_millionths,
-        htlc_maximum_msat=htlc_maximum_msat,
-        extension=data[end:],
-    )
+    type_code, values, end = _read(data)
+    fields = dict(zip((name for name, _ in _LAYOUTS[type_code]), values))
+    if "short_channel_id" in fields:
+        fields["short_channel_id"] = ShortChannelId.unpack(fields["short_channel_id"])
+    return _CLASSES[type_code](**fields, extension=data[end:])
 
 
 def peek_message(data: bytes) -> tuple[int, int | None, bytes, int]:
@@ -370,116 +360,51 @@ def peek_message(data: bytes) -> tuple[int, int | None, bytes, int]:
     the node id for a node_announcement; ``timestamp`` is None for a
     channel_announcement, which carries none, and ``channel_flags`` is 0
     for the two announcements. Raises exactly what decode_message raises
-    on the same bytes. A channel_update is read with one struct unpack and
-    never becomes a ChannelUpdate; the two rarer types are fully decoded.
+    on the same bytes. A complete channel_update is read with one struct
+    unpack; no message becomes a dataclass.
     """
-    if data[:2] == _UPDATE_TYPE:
-        fields = _unpack_channel_update(data)
-        return MSG_CHANNEL_UPDATE, fields[3], fields[2], fields[5]
-    msg = decode_message(data)
-    if isinstance(msg, ChannelAnnouncement):
-        return MSG_CHANNEL_ANNOUNCEMENT, None, msg.short_channel_id.pack(), 0
-    return MSG_NODE_ANNOUNCEMENT, msg.timestamp, msg.node_id, 0
-
-
-def _fixed(name: str, value: bytes, n: int) -> bytes:
-    if len(value) != n:
-        raise FieldLengthError(name, f"need {n} bytes, got {len(value)}")
-    return value
-
-
-def _uint(name: str, value: int, n_bytes: int) -> bytes:
-    if not 0 <= value < 1 << (8 * n_bytes):
-        raise FieldLengthError(name, f"{value} out of u{8 * n_bytes} range")
-    return value.to_bytes(n_bytes, "big")
-
-
-def _var(name: str, value: bytes) -> bytes:
-    if len(value) > 0xFFFF:
-        raise FieldLengthError(name, f"{len(value)} bytes exceeds u16 length prefix")
-    return len(value).to_bytes(2, "big") + value
-
-
-def _node_id_field(name: str, value: bytes) -> bytes:
-    _fixed(name, value, NODE_ID_LEN)
-    if value[0] not in (0x02, 0x03):
-        raise MalformedFieldError(f"{name} prefix byte {value[0]:#04x}", 0)
-    return value
+    if data[:2] == _UPDATE_TYPE and len(data) >= _UPDATE_END:
+        fields = _UPDATE.unpack_from(data, 2)
+        # message_flags, then room for a flagged u64 htlc_maximum_msat
+        if not fields[4] & FLAG_HTLC_MAXIMUM or len(data) >= _UPDATE_END + 8:
+            return MSG_CHANNEL_UPDATE, fields[3], fields[2], fields[5]
+    # an incomplete channel_update raises here
+    type_code, values, _ = _read(data)
+    if type_code == MSG_CHANNEL_ANNOUNCEMENT:
+        return type_code, None, values[6], 0
+    return type_code, values[2], values[3], 0
 
 
 def encode_message(msg: GossipMessage) -> bytes:
     """Encode a gossip message to wire bytes; exact inverse of decode_message."""
-    if isinstance(msg, ChannelAnnouncement):
-        return _encode_channel_announcement(msg)
-    if isinstance(msg, NodeAnnouncement):
-        return _encode_node_announcement(msg)
-    if isinstance(msg, ChannelUpdate):
-        return _encode_channel_update(msg)
-    raise TypeError(f"not a gossip message: {type(msg).__name__}")
-
-
-def _encode_channel_announcement(msg: ChannelAnnouncement) -> bytes:
-    node_id_1 = _node_id_field("node_id_1", msg.node_id_1)
-    node_id_2 = _node_id_field("node_id_2", msg.node_id_2)
-    if not node_id_1 < node_id_2:
-        raise MalformedFieldError("node_id_2 not greater than node_id_1", 0)
-    return b"".join(
-        (
-            _uint("type", MSG_CHANNEL_ANNOUNCEMENT, 2),
-            _fixed("node_signature_1", msg.node_signature_1, 64),
-            _fixed("node_signature_2", msg.node_signature_2, 64),
-            _fixed("bitcoin_signature_1", msg.bitcoin_signature_1, 64),
-            _fixed("bitcoin_signature_2", msg.bitcoin_signature_2, 64),
-            _var("features", msg.features),
-            _fixed("chain_hash", msg.chain_hash, 32),
-            msg.short_channel_id.pack(),
-            node_id_1,
-            node_id_2,
-            _fixed("bitcoin_key_1", msg.bitcoin_key_1, 33),
-            _fixed("bitcoin_key_2", msg.bitcoin_key_2, 33),
-            msg.extension,
-        )
-    )
-
-
-def _encode_node_announcement(msg: NodeAnnouncement) -> bytes:
-    return b"".join(
-        (
-            _uint("type", MSG_NODE_ANNOUNCEMENT, 2),
-            _fixed("signature", msg.signature, 64),
-            _var("features", msg.features),
-            _uint("timestamp", msg.timestamp, 4),
-            _node_id_field("node_id", msg.node_id),
-            _fixed("rgb_color", msg.rgb_color, 3),
-            _fixed("alias", msg.alias, 32),
-            _var("addresses", msg.addresses),
-            msg.extension,
-        )
-    )
-
-
-def _encode_channel_update(msg: ChannelUpdate) -> bytes:
-    has_max = msg.htlc_maximum_msat is not None
-    flagged = bool(msg.message_flags & FLAG_HTLC_MAXIMUM)
-    if has_max != flagged:
-        raise FieldLengthError(
-            "htlc_maximum_msat",
-            "message_flags bit 0 must match presence of htlc_maximum_msat",
-        )
-    parts = [
-        _uint("type", MSG_CHANNEL_UPDATE, 2),
-        _fixed("signature", msg.signature, 64),
-        _fixed("chain_hash", msg.chain_hash, 32),
-        msg.short_channel_id.pack(),
-        _uint("timestamp", msg.timestamp, 4),
-        _uint("message_flags", msg.message_flags, 1),
-        _uint("channel_flags", msg.channel_flags, 1),
-        _uint("cltv_expiry_delta", msg.cltv_expiry_delta, 2),
-        _uint("htlc_minimum_msat", msg.htlc_minimum_msat, 8),
-        _uint("fee_base_msat", msg.fee_base_msat, 4),
-        _uint("fee_proportional_millionths", msg.fee_proportional_millionths, 4),
-    ]
-    if has_max:
-        parts.append(_uint("htlc_maximum_msat", msg.htlc_maximum_msat, 8))
+    type_code = next((code for code, cls in _CLASSES.items() if isinstance(msg, cls)), None)
+    if type_code is None:
+        raise TypeError(f"not a gossip message: {type(msg).__name__}")
+    if type_code == MSG_CHANNEL_UPDATE:
+        has_max = msg.htlc_maximum_msat is not None
+        if has_max != bool(msg.message_flags & FLAG_HTLC_MAXIMUM):
+            raise FieldLengthError(_GATED, "message_flags bit 0 must match presence of htlc_maximum_msat")
+    parts = [_U16.pack(type_code)]
+    value = None
+    for name, fmt in _LAYOUTS[type_code]:
+        previous, value = value, getattr(msg, name)
+        if fmt == _BLOB:
+            if len(value) > 0xFFFF:
+                raise FieldLengthError(name, f"{len(value)} bytes exceeds u16 length prefix")
+            parts += (_U16.pack(len(value)), value)
+            continue
+        if name == _GATED and value is None:
+            continue
+        if name == "short_channel_id":
+            value = value.pack()
+        size = struct.calcsize(">" + fmt)
+        if not fmt.endswith("s"):
+            if not 0 <= value < 1 << (8 * size):
+                raise FieldLengthError(name, f"{value} out of u{8 * size} range")
+        elif len(value) != size:
+            raise FieldLengthError(name, f"need {size} bytes, got {len(value)}")
+        if name in _NODE_IDS:
+            _check_node_id(name, value, 0, previous)
+        parts.append(struct.pack(">" + fmt, value))
     parts.append(msg.extension)
     return b"".join(parts)

@@ -513,6 +513,68 @@ class TestDeterminismAcrossProcesses:
             assert len(outputs) == 1
 
 
+class _SerialContext:
+    """Stands in for a multiprocessing context: records each pool's size
+    and runs its map in this process."""
+
+    def __init__(self):
+        self.pools: list[tuple[int, int]] = []
+
+    def __call__(self, method):
+        assert method == "fork"
+        return self
+
+    def Pool(self, processes, initializer, initargs):
+        context = self
+
+        class Pool:
+            def __enter__(self):
+                initializer(*initargs)
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize):
+                context.pools.append((processes, chunksize))
+                return map(fn, items)
+
+        return Pool()
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def context(self, monkeypatch):
+        fake = _SerialContext()
+        monkeypatch.setattr(centrality.multiprocessing, "get_context", fake)
+        # the fake pool's initializer runs here; restore what it sets
+        monkeypatch.setattr(centrality, "_POOL_PG", None)
+        monkeypatch.setattr(centrality, "_POOL_EXACT", False)
+        return fake
+
+    def test_workers_never_exceed_passes(self, context):
+        graph = leafy_graph(random.Random(57), core=6, leaves=3, zero_prob=0.1)
+        passes = len(_prepare(graph).sources)
+        serial = betweenness(graph)
+        report = betweenness(graph, processes=10**9)
+        assert context.pools == [(passes, 1)]
+        assert report.values == serial.values
+
+    def test_fewer_processes_than_passes_are_kept(self, context):
+        graph = leafy_graph(random.Random(58), core=40, leaves=10, zero_prob=0.1)
+        passes = len(_prepare(graph).sources)
+        assert passes >= 24
+        betweenness(graph, processes=3)
+        assert context.pools == [(3, passes // 12)]
+
+    def test_one_pass_or_one_process_starts_no_pool(self, context):
+        graph, _ = make_graph("ab", [("a", "b", 1)])
+        assert len(_prepare(graph).sources) == 1
+        betweenness(graph, processes=8)
+        betweenness(leafy_graph(random.Random(59), core=6, leaves=3, zero_prob=0.1), processes=1)
+        assert context.pools == []
+
+
 class TestReportSerialization:
     def test_csv_sorted_desc_then_id(self):
         graph, ids = make_graph("abc", [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])

@@ -274,6 +274,22 @@ class TestCentralityCommand:
         result = runner.invoke(main, ["centrality", "--snapshot", str(bad), "--out", str(tmp_path / "r")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{}", "missing snapshot format marker"),
+            (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
+        ],
+    )
+    def test_parse_failure_names_the_file(self, runner, tmp_path, monkeypatch, content, message):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_bytes(content)
+        result = runner.invoke(main, ["centrality", "--snapshot", "bad.json", "--out", "r"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: bad.json: {message}"), result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert not list(tmp_path.glob("r-*"))
+
 
 class TestInequalityCommand:
     def _reports(self, runner, tmp_path):
@@ -336,6 +352,23 @@ class TestInequalityCommand:
         bad.write_text("[]")
         result = runner.invoke(main, ["inequality", "--report", str(bad), "--out", str(tmp_path / "x")])
         assert result.exit_code == 1
+
+    def test_parse_failure_names_the_bad_file(self, runner, tmp_path, monkeypatch):
+        report = self._reports(runner, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        Path("good.json").write_text(report.read_text())
+        doc = json.loads(report.read_text())
+        doc["values"][msggen.node_id(2).hex()] = math.nan
+        Path("bad.json").write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["inequality", "--report", "T1=good.json", "--report", "T2=bad.json", "--out", "x"]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: bad.json: malformed report document: value nan of node "
+            f"{msggen.node_id(2).hex()} is not a finite number >= 0\n"
+        )
+        assert not list(tmp_path.glob("x-*"))
 
 
 class TestCompactCommand:

@@ -1,6 +1,7 @@
 """Wire codec tests: layouts, structured errors, round-trips, fuzz safety."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +166,188 @@ class TestDecodeErrors:
         raw[off + 33 : off + 66] = first
         with pytest.raises(MalformedFieldError):
             decode_message(bytes(raw))
+
+
+def _announcement_with_features():
+    # features of 3 bytes: node_signature_1..bitcoin_signature_2 at 2/66/130/194,
+    # features length 258, features 260, chain_hash 263, short_channel_id 295,
+    # node_id_1 303, node_id_2 336, bitcoin_key_1 369, bitcoin_key_2 402, end 435
+    ann = msggen.make_channel_announcement(
+        msggen.scid(9), msggen.node_id(1), msggen.node_id(2), features=b"\xaa\xbb\xcc"
+    )
+    return encode_message(ann)
+
+
+def _node_announcement_with_blobs():
+    # features of 2 bytes and addresses of 5: signature 2, features length 66,
+    # features 68, timestamp 70, node_id 74, rgb_color 107, alias 110,
+    # addresses length 142, addresses 144, end 149
+    ann = msggen.make_node_announcement(msggen.node_id(1), 5, addresses=b"abcde")
+    return encode_message(replace(ann, features=b"\x01\x02"))
+
+
+def _raises(fn, raw: bytes, cls) -> CodecError:
+    with pytest.raises(cls) as err:
+        fn(raw)
+    return err.value
+
+
+class TestErrorOffsets:
+    """The field name and offset of every decode error, for decode and peek."""
+
+    def _assert_truncations(self, raw: bytes, expected: dict) -> None:
+        for cut, (what, offset) in expected.items():
+            for fn in (decode_message, peek_message):
+                err = _raises(fn, raw[:cut], TruncatedError)
+                assert (err.what, err.offset) == (what, offset)
+                assert str(err) == f"truncated message: need {what} at offset {offset}"
+
+    def test_truncated_channel_announcement_names_field_and_offset(self):
+        raw = _announcement_with_features()
+        assert len(raw) == 435
+        self._assert_truncations(raw, {
+            1: ("type code", 0),
+            2: ("node_signature_1", 2),
+            100: ("node_signature_2", 66),
+            150: ("bitcoin_signature_1", 130),
+            257: ("bitcoin_signature_2", 194),
+            259: ("features length", 258),
+            262: ("features", 260),
+            270: ("chain_hash", 263),
+            302: ("short_channel_id", 295),
+            310: ("node_id_1", 303),
+            340: ("node_id_2", 336),
+            401: ("bitcoin_key_1", 369),
+            434: ("bitcoin_key_2", 402),
+        })
+
+    def test_truncated_node_announcement_names_field_and_offset(self):
+        raw = _node_announcement_with_blobs()
+        assert len(raw) == 149
+        self._assert_truncations(raw, {
+            1: ("type code", 0),
+            60: ("signature", 2),
+            67: ("features length", 66),
+            69: ("features", 68),
+            73: ("timestamp", 70),
+            100: ("node_id", 74),
+            109: ("rgb_color", 107),
+            141: ("alias", 110),
+            143: ("addresses length", 142),
+            148: ("addresses", 144),
+        })
+
+    def test_truncated_update_peek_names_field_and_offset(self):
+        raw = encode_message(msggen.make_channel_update(msggen.scid(1), 1, htlc_maximum_msat=9))
+        self._assert_truncations(raw, {
+            50: ("signature", 2),
+            100: ("short_channel_id", 98),
+            125: ("fee_base_msat", 122),
+            137: ("htlc_maximum_msat", 130),
+        })
+
+    @pytest.mark.parametrize(
+        "build, pos, expected",
+        [
+            (_announcement_with_features, 303, "node_id_1 prefix byte 0x04 at offset 303"),
+            (_announcement_with_features, 336, "node_id_2 prefix byte 0x04 at offset 336"),
+            (_node_announcement_with_blobs, 74, "node_id prefix byte 0x04 at offset 74"),
+        ],
+    )
+    def test_node_id_prefix_names_field_and_offset(self, build, pos, expected):
+        raw = bytearray(build())
+        raw[pos] = 0x04
+        for fn in (decode_message, peek_message):
+            err = _raises(fn, bytes(raw), MalformedFieldError)
+            assert str(err) == f"malformed field: {expected}"
+            assert err.offset == pos
+
+    def test_node_order_names_offset_of_node_id_2(self):
+        raw = bytearray(_announcement_with_features())
+        raw[336:369], raw[303:336] = raw[303:336], raw[336:369]
+        for fn in (decode_message, peek_message):
+            err = _raises(fn, bytes(raw), MalformedFieldError)
+            assert str(err) == "malformed field: node_id_2 not greater than node_id_1 at offset 336"
+            assert (err.what, err.offset) == ("node_id_2 not greater than node_id_1", 336)
+
+    def test_checks_run_in_field_order(self):
+        raw = bytearray(_announcement_with_features())
+        raw[303] = 0x04  # a bad node_id_1 prefix
+        # cut inside node_id_1: the truncation comes first
+        assert _raises(decode_message, bytes(raw[:320]), TruncatedError).what == "node_id_1"
+        # cut after node_id_1: its prefix is checked before the cut is seen
+        for cut in (336, 350, 400):
+            err = _raises(decode_message, bytes(raw[:cut]), MalformedFieldError)
+            assert err.offset == 303
+        # node order is checked once node_id_2 is complete, before later cuts
+        swapped = bytearray(_announcement_with_features())
+        swapped[336:369], swapped[303:336] = swapped[303:336], swapped[336:369]
+        assert _raises(decode_message, bytes(swapped[:350]), TruncatedError).what == "node_id_2"
+        assert _raises(decode_message, bytes(swapped[:400]), MalformedFieldError).offset == 336
+
+
+_CHANNEL_ANNOUNCEMENT = msggen.make_channel_announcement(msggen.scid(9), msggen.node_id(1), msggen.node_id(2))
+_NODE_ANNOUNCEMENT = msggen.make_node_announcement(msggen.node_id(1), 5)
+_CHANNEL_UPDATE = msggen.make_channel_update(msggen.scid(1), 1, htlc_maximum_msat=9)
+_TOO_LONG = bytes(0x10000)
+
+# one fault per field: the message, the field, its bad value, and the error
+_ENCODE_FAULTS = [
+    (_CHANNEL_ANNOUNCEMENT, "node_signature_1", bytes(63), FieldLengthError, "bad field node_signature_1: need 64 bytes, got 63"),
+    (_CHANNEL_ANNOUNCEMENT, "node_signature_2", bytes(63), FieldLengthError, "bad field node_signature_2: need 64 bytes, got 63"),
+    (_CHANNEL_ANNOUNCEMENT, "bitcoin_signature_1", bytes(63), FieldLengthError, "bad field bitcoin_signature_1: need 64 bytes, got 63"),
+    (_CHANNEL_ANNOUNCEMENT, "bitcoin_signature_2", bytes(65), FieldLengthError, "bad field bitcoin_signature_2: need 64 bytes, got 65"),
+    (_CHANNEL_ANNOUNCEMENT, "features", _TOO_LONG, FieldLengthError, "bad field features: 65536 bytes exceeds u16 length prefix"),
+    (_CHANNEL_ANNOUNCEMENT, "chain_hash", bytes(31), FieldLengthError, "bad field chain_hash: need 32 bytes, got 31"),
+    (_CHANNEL_ANNOUNCEMENT, "node_id_1", msggen.node_id(1)[:32], FieldLengthError, "bad field node_id_1: need 33 bytes, got 32"),
+    (_CHANNEL_ANNOUNCEMENT, "node_id_1", b"\x04" + bytes(32), MalformedFieldError, "malformed field: node_id_1 prefix byte 0x04 at offset 0"),
+    (_CHANNEL_ANNOUNCEMENT, "node_id_2", msggen.node_id(2)[:32], FieldLengthError, "bad field node_id_2: need 33 bytes, got 32"),
+    (_CHANNEL_ANNOUNCEMENT, "node_id_2", b"\x05" + bytes(32), MalformedFieldError, "malformed field: node_id_2 prefix byte 0x05 at offset 0"),
+    (_CHANNEL_ANNOUNCEMENT, "node_id_2", msggen.node_id(1), MalformedFieldError, "malformed field: node_id_2 not greater than node_id_1 at offset 0"),
+    (_CHANNEL_ANNOUNCEMENT, "bitcoin_key_1", bytes(32), FieldLengthError, "bad field bitcoin_key_1: need 33 bytes, got 32"),
+    (_CHANNEL_ANNOUNCEMENT, "bitcoin_key_2", bytes(32), FieldLengthError, "bad field bitcoin_key_2: need 33 bytes, got 32"),
+    (_NODE_ANNOUNCEMENT, "signature", bytes(63), FieldLengthError, "bad field signature: need 64 bytes, got 63"),
+    (_NODE_ANNOUNCEMENT, "features", _TOO_LONG, FieldLengthError, "bad field features: 65536 bytes exceeds u16 length prefix"),
+    (_NODE_ANNOUNCEMENT, "timestamp", 2**32, FieldLengthError, "bad field timestamp: 4294967296 out of u32 range"),
+    (_NODE_ANNOUNCEMENT, "timestamp", -1, FieldLengthError, "bad field timestamp: -1 out of u32 range"),
+    (_NODE_ANNOUNCEMENT, "node_id", msggen.node_id(1)[:32], FieldLengthError, "bad field node_id: need 33 bytes, got 32"),
+    (_NODE_ANNOUNCEMENT, "node_id", b"\x00" + bytes(32), MalformedFieldError, "malformed field: node_id prefix byte 0x00 at offset 0"),
+    (_NODE_ANNOUNCEMENT, "rgb_color", bytes(2), FieldLengthError, "bad field rgb_color: need 3 bytes, got 2"),
+    (_NODE_ANNOUNCEMENT, "alias", bytes(31), FieldLengthError, "bad field alias: need 32 bytes, got 31"),
+    (_NODE_ANNOUNCEMENT, "addresses", _TOO_LONG, FieldLengthError, "bad field addresses: 65536 bytes exceeds u16 length prefix"),
+    (_CHANNEL_UPDATE, "signature", bytes(63), FieldLengthError, "bad field signature: need 64 bytes, got 63"),
+    (_CHANNEL_UPDATE, "chain_hash", bytes(33), FieldLengthError, "bad field chain_hash: need 32 bytes, got 33"),
+    (_CHANNEL_UPDATE, "timestamp", 2**32, FieldLengthError, "bad field timestamp: 4294967296 out of u32 range"),
+    (_CHANNEL_UPDATE, "message_flags", 257, FieldLengthError, "bad field message_flags: 257 out of u8 range"),
+    (_CHANNEL_UPDATE, "message_flags", 0, FieldLengthError, "bad field htlc_maximum_msat: message_flags bit 0 must match presence of htlc_maximum_msat"),
+    (_CHANNEL_UPDATE, "channel_flags", 256, FieldLengthError, "bad field channel_flags: 256 out of u8 range"),
+    (_CHANNEL_UPDATE, "cltv_expiry_delta", 2**16, FieldLengthError, "bad field cltv_expiry_delta: 65536 out of u16 range"),
+    (_CHANNEL_UPDATE, "htlc_minimum_msat", 2**64, FieldLengthError, "bad field htlc_minimum_msat: 18446744073709551616 out of u64 range"),
+    (_CHANNEL_UPDATE, "fee_base_msat", -1, FieldLengthError, "bad field fee_base_msat: -1 out of u32 range"),
+    (_CHANNEL_UPDATE, "fee_proportional_millionths", 2**32, FieldLengthError, "bad field fee_proportional_millionths: 4294967296 out of u32 range"),
+    (_CHANNEL_UPDATE, "htlc_maximum_msat", 2**64, FieldLengthError, "bad field htlc_maximum_msat: 18446744073709551616 out of u64 range"),
+    (_CHANNEL_UPDATE, "htlc_maximum_msat", None, FieldLengthError, "bad field htlc_maximum_msat: message_flags bit 0 must match presence of htlc_maximum_msat"),
+]
+
+
+class TestEncodeFaults:
+    @pytest.mark.parametrize(
+        "msg, field, value, cls, message",
+        _ENCODE_FAULTS,
+        ids=[f"{type(m).__name__}-{f}-{i}" for i, (m, f, *_) in enumerate(_ENCODE_FAULTS)],
+    )
+    def test_single_field_fault(self, msg, field, value, cls, message):
+        encode_message(msg)  # the message itself is valid
+        with pytest.raises(cls) as err:
+            encode_message(replace(msg, **{field: value}))
+        assert type(err.value) is cls
+        assert str(err.value) == message
+        if cls is FieldLengthError:
+            assert err.value.field_name == message.split(":")[0].removeprefix("bad field ")
+
+    def test_not_a_message(self):
+        with pytest.raises(TypeError, match="not a gossip message: bytes"):
+            encode_message(b"\x01\x02")
 
 
 class TestEncodeErrors:
