@@ -22,6 +22,21 @@ Zero-weight arcs are legal (zero-fee channels exist) and need real care:
   shortest path crosses such a cluster in one contiguous segment (leaving
   and re-entering would cost extra), so the contraction is exact.
 
+The dependency sweep reads the one forward adjacency. In reverse settle
+order each port ``v`` pulls over its shortest-path arcs ``v->w`` (Brandes's
+successor form): ``delta(v) = sum ratio(sigma(v) * mult, sigma(w)) *
+(delta(w) + t(w))``, with ``mult`` the arc's route count and ``t(w)`` 1 when
+``w`` is an out port, i.e. a target (the source's own out port is reached
+only from its entry port, whose delta no node is credited with). A term is
+the arc's flow, and the only crediting step gives each member a bundle's
+routes visit before their exit its share: ``credit[u] += flow *
+ratio(count, mult)``. Then every node gets the delta of its out port. For a
+cluster member that covers every exit role, the enter-and-leave bundle
+included: the bundles into an exit port split that port's paths (their
+ratios sum to 1), so its delta is exactly the member's credit as the last
+member of a segment that continues past it. The source's credit is reset,
+as a source is never interior to its own pairs.
+
 Degree-1 nodes get no source pass of their own (Baglioni et al., ASONAM
 2012; Sariyuce et al., SDM 2013). A leaf ``l`` outside any zero-fee cluster
 whose only neighbour is ``u``, with an arc ``l->u``, folds into ``u`` (in a
@@ -34,8 +49,8 @@ credits ``u`` with one for every node ``t`` not in ``{l, u}`` that ``u``
 reaches. So ``u``'s pass scales its credits by ``1 + k`` for its ``k``
 folded leaves and adds ``k * R - r`` to ``u`` itself, where ``R`` counts the
 nodes other than ``u`` the pass reached and ``r`` the folded leaves among
-them. A cluster-member hub needs nothing more: its bundles only ever credit
-members other than the source.
+them. A cluster-member hub needs nothing more: its own credit is reset to
+zero before the fold, like any source's.
 
 The per-source loop is embarrassingly parallel; partial results are always
 reduced in source order so the thread count never changes the output.
@@ -232,9 +247,13 @@ def _cluster_bundles(
 ) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
     """Exact simple-route table for one zero-fee cluster.
 
-    Returns bundles (entry, exit, route_count, interior visit counts),
-    sorted by (entry, exit), for every ordered member pair connected by zero
-    arcs, plus the trivial enter-and-leave bundle per member.
+    Returns bundles (entry, exit, route_count, visits), sorted by (entry,
+    exit), for every ordered member pair connected by zero arcs, plus the
+    trivial enter-and-leave bundle per member. ``visits`` counts, per
+    member, the routes that pass it before their exit: the entry member on
+    every route, each interior member on the routes through it. The
+    enter-and-leave bundle has no visits; the exit port's delta credits its
+    member.
     """
     member_set = set(members)
     local = {u: [v for v in zero_out[u] if v in member_set] for u in members}
@@ -262,10 +281,9 @@ def _cluster_bundles(
                 )
             key = (start, nxt)
             counts[key] = counts.get(key, 0) + 1
-            if len(path) > 1:
-                interior = visits.setdefault(key, {})
-                for w in path[1:]:
-                    interior[w] = interior.get(w, 0) + 1
+            route_visits = visits.setdefault(key, {})
+            for w in path:
+                route_visits[w] = route_visits.get(w, 0) + 1
             path.append(nxt)
             on_path.add(nxt)
             iters.append(iter(local[nxt]))
@@ -281,25 +299,20 @@ def _cluster_bundles(
 class _PortGraph:
     """Source-independent search structure with zero-fee clusters contracted.
 
-    Cluster members get an entry and an exit port; bundle arcs between
-    ports carry multiplicities (simple zero-cost route counts). Trivial
-    nodes keep one port that serves as both.
+    Cluster members get an entry and an exit port, joined by the cluster's
+    bundle arcs; trivial nodes keep one port that serves as both. Every arc
+    is (dst_port, weight, multiplicity, visits): a plain arc has
+    multiplicity 1 and no visits, a bundle arc its route count and visit
+    counts from ``_cluster_bundles``.
 
     Ports are numbered in a topological order of the zero-weight arcs: every
     zero arc, bundle or not, leads from a lower port to a higher one.
     """
 
-    n_nodes: int
-    h_count: int
     h_in_of: list[int]
     h_out_of: list[int]
-    cluster_of: list[int]  # -1 for trivial nodes
-    # per port: (dst_port, weight, multiplicity, bundle_id or -1)
-    out_edges: list[list[tuple[int, int, int, int]]]
-    # per port: (src_port, weight, multiplicity, bundle_id or -1)
-    in_edges: list[list[tuple[int, int, int, int]]]
+    out_edges: list[list[tuple[int, int, int, tuple[tuple[int, int], ...]]]]
     is_out_port: list[bool]
-    bundles: list[tuple[int, int, int, tuple[tuple[int, int], ...]]]
     leaves: list[list[int]]  # per node: the leaves folded into it
     sources: list[int]  # nodes that get a source pass: all but folded leaves
 
@@ -354,24 +367,16 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
                 h_out_of[u] = h_count
                 h_count += 1
 
-    out_edges: list[list[tuple[int, int, int, int]]] = [[] for _ in range(h_count)]
-    in_edges: list[list[tuple[int, int, int, int]]] = [[] for _ in range(h_count)]
+    out_edges: list[list] = [[] for _ in range(h_count)]
     for src, dst, weight in graph.arcs:
         if cluster_of[src] >= 0 and cluster_of[src] == cluster_of[dst]:
             # zero arcs are absorbed into bundles; a positive arc inside a
             # cluster is never on a shortest path (a zero route exists)
             continue
-        out_edges[h_out_of[src]].append((h_in_of[dst], weight, 1, -1))
-        in_edges[h_in_of[dst]].append((h_out_of[src], weight, 1, -1))
-
-    bundles: list[tuple[int, int, int, tuple[tuple[int, int], ...]]] = []
+        out_edges[h_out_of[src]].append((h_in_of[dst], weight, 1, ()))
     for members in clusters:
-        for bundle in _cluster_bundles(members, zero_out, ZERO_CLUSTER_PATH_BUDGET):
-            bundle_id = len(bundles)
-            bundles.append(bundle)
-            x, y, mult, _ = bundle
-            out_edges[h_in_of[x]].append((h_out_of[y], 0, mult, bundle_id))
-            in_edges[h_out_of[y]].append((h_in_of[x], 0, mult, bundle_id))
+        for x, y, mult, visits in _cluster_bundles(members, zero_out, ZERO_CLUSTER_PATH_BUDGET):
+            out_edges[h_in_of[x]].append((h_out_of[y], 0, mult, visits))
 
     is_out_port = [False] * h_count
     for u in range(n):
@@ -381,15 +386,10 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
     folded = {leaf for group in leaves for leaf in group}
 
     return _PortGraph(
-        n_nodes=n,
-        h_count=h_count,
         h_in_of=h_in_of,
         h_out_of=h_out_of,
-        cluster_of=cluster_of,
         out_edges=out_edges,
-        in_edges=in_edges,
         is_out_port=is_out_port,
-        bundles=bundles,
         leaves=leaves,
         sources=[s for s in range(n) if s not in folded],
     )
@@ -401,9 +401,10 @@ def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
     ratio: Callable[[int, int], Value] = Fraction if exact else operator.truediv
     zero: Value = Fraction(0) if exact else 0.0
 
+    ports = len(pg.out_edges)
     src = pg.h_in_of[s]
-    dist: list[Optional[int]] = [None] * pg.h_count
-    sigma = [0] * pg.h_count
+    dist: list[Optional[int]] = [None] * ports
+    sigma = [0] * ports
     dist[src] = 0
     sigma[src] = 1
     order = []
@@ -427,42 +428,24 @@ def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
             elif dd == known:
                 sigma[dst] += sv * mult
 
-    # accumulate dependencies backwards; per-pair targets are out ports
-    # (the source's own out port never counts as a target)
-    delta: list[Value] = [zero] * pg.h_count
-    credit: list[Value] = [zero] * pg.n_nodes
-    source_out = pg.h_out_of[s]
+    # pull dependencies over the shortest-path arcs, successors first; every
+    # out port is a target (see the module docstring)
+    is_out_port = pg.is_out_port
+    delta: list[Value] = [zero] * ports
+    credit: list[Value] = [zero] * len(pg.h_out_of)
     for v in reversed(order):
-        dv = delta[v]
-        tv = 1 if (pg.is_out_port[v] and v != source_out) else 0
-        if tv == 0 and dv == 0:
-            continue
-        for u, weight, mult, bundle_id in pg.in_edges[v]:
-            du = dist[u]
-            if du is None or du + weight != dist[v]:
+        d, sv = dist[v], sigma[v]
+        for w, weight, mult, visits in pg.out_edges[v]:
+            if d + weight != dist[w]:
                 continue
-            r = ratio(sigma[u] * mult, sigma[v])
-            flow_cont = r * dv
-            flow_all = flow_cont + (r if tv else zero)
-            delta[u] += flow_all
-            if bundle_id < 0:
-                continue
-            x, y, mult_total, interior = pg.bundles[bundle_id]
-            if x == y:
-                # enter-and-leave bundle: the member is interior only for
-                # pairs that continue past it
-                if x != s:
-                    credit[x] += flow_cont
-            else:
-                if x != s:
-                    credit[x] += flow_all
-                credit[y] += flow_cont
-                for w, visit_count in interior:
-                    credit[w] += flow_all * ratio(visit_count, mult_total)
+            flow = ratio(sv * mult, sigma[w]) * (delta[w] + 1 if is_out_port[w] else delta[w])
+            delta[v] += flow
+            for u, count in visits:
+                credit[u] += flow * ratio(count, mult)
 
-    for u in range(pg.n_nodes):
-        if pg.cluster_of[u] < 0 and u != s:
-            credit[u] += delta[pg.h_out_of[u]]
+    for u, port in enumerate(pg.h_out_of):
+        credit[u] += delta[port]
+    credit[s] = zero
 
     leaves = pg.leaves[s]
     if leaves:

@@ -14,7 +14,7 @@ Exit codes: 1 when an input cannot be read, parsed or used, a computation
 it makes fail included (``_Pipeline``); the message of a document that does
 not parse starts with its path. 2 when an output cannot be written
 (``_emit``) and for usage errors, such as an ``--amount-msat`` outside the
-u64 range.
+u64 range or a report label that cannot name a file.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _histogram_csv(report: CentralityReport) -> str:
 @click.option("--snapshot", "snapshot_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Snapshot JSON produced by the snapshot command.")
 @click.option("--amount-msat", "amounts", multiple=True, type=click.IntRange(0, U64_MAX), help="Transaction size in msat (repeatable). Defaults to 10^7, 10^9, 10^10.")
 @click.option("--enforce-htlc-bounds", is_flag=True, help="Drop arcs whose htlc_minimum/htlc_maximum exclude the amount.")
-@click.option("--prune-stale-after", type=int, default=None, help="Drop arcs whose policy is older than as_of minus this many seconds.")
+@click.option("--prune-stale-after", type=click.IntRange(min=0), default=None, help="Drop arcs whose policy is older than as_of minus this many seconds.")
 @click.option("--include-disabled", is_flag=True, help="Keep arcs whose policy is flagged disabled.")
 @click.option("--exact", is_flag=True, help="Accumulate betweenness in exact rational arithmetic.")
 @click.option("--out", "out_prefix", required=True, type=click.Path(), help="Prefix for report files.")
@@ -226,33 +226,36 @@ def centrality(
     )
 
 
-def _parse_labeled_reports(entries: tuple[str, ...]) -> list[tuple[str, str]]:
-    """Report arguments are PATH or LABEL=PATH; unlabeled ones get T1..Tn."""
+def _labeled_reports(ctx, param, entries: tuple[str, ...]) -> list[tuple[str, str]]:
+    """Report arguments are PATH or LABEL=PATH; unlabeled ones get T1..Tn.
+    A label names output files and CSV cells, so it must be non-empty and
+    free of ',', '/' and line breaks."""
     labeled = []
     for i, raw in enumerate(entries, start=1):
         if "=" in raw:
             label, _, path = raw.partition("=")
         else:
             label, path = f"T{i}", raw
+        if not label or any(ch in label for ch in ",/\r\n"):
+            raise click.BadParameter(f"label {label!r} is empty or contains ',', '/' or a line break")
         labeled.append((label, path))
     return labeled
 
 
 @main.command()
-@click.option("--report", "report_specs", multiple=True, required=True, help="Centrality report JSON, as PATH or LABEL=PATH (repeatable, in time order).")
-@click.option("--k", "k", type=int, default=10, show_default=True, help="Number of anchor-snapshot top nodes to trace.")
+@click.option("--report", "labeled_paths", multiple=True, required=True, callback=_labeled_reports, help="Centrality report JSON, as PATH or LABEL=PATH (repeatable, in time order).")
+@click.option("--k", "k", type=click.IntRange(min=1), default=10, show_default=True, help="Number of anchor-snapshot top nodes to trace.")
 @click.option("--anchor", type=str, default=None, help="Label of the snapshot whose top-k nodes are traced (default: last).")
-@click.option("--rank-cap", type=int, default=None, help="Cap displayed ranks in the timeline matrix (presentation only).")
+@click.option("--rank-cap", type=click.IntRange(min=1), default=None, help="Cap displayed ranks in the timeline matrix (presentation only).")
 @click.option("--out", "out_prefix", required=True, type=click.Path(), help="Prefix for inequality files.")
 def inequality(
-    report_specs: tuple[str, ...],
+    labeled_paths: list[tuple[str, str]],
     k: int,
     anchor: str | None,
     rank_cap: int | None,
     out_prefix: str,
 ):
     """Lorenz curves, Gini trend, top-10% shares and rank timelines."""
-    labeled_paths = _parse_labeled_reports(report_specs)
     labels = [label for label, _ in labeled_paths]
     reports = [(label, _read_document(path, report_from_json)) for label, path in labeled_paths]
     anchor = anchor if anchor is not None else labels[-1]

@@ -41,12 +41,6 @@ MSG_CHANNEL_ANNOUNCEMENT = 256
 MSG_NODE_ANNOUNCEMENT = 257
 MSG_CHANNEL_UPDATE = 258
 
-GOSSIP_TYPE_CODES = (
-    MSG_CHANNEL_ANNOUNCEMENT,
-    MSG_NODE_ANNOUNCEMENT,
-    MSG_CHANNEL_UPDATE,
-)
-
 # channel_flags bits
 FLAG_DIRECTION = 0x01
 FLAG_DISABLED = 0x02
@@ -55,8 +49,6 @@ FLAG_HTLC_MAXIMUM = 0x01
 
 # 33-byte compressed public key; no curve validation beyond the prefix byte.
 NodeId = bytes
-
-NODE_ID_LEN = 33
 
 
 class CodecError(ValueError):

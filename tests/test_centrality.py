@@ -13,6 +13,7 @@ from lntm.centrality import (
     TooLargeError,
     WeightedDigraph,
     _prepare,
+    _source_pass,
     betweenness,
     brute_force_betweenness,
     build_graph,
@@ -159,6 +160,27 @@ class TestBetweennessFixtures:
         graph, _ = make_graph("ab", [("a", "b", -1)])
         with pytest.raises(NegativeWeightError):
             betweenness(graph)
+
+
+class TestPathCountsBeyondFloatRange:
+    def test_diamond_chain_credits_stay_exact(self):
+        # junction j_i fans out to two middle nodes that rejoin at j_{i+1};
+        # j_k has 2^k shortest paths from j_0, far past float range
+        k = 1100
+        junction = [3 * i for i in range(k + 1)]
+        arcs = []
+        for i in range(k):
+            for middle in (junction[i] + 1, junction[i] + 2):
+                arcs += [(junction[i], middle, 1), (middle, junction[i + 1], 1)]
+        graph = WeightedDigraph.from_arcs(
+            tuple(msggen.node_id(i) for i in range(3 * k + 1)), arcs
+        )
+        credit = _source_pass(_prepare(graph), junction[0], exact=False)
+        assert credit[junction[0]] == 0
+        for i in range(k):
+            beyond = 3 * (k - i - 1)
+            assert credit[junction[i + 1]] == beyond
+            assert credit[junction[i] + 1] == credit[junction[i] + 2] == (beyond + 1) / 2
 
 
 class TestBruteForce:
@@ -339,7 +361,7 @@ class TestLeafFolding:
             pg = _prepare(graph)
             folded += len(graph.node_ids) - len(pg.sources)
             hubs_in_clusters += sum(
-                1 for u, group in enumerate(pg.leaves) if group and pg.cluster_of[u] >= 0
+                1 for u, group in enumerate(pg.leaves) if group and pg.h_in_of[u] != pg.h_out_of[u]
             )
             assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
         # the fold must actually have applied, also on zero-fee cluster hubs

@@ -248,6 +248,17 @@ class TestCentralityCommand:
             assert "--amount-msat" in result.stderr
             assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("seconds", ["-1", "-99999999"])
+    def test_negative_prune_stale_after_is_a_usage_error(self, runner, tmp_path, seconds):
+        snap = make_snapshot(runner, tmp_path)
+        result = runner.invoke(
+            main,
+            ["centrality", "--snapshot", str(snap), "--prune-stale-after", seconds, "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--prune-stale-after" in result.stderr
+        assert not list(tmp_path.glob("r-*"))
+
     def test_failure_at_a_later_amount_writes_nothing(self, runner, tmp_path):
         snap = make_snapshot(runner, tmp_path, at=150)
         doc = json.loads(snap.read_text())
@@ -346,6 +357,26 @@ class TestInequalityCommand:
             ["inequality", "--report", f"T1={report}", "--report", f"T1={report}", "--out", str(tmp_path / "x")],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("label", ["a,b", "a/b", "a\nb", "a\rb", ""])
+    def test_label_that_cannot_name_a_file_is_a_usage_error(self, runner, tmp_path, label):
+        report = self._reports(runner, tmp_path)
+        result = runner.invoke(
+            main, ["inequality", "--report", f"{label}={report}", "--out", str(tmp_path / "ineq")]
+        )
+        assert result.exit_code == 2, result.output
+        assert repr(label) in result.stderr
+        assert not list(tmp_path.glob("ineq*"))
+
+    @pytest.mark.parametrize("option", ["--k", "--rank-cap"])
+    def test_count_below_one_is_a_usage_error(self, runner, tmp_path, option):
+        report = self._reports(runner, tmp_path)
+        result = runner.invoke(
+            main, ["inequality", "--report", str(report), option, "0", "--out", str(tmp_path / "ineq")]
+        )
+        assert result.exit_code == 2, result.output
+        assert option in result.stderr
+        assert not list(tmp_path.glob("ineq*"))
 
     def test_parse_failure_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

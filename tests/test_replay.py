@@ -306,3 +306,11 @@ class TestSnapshotSerialization:
             snapshot_from_json("{}")
         with pytest.raises(SnapshotFormatError):
             snapshot_from_json("not json")
+
+
+def test_import_as_binds_the_module_not_the_function():
+    import types
+
+    import lntm.replay as m
+
+    assert isinstance(m, types.ModuleType)
