@@ -66,10 +66,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .codec import NodeId
+from .codec import U64_MAX, NodeId
+from .manifest import dump_document, load_document, typed, uint
 from .replay import ChannelPolicy, RoutingView
-
-U64_MAX = (1 << 64) - 1
 
 PPM_DIVISOR = 1_000_000
 
@@ -594,8 +593,6 @@ def report_to_csv(report: CentralityReport) -> str:
 
 
 def report_to_json(report: CentralityReport) -> str:
-    import json
-
     doc = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
@@ -606,7 +603,7 @@ def report_to_json(report: CentralityReport) -> str:
             node_id.hex(): float(value) for node_id, value in report.values.items()
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump_document(doc)
 
 
 class ReportFormatError(ValueError):
@@ -617,34 +614,19 @@ def report_from_json(text: str) -> CentralityReport:
     """Parse a report document. Values must be finite, non-negative JSON
     numbers; anything else, or a field of the wrong type, raises
     ReportFormatError."""
-    import json
+    return load_document(text, REPORT_FORMAT, REPORT_VERSION, "report", ReportFormatError, _report_from_doc)
 
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ReportFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != REPORT_FORMAT:
-        raise ReportFormatError("missing centrality report format marker")
-    if doc.get("version") != REPORT_VERSION:
-        raise ReportFormatError(f"unsupported report version {doc.get('version')!r}")
-    try:
-        values = doc["values"]
-        if type(values) is not dict:
-            raise ValueError("values is not an object")
-        for node_hex, value in values.items():
-            # bool is an int subclass; the bound also excludes NaN, infinities
-            # and integers too large for a float
-            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
-                raise ValueError(f"value {value!r} of node {node_hex} is not a finite number >= 0")
-        as_of, amount_msat = doc["as_of"], doc["amount_msat"]
-        if type(as_of) is not int:
-            raise ValueError(f"as_of {as_of!r} is not an integer")
-        if type(amount_msat) is not int or not 0 <= amount_msat <= U64_MAX:
-            raise ValueError(f"amount_msat {amount_msat!r} is not an integer in [0, 2^64)")
-        return CentralityReport(
-            as_of=as_of,
-            amount_msat=amount_msat,
-            values={bytes.fromhex(node_hex): float(value) for node_hex, value in values.items()},
-        )
-    except (KeyError, ValueError) as exc:
-        raise ReportFormatError(f"malformed report document: {exc}") from exc
+
+def _report_from_doc(doc: dict) -> CentralityReport:
+    values = typed(doc, "values", dict)
+    for node_hex in values:
+        # the bound also excludes NaN, infinities and integers too large
+        # for a float
+        value = typed(values, node_hex, int, float)
+        if not 0 <= value <= sys.float_info.max:
+            raise ValueError(f"value {value!r} of node {node_hex} is not a finite number >= 0")
+    return CentralityReport(
+        as_of=typed(doc, "as_of", int),
+        amount_msat=uint(doc, "amount_msat", 64),
+        values={bytes.fromhex(node_hex): float(value) for node_hex, value in values.items()},
+    )

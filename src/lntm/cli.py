@@ -14,7 +14,10 @@ Exit codes: 1 when an input cannot be read, parsed or used, a computation
 it makes fail included (``_Pipeline``); the message of a document that does
 not parse starts with its path. 2 when an output cannot be written
 (``_emit``) and for usage errors, such as an ``--amount-msat`` outside the
-u64 range or a report label that cannot name a file.
+u64 range or given twice, or a report label that cannot name a file.
+
+The centrality and inequality modules are imported only by the commands
+that use them, which keeps them out of every other call's startup.
 """
 
 from __future__ import annotations
@@ -24,34 +27,18 @@ import os
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import click
 
 from . import __version__
-from .centrality import (
-    U64_MAX,
-    CentralityReport,
-    betweenness,
-    build_graph,
-    report_from_json,
-    report_items,
-    report_to_csv,
-    report_to_json,
-)
-from .inequality import (
-    gini_trend,
-    gini_trend_to_csv,
-    lorenz,
-    lorenz_to_csv,
-    rank_timelines,
-    timelines_to_csv,
-    top_share,
-    top_shares_to_csv,
-)
+from .codec import U64_MAX
 from .manifest import atomic_write, write_manifest
 from .replay import replay, routing_view, snapshot_from_json, snapshot_to_json
 from .store import StoreError, deduplicate_and_order, feed_to_records, open_store, write_store
+
+if TYPE_CHECKING:
+    from .centrality import CentralityReport
 
 # the three transaction sizes used throughout: 0.0001, 0.01 and 0.1 BTC
 DEFAULT_AMOUNTS_MSAT = (10_000_000, 1_000_000_000, 10_000_000_000)
@@ -172,9 +159,17 @@ def _histogram_csv(report: CentralityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _distinct_amounts(ctx, param, amounts: tuple[int, ...]) -> tuple[int, ...]:
+    """An amount names its three output files, so it may be given once."""
+    for i, amount in enumerate(amounts):
+        if amount in amounts[:i]:
+            raise click.BadParameter(f"amount {amount} is given more than once")
+    return amounts
+
+
 @main.command()
 @click.option("--snapshot", "snapshot_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Snapshot JSON produced by the snapshot command.")
-@click.option("--amount-msat", "amounts", multiple=True, type=click.IntRange(0, U64_MAX), help="Transaction size in msat (repeatable). Defaults to 10^7, 10^9, 10^10.")
+@click.option("--amount-msat", "amounts", multiple=True, type=click.IntRange(0, U64_MAX), callback=_distinct_amounts, help="Transaction size in msat (repeatable). Defaults to 10^7, 10^9, 10^10.")
 @click.option("--enforce-htlc-bounds", is_flag=True, help="Drop arcs whose htlc_minimum/htlc_maximum exclude the amount.")
 @click.option("--prune-stale-after", type=click.IntRange(min=0), default=None, help="Drop arcs whose policy is older than as_of minus this many seconds.")
 @click.option("--include-disabled", is_flag=True, help="Keep arcs whose policy is flagged disabled.")
@@ -190,6 +185,8 @@ def centrality(
     out_prefix: str,
 ):
     """Fee-weighted betweenness reports, one per transaction amount."""
+    from .centrality import betweenness, build_graph, report_items, report_to_csv, report_to_json
+
     snap = _read_document(snapshot_path, snapshot_from_json)
     amounts = amounts or DEFAULT_AMOUNTS_MSAT
     processes = _thread_count()
@@ -256,6 +253,9 @@ def inequality(
     out_prefix: str,
 ):
     """Lorenz curves, Gini trend, top-10% shares and rank timelines."""
+    from .centrality import report_from_json
+    from .inequality import gini_trend, gini_trend_to_csv, lorenz, lorenz_to_csv, rank_timelines, timelines_to_csv, top_share, top_shares_to_csv
+
     labels = [label for label, _ in labeled_paths]
     reports = [(label, _read_document(path, report_from_json)) for label, path in labeled_paths]
     anchor = anchor if anchor is not None else labels[-1]

@@ -47,6 +47,9 @@ FLAG_DISABLED = 0x02
 # message_flags bits
 FLAG_HTLC_MAXIMUM = 0x01
 
+# the largest value of a u64 field, such as an msat amount
+U64_MAX = (1 << 64) - 1
+
 # 33-byte compressed public key; no curve validation beyond the prefix byte.
 NodeId = bytes
 

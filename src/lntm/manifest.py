@@ -1,5 +1,7 @@
-"""Output files: atomic writes and the reproducibility manifests written
-alongside every command's outputs.
+"""Output files and the one JSON layer: the canonical form every JSON
+document is written in, the loader of versioned documents, the typed-field
+checks of every JSON input, atomic writes, and the reproducibility
+manifests written alongside every command's outputs.
 
 A manifest records the tool version, input digests, parameters and output
 digests; two runs with identical manifests produced byte-identical files.
@@ -12,9 +14,53 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
 
 TOOL_NAME = "lntm"
+
+T = TypeVar("T")
+
+
+def dump_document(doc) -> str:
+    """The canonical JSON form: keys sorted, two-space indent, a final
+    newline, so equal documents are byte-identical (diffable and hashable)."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def load_document(text: str, marker: str, version: int, kind: str, error: type[ValueError], build: Callable[[dict], T]) -> T:
+    """Parse a versioned ``kind`` document and build its value. Bad JSON, a
+    ``format`` other than ``marker``, another ``version``, and a KeyError,
+    ValueError or TypeError from ``build`` raise ``error``."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != marker:
+        raise error(f"missing {kind} format marker")
+    if doc.get("version") != version:
+        raise error(f"unsupported {kind} version {doc.get('version')!r}")
+    try:
+        return build(doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise error(f"malformed {kind} document: {exc}") from exc
+
+
+def typed(doc: dict, key: str, *types: type):
+    """``doc[key]``, whose type must be exactly one of ``types``, so that a
+    bool is never taken for an int."""
+    value = doc[key]
+    if type(value) not in types:
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ValueError(f"{key} {value!r} is not {names}")
+    return value
+
+
+def uint(doc: dict, key: str, bits: int, *also: type) -> Optional[int]:
+    """``doc[key]`` as an unsigned integer of a wire field's width."""
+    value = typed(doc, key, int, *also)
+    if type(value) is int and not 0 <= value < 1 << bits:
+        raise ValueError(f"{key} {value} is outside [0, 2^{bits})")
+    return value
 
 
 @contextmanager
@@ -65,4 +111,4 @@ def write_manifest(
         ],
     }
     with atomic_write(manifest_path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        fh.write(dump_document(doc))

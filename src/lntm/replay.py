@@ -7,11 +7,13 @@ to gossip, so a snapshot never deletes a channel; newer channel_updates
 supersede older ones per (channel, direction). The optional staleness
 window on the routing view approximates liveness (two weeks, 1209600 s, is
 the conventional cutoff).
+
+Snapshots are written and read as JSON documents through the JSON layer in
+``manifest``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -27,6 +29,7 @@ from .codec import (
     decode_message,
     peek_message,
 )
+from .manifest import dump_document, load_document, typed, uint
 from .store import DecodeFailureError, OrderedFeed, StoreRecord, feed_to_records
 
 SNAPSHOT_FORMAT = "gossip-network-snapshot"
@@ -252,65 +255,31 @@ def routing_view(
     )
 
 
-def _policy_to_doc(policy: Optional[ChannelPolicy]) -> Optional[dict]:
-    if policy is None:
-        return None
-    return {
-        "fee_base_msat": policy.fee_base_msat,
-        "fee_proportional_millionths": policy.fee_proportional_millionths,
-        "cltv_expiry_delta": policy.cltv_expiry_delta,
-        "htlc_minimum_msat": policy.htlc_minimum_msat,
-        "htlc_maximum_msat": policy.htlc_maximum_msat,
-        "disabled": policy.disabled,
-        "last_update_ts": policy.last_update_ts,
-    }
-
-
-def _typed(doc: dict, key: str, *types: type):
-    """``doc[key]``, whose type must be exactly one of ``types``, so that a
-    bool is never taken for an int."""
-    value = doc[key]
-    if type(value) not in types:
-        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-        raise ValueError(f"{key} {value!r} is not {names}")
-    return value
-
-
-def _uint(doc: dict, key: str, bits: int, *also: type) -> Optional[int]:
-    """``doc[key]`` as an unsigned integer of a wire field's width."""
-    value = _typed(doc, key, int, *also)
-    if type(value) is int and not 0 <= value < 1 << bits:
-        raise ValueError(f"{key} {value} is outside [0, 2^{bits})")
-    return value
-
-
 def _policy_from_doc(doc: Optional[dict]) -> Optional[ChannelPolicy]:
     if doc is None:
         return None
     return ChannelPolicy(
-        fee_base_msat=_uint(doc, "fee_base_msat", 32),
-        fee_proportional_millionths=_uint(doc, "fee_proportional_millionths", 32),
-        cltv_expiry_delta=_uint(doc, "cltv_expiry_delta", 16),
-        htlc_minimum_msat=_uint(doc, "htlc_minimum_msat", 64),
-        htlc_maximum_msat=_uint(doc, "htlc_maximum_msat", 64, type(None)),
-        disabled=_typed(doc, "disabled", bool),
-        last_update_ts=_uint(doc, "last_update_ts", 32),
+        fee_base_msat=uint(doc, "fee_base_msat", 32),
+        fee_proportional_millionths=uint(doc, "fee_proportional_millionths", 32),
+        cltv_expiry_delta=uint(doc, "cltv_expiry_delta", 16),
+        htlc_minimum_msat=uint(doc, "htlc_minimum_msat", 64),
+        htlc_maximum_msat=uint(doc, "htlc_maximum_msat", 64, type(None)),
+        disabled=typed(doc, "disabled", bool),
+        last_update_ts=uint(doc, "last_update_ts", 32),
     )
 
 
 def snapshot_to_json(snapshot: NetworkSnapshot) -> str:
-    """Canonical JSON serialization: keys sorted, lists sorted, so equal
-    snapshots are byte-identical (diffable and hashable)."""
+    """The snapshot as a canonical JSON document; lists are sorted, so equal
+    snapshots are byte-identical. Policy and diagnostics fields are written
+    under their attribute names."""
     doc = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "as_of": snapshot.as_of,
         "node_count": len(snapshot.nodes),
         "node_count_definition": NODE_COUNT_DEFINITION,
-        "diagnostics": {
-            "updates_unknown_channel": snapshot.diagnostics.updates_unknown_channel,
-            "orphan_node_announcements": snapshot.diagnostics.orphan_node_announcements,
-        },
+        "diagnostics": vars(snapshot.diagnostics),
         "nodes": [
             {
                 "id": node_id.hex(),
@@ -325,66 +294,63 @@ def snapshot_to_json(snapshot: NetworkSnapshot) -> str:
                 "scid": str(scid),
                 "node1": channel.node_1.hex(),
                 "node2": channel.node_2.hex(),
-                "policies": [
-                    _policy_to_doc(channel.policies[0]),
-                    _policy_to_doc(channel.policies[1]),
-                ],
+                "policies": [None if policy is None else vars(policy) for policy in channel.policies],
             }
             for scid, channel in sorted(snapshot.channels.items())
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump_document(doc)
 
 
 def snapshot_from_json(text: str) -> NetworkSnapshot:
-    """Parse a snapshot document. Anything snapshot_to_json could not have
-    written raises SnapshotFormatError: a missing field, a field of the
-    wrong JSON type, a policy integer outside its wire range, a policy list
-    that is not one entry per direction, or a channel endpoint missing from
-    ``nodes``."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise SnapshotFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotFormatError("missing snapshot format marker")
-    if doc.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"unsupported snapshot version {doc.get('version')!r}")
-    try:
-        nodes = {
-            bytes.fromhex(_typed(entry, "id", str)): NodeInfo(
-                alias=_typed(entry, "alias", str, type(None)),
-                rgb_color=_typed(entry, "rgb", str, type(None)),
-                last_seen=_uint(entry, "last_seen", 32, type(None)),
-            )
-            for entry in _typed(doc, "nodes", list)
-        }
-        channels = {}
-        for entry in _typed(doc, "channels", list):
-            scid = ShortChannelId.parse(_typed(entry, "scid", str))
-            node_1 = bytes.fromhex(_typed(entry, "node1", str))
-            node_2 = bytes.fromhex(_typed(entry, "node2", str))
-            if node_1 not in nodes or node_2 not in nodes:
-                raise ValueError(f"an endpoint of channel {scid} is not among the nodes")
-            policies = _typed(entry, "policies", list)
-            if len(policies) != 2:
-                raise ValueError(f"channel {scid} has {len(policies)} policies, not 2")
-            channels[scid] = Channel(
-                short_channel_id=scid,
-                node_1=node_1,
-                node_2=node_2,
-                policies=(_policy_from_doc(policies[0]), _policy_from_doc(policies[1])),
-            )
-        diagnostics = ReplayDiagnostics(
-            updates_unknown_channel=_uint(doc["diagnostics"], "updates_unknown_channel", 64),
-            orphan_node_announcements=_uint(doc["diagnostics"], "orphan_node_announcements", 64),
+    """Parse a snapshot document. SnapshotFormatError is raised for text
+    that is not JSON; a missing or other format marker or version; a
+    missing field or one of the wrong JSON type; a policy integer outside
+    its wire field's range; a policy list that is not one entry per
+    direction; a node id, endpoint or scid that does not parse; a node id or
+    scid listed twice; and a channel endpoint missing from ``nodes``. The
+    ``rgb`` text, ``node_count`` and ``node_count_definition`` are not
+    checked."""
+    return load_document(text, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, "snapshot", SnapshotFormatError, _snapshot_from_doc)
+
+
+def _snapshot_from_doc(doc: dict) -> NetworkSnapshot:
+    nodes = {}
+    for entry in typed(doc, "nodes", list):
+        node_id = bytes.fromhex(typed(entry, "id", str))
+        if node_id in nodes:
+            raise ValueError(f"node {node_id.hex()} is listed twice")
+        nodes[node_id] = NodeInfo(
+            alias=typed(entry, "alias", str, type(None)),
+            rgb_color=typed(entry, "rgb", str, type(None)),
+            last_seen=uint(entry, "last_seen", 32, type(None)),
         )
-        return NetworkSnapshot(
-            # an int, because --prune-stale-after subtracts from it
-            as_of=_typed(doc, "as_of", int),
-            nodes=nodes,
-            channels=channels,
-            diagnostics=diagnostics,
+    channels = {}
+    for entry in typed(doc, "channels", list):
+        scid = ShortChannelId.parse(typed(entry, "scid", str))
+        if scid in channels:
+            raise ValueError(f"channel {scid} is listed twice")
+        node_1 = bytes.fromhex(typed(entry, "node1", str))
+        node_2 = bytes.fromhex(typed(entry, "node2", str))
+        if node_1 not in nodes or node_2 not in nodes:
+            raise ValueError(f"an endpoint of channel {scid} is not among the nodes")
+        policies = typed(entry, "policies", list)
+        if len(policies) != 2:
+            raise ValueError(f"channel {scid} has {len(policies)} policies, not 2")
+        channels[scid] = Channel(
+            short_channel_id=scid,
+            node_1=node_1,
+            node_2=node_2,
+            policies=(_policy_from_doc(policies[0]), _policy_from_doc(policies[1])),
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SnapshotFormatError(f"malformed snapshot document: {exc}") from exc
+    diagnostics = ReplayDiagnostics(
+        updates_unknown_channel=uint(doc["diagnostics"], "updates_unknown_channel", 64),
+        orphan_node_announcements=uint(doc["diagnostics"], "orphan_node_announcements", 64),
+    )
+    return NetworkSnapshot(
+        # an int, because --prune-stale-after subtracts from it
+        as_of=typed(doc, "as_of", int),
+        nodes=nodes,
+        channels=channels,
+        diagnostics=diagnostics,
+    )

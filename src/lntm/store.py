@@ -6,7 +6,8 @@ message bytes start with the u16 gossip type code.
 
 A JSON-lines debug format is also read: one object per line with fields
 ``arrival_ts`` (a JSON integer in [0, 2^64), seconds) and ``hex``
-(hex-encoded message).
+(hex-encoded message). Its fields are checked with the typed-field checks
+of the JSON layer in ``manifest``.
 
 Ordering model: the feed keeps *every* distinct message version, so the
 compacted archive it is written out as still answers "state at time T" for
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .codec import FLAG_DIRECTION, MSG_CHANNEL_UPDATE, CodecError, peek_message
-from .manifest import atomic_write
+from .manifest import atomic_write, typed, uint
 
 STORE_MAGIC = b"GSR1"
 
@@ -129,9 +130,9 @@ def write_store(path: str | Path, records: Iterable[StoreRecord]) -> int:
 
 def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
     """Stream records from the JSON-lines debug format: UTF-8, one object
-    per line. A line that is not UTF-8, or whose ``arrival_ts`` is not an
-    integer that fits the u64 frame field, is a JsonLinesError like any
-    other."""
+    per line. A line that is not UTF-8 or not JSON, or whose fields fail the
+    JSON layer's checks (``arrival_ts`` a u64 integer, ``hex`` a string of
+    hex digits), is a JsonLinesError naming its line."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -139,16 +140,10 @@ def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
                 if not line:
                     continue
                 obj = json.loads(line)  # RecursionError if nested too deeply
-                arrival_ts = obj["arrival_ts"]
-                payload = bytes.fromhex(obj["hex"])
+                arrival_ts = uint(obj, "arrival_ts", 64)
+                payload = bytes.fromhex(typed(obj, "hex", str))
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise JsonLinesError(line_no, str(exc)) from exc
-            # bool is an int subclass; floats and out-of-range values would
-            # only fail later, when a frame header is packed
-            if type(arrival_ts) is not int or not 0 <= arrival_ts < 1 << 64:
-                raise JsonLinesError(
-                    line_no, f"arrival_ts {arrival_ts!r} is not an integer in [0, 2^64)"
-                )
             yield StoreRecord(arrival_ts, payload)
 
 

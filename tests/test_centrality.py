@@ -616,6 +616,22 @@ class TestReportSerialization:
         assert again.as_of == report.as_of
         assert again.amount_msat == report.amount_msat
 
+    def test_json_bytes_are_pinned(self):
+        report = CentralityReport(1700000000, 1000000000, {msggen.node_id(2): 0.5, msggen.node_id(1): 0})
+        assert report_to_json(report) == (
+            "{\n"
+            '  "amount_msat": 1000000000,\n'
+            '  "as_of": 1700000000,\n'
+            '  "format": "centrality-report",\n'
+            '  "leaf_count": 1,\n'
+            '  "values": {\n'
+            '    "020000000000000000000000000000000000000000000000000000000000000001": 0.0,\n'
+            '    "020000000000000000000000000000000000000000000000000000000000000002": 0.5\n'
+            "  },\n"
+            '  "version": 1\n'
+            "}\n"
+        )
+
     def test_leaf_count(self):
         graph, _ = make_graph("abc", [("a", "b", 1), ("b", "c", 1)])
         report = betweenness(graph)

@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
+import lntm
 from lntm.centrality import ReportFormatError, betweenness, build_graph, report_from_json, report_to_json
 from lntm.cli import main
 from lntm.manifest import sha256_file
@@ -248,6 +252,18 @@ class TestCentralityCommand:
             assert "--amount-msat" in result.stderr
             assert "Traceback" not in result.stderr
 
+    def test_repeated_amount_is_a_usage_error(self, runner, tmp_path):
+        snap = make_snapshot(runner, tmp_path)
+        result = runner.invoke(
+            main,
+            ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000",
+             "--amount-msat", "1000000000", "--amount-msat", "1000000000", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--amount-msat" in result.stderr
+        assert "amount 1000000000" in result.stderr
+        assert not list(tmp_path.glob("r-*"))
+
     @pytest.mark.parametrize("seconds", ["-1", "-99999999"])
     def test_negative_prune_stale_after_is_a_usage_error(self, runner, tmp_path, seconds):
         snap = make_snapshot(runner, tmp_path)
@@ -424,6 +440,37 @@ class TestCompactCommand:
         assert f"wrote {len(records) - 1} records" in result.output  # one duplicate in corpus
 
 
+class TestCanonicalJson:
+    def test_every_json_output_is_in_canonical_form(self, runner, tmp_path):
+        store = tmp_path / "corpus.gsr"
+        build_corpus(store)
+        snap = tmp_path / "snap.json"
+        report = tmp_path / "run-centrality-10000000.json"
+        for argv in (
+            ["snapshot", "--store", str(store), "--at", "999", "--out", str(snap)],
+            ["compact", "--store", str(store), "--out", str(tmp_path / "compacted.gsr")],
+            ["centrality", "--snapshot", str(snap), "--out", str(tmp_path / "run")],
+            ["inequality", "--report", str(report), "--out", str(tmp_path / "ineq")],
+        ):
+            assert runner.invoke(main, argv).exit_code == 0
+        written = sorted(tmp_path.glob("*.json"))
+        # the snapshot, three reports and four manifests
+        assert len(written) == 8
+        for path in written:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
+
+
+def test_importing_the_cli_leaves_out_the_compute_modules():
+    code = (
+        "import sys, lntm.cli; "
+        "print(sorted({'lntm.centrality', 'lntm.inequality', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lntm.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
 class TestManifestWriteFailure:
     def _assert_exits_2(self, runner, argv, manifest):
         manifest.mkdir()  # a directory where the manifest file should go
@@ -530,6 +577,8 @@ BAD_DOCUMENTS = {
     "endpoint-not-a-node": _snapshot_edit(("nodes",), SNAPSHOT_DOC["nodes"][1:]),
     "as-of-str": _snapshot_edit(("as_of",), "999"),
     "as-of-float": _snapshot_edit(("as_of",), 999.0),
+    "node-listed-twice": _snapshot_edit(("nodes",), SNAPSHOT_DOC["nodes"] + SNAPSHOT_DOC["nodes"][:1]),
+    "scid-listed-twice": _snapshot_edit(("channels",), SNAPSHOT_DOC["channels"] + SNAPSHOT_DOC["channels"][-1:]),
     "diagnostics-negative": _snapshot_edit(("diagnostics", "updates_unknown_channel"), -1),
     "alias-int": _snapshot_edit(("nodes", 0, "alias"), 5),
     "rgb-list": _snapshot_edit(("nodes", 0, "rgb"), []),
