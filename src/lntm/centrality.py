@@ -25,32 +25,49 @@ Zero-weight arcs are legal (zero-fee channels exist) and need real care:
 The dependency sweep reads the one forward adjacency. In reverse settle
 order each port ``v`` pulls over its shortest-path arcs ``v->w`` (Brandes's
 successor form): ``delta(v) = sum ratio(sigma(v) * mult, sigma(w)) *
-(delta(w) + t(w))``, with ``mult`` the arc's route count and ``t(w)`` 1 when
-``w`` is an out port, i.e. a target (the source's own out port is reached
-only from its entry port, whose delta no node is credited with). A term is
-the arc's flow, and the only crediting step gives each member a bundle's
-routes visit before their exit its share: ``credit[u] += flow *
-ratio(count, mult)``. Then every node gets the delta of its out port. For a
+(delta(w) + t(w))``, with ``mult`` the arc's route count and ``t(w)`` the
+target weight of ``w``: the number of targets whose shortest paths end at
+``w``, 0 on an entry-only port (the source's own out port is reached only
+from its entry port, whose delta no node is credited with). A term is the
+arc's flow, and the only crediting step gives each member a bundle's routes
+visit before their exit its share: ``credit[u] += flow * ratio(count,
+mult)``. Then every reached node gets the delta of its out port. For a
 cluster member that covers every exit role, the enter-and-leave bundle
 included: the bundles into an exit port split that port's paths (their
 ratios sum to 1), so its delta is exactly the member's credit as the last
 member of a segment that continues past it. The source's credit is reset,
 as a source is never interior to its own pairs.
 
-Degree-1 nodes get no source pass of their own (Baglioni et al., ASONAM
-2012; Sariyuce et al., SDM 2013). A leaf ``l`` outside any zero-fee cluster
-whose only neighbour is ``u``, with an arc ``l->u``, folds into ``u`` (in a
-two-node component the higher index folds into the lower). Its only way out
-is ``l->u``, so every shortest ``l->t`` path is that arc followed by a
-shortest ``u->t`` path: ``l``'s pass is ``u``'s pass one arc further out.
-It credits every node except ``u`` exactly as ``u``'s pass does (``l`` as a
-target adds no interior credit there, having no other in-neighbour), and
-credits ``u`` with one for every node ``t`` not in ``{l, u}`` that ``u``
-reaches. So ``u``'s pass scales its credits by ``1 + k`` for its ``k``
-folded leaves and adds ``k * R - r`` to ``u`` itself, where ``R`` counts the
-nodes other than ``u`` the pass reached and ``r`` the folded leaves among
-them. A cluster-member hub needs nothing more: its own credit is reset to
-zero before the fold, like any source's.
+Degree-1 nodes leave the port graph (Baglioni et al., ASONAM 2012; Sariyuce
+et al., SDM 2013). A node ``l`` outside any zero-fee cluster whose only
+neighbour is ``u`` is a leaf of ``u`` (in a two-node component the lower
+index stays and the higher is the leaf). A leaf is interior to no simple
+path, so it matters only as an endpoint, and it gets no port:
+
+- as a target: a leaf with an arc ``u->l`` is reached only through ``u``,
+  so every shortest ``s->l`` path is a shortest ``s->u`` path and that arc.
+  ``u``'s out port stands for ``u`` and those leaves, ``t = 1 + k_in(u)``
+  with ``k_in(u)`` the leaves ``u`` has an arc to, and ``u`` is interior to
+  the ``k_in(u)`` pairs ``(s, l)`` of every source ``s`` other than ``u``
+  that reaches it: ``credit[u] += delta + k_in(u)``;
+- as a source: a leaf with an arc ``l->u`` folds into ``u``. Its only way
+  out is ``l->u``, so every shortest ``l->t`` path is that arc followed by
+  a shortest ``u->t`` path: ``l``'s pass is ``u``'s pass one arc further
+  out. It credits every node except ``u`` exactly as ``u``'s pass does
+  (target ``l`` adds no interior credit there), and credits ``u`` with one
+  for every node ``t`` not in ``{l, u}`` that ``u`` reaches. So ``u``'s
+  pass scales its credits by ``1 + k`` for its ``k`` folded leaves and adds
+  ``k * R - r`` to ``u`` itself, where ``R``, the nodes other than ``u``
+  the pass reached, sums the target weights of the reached out ports minus
+  1, and ``r`` counts the folded leaves ``u`` also has an arc to. A
+  cluster-member hub needs nothing more: its own credit is reset to zero
+  before the fold, like any source's. A leaf with only the arc ``u->l``
+  reaches nothing and needs no pass.
+
+In exact mode a ratio is a Python int when the division leaves no remainder
+and a ``Fraction`` otherwise. Fee-weighted graphs have few shortest-path
+ties, so most values stay ints, which are much cheaper to add, multiply and
+send between processes than ``Fraction``s; the values are equal either way.
 
 The per-source loop is embarrassingly parallel; partial results are always
 reduced in source order so the thread count never changes the output.
@@ -79,7 +96,7 @@ BRUTE_FORCE_MAX_NODES = 12
 # count exactly
 ZERO_CLUSTER_PATH_BUDGET = 5_000_000
 
-Value = Union[float, Fraction]
+Value = Union[int, float, Fraction]
 
 
 class CentralityError(ValueError):
@@ -296,13 +313,14 @@ def _cluster_bundles(
 
 @dataclass(frozen=True)
 class _PortGraph:
-    """Source-independent search structure with zero-fee clusters contracted.
+    """Source-independent search structure with zero-fee clusters contracted
+    and leaves stripped.
 
     Cluster members get an entry and an exit port, joined by the cluster's
-    bundle arcs; trivial nodes keep one port that serves as both. Every arc
-    is (dst_port, weight, multiplicity, visits): a plain arc has
-    multiplicity 1 and no visits, a bundle arc its route count and visit
-    counts from ``_cluster_bundles``.
+    bundle arcs; other kept nodes have one port that serves as both, and a
+    leaf has none (port -1). Every arc is (dst_port, weight, multiplicity,
+    visits): a plain arc has multiplicity 1 and no visits, a bundle arc its
+    route count and visit counts from ``_cluster_bundles``.
 
     Ports are numbered in a topological order of the zero-weight arcs: every
     zero arc, bundle or not, leads from a lower port to a higher one.
@@ -311,32 +329,26 @@ class _PortGraph:
     h_in_of: list[int]
     h_out_of: list[int]
     out_edges: list[list[tuple[int, int, int, tuple[tuple[int, int], ...]]]]
-    is_out_port: list[bool]
+    target: list[int]  # per port: 1 + k_in(u) on u's out port, 0 on an entry-only port
     leaves: list[list[int]]  # per node: the leaves folded into it
-    sources: list[int]  # nodes that get a source pass: all but folded leaves
+    leaf_targets: list[int]  # per node: its folded leaves it also has an arc to
+    sources: list[int]  # nodes that get a source pass: all kept nodes
 
 
-def _fold_leaves(n: int, arcs, cluster_of: list[int]) -> list[list[int]]:
-    """Per node, the degree-1 nodes whose source pass folds into its own."""
+def _strip_leaves(n: int, arcs, cluster_of: list[int]) -> list[bool]:
+    """Per node, whether it is a leaf that leaves the port graph: outside
+    any zero-fee cluster, with one neighbour; of a two-node component only
+    the higher index."""
     neighbour = [-1] * n  # the only neighbour: -1 while none, -2 once several
-    has_out = [False] * n
     for src, dst, _ in arcs:
-        has_out[src] = True
         for x, y in ((src, dst), (dst, src)):
             if neighbour[x] == -1:
                 neighbour[x] = y
             elif neighbour[x] != y:
                 neighbour[x] = -2
-    hub_of = [
-        hub if has_out[leaf] and cluster_of[leaf] < 0 else -1
-        for leaf, hub in enumerate(neighbour)
-    ]
-    leaves: list[list[int]] = [[] for _ in range(n)]
-    for leaf, hub in enumerate(hub_of):
-        # a leaf's hub can only be a leaf itself in a two-node component
-        if hub >= 0 and (hub_of[hub] < 0 or leaf > hub):
-            leaves[hub].append(leaf)
-    return leaves
+    hub_of = [hub if cluster_of[leaf] < 0 else -1 for leaf, hub in enumerate(neighbour)]
+    # a leaf's hub can only be a leaf itself in a two-node component
+    return [hub >= 0 and (hub_of[hub] < 0 or leaf > hub) for leaf, hub in enumerate(hub_of)]
 
 
 def _prepare(graph: WeightedDigraph) -> _PortGraph:
@@ -352,15 +364,30 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
         for u in members:
             cluster_of[u] = ci
 
+    stripped = _strip_leaves(n, graph.arcs, cluster_of)
+    leaves: list[list[int]] = [[] for _ in range(n)]
+    for src, dst, _ in graph.arcs:
+        if stripped[src]:
+            leaves[dst].append(src)
+    folded = {leaf for group in leaves for leaf in group}
+    k_in = [0] * n
+    leaf_targets = [0] * n
+    for src, dst, _ in graph.arcs:
+        if stripped[dst]:
+            k_in[src] += 1
+            leaf_targets[src] += dst in folded
+
     # Tarjan emits components in reverse topological order of the zero arcs;
-    # inside a cluster every entry port precedes every exit port
-    h_in_of = [0] * n
-    h_out_of = [0] * n
+    # inside a cluster every entry port precedes every exit port. A leaf is
+    # its own component and gets no port.
+    h_in_of = [-1] * n
+    h_out_of = [-1] * n
     h_count = 0
     for comp in reversed(components):
         for u in comp:
-            h_in_of[u] = h_out_of[u] = h_count
-            h_count += 1
+            if not stripped[u]:
+                h_in_of[u] = h_out_of[u] = h_count
+                h_count += 1
         if len(comp) >= 2:
             for u in comp:
                 h_out_of[u] = h_count
@@ -368,6 +395,8 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
 
     out_edges: list[list] = [[] for _ in range(h_count)]
     for src, dst, weight in graph.arcs:
+        if stripped[src] or stripped[dst]:
+            continue
         if cluster_of[src] >= 0 and cluster_of[src] == cluster_of[dst]:
             # zero arcs are absorbed into bundles; a positive arc inside a
             # cluster is never on a shortest path (a zero route exists)
@@ -377,28 +406,33 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
         for x, y, mult, visits in _cluster_bundles(members, zero_out, ZERO_CLUSTER_PATH_BUDGET):
             out_edges[h_in_of[x]].append((h_out_of[y], 0, mult, visits))
 
-    is_out_port = [False] * h_count
-    for u in range(n):
-        is_out_port[h_out_of[u]] = True
-
-    leaves = _fold_leaves(n, graph.arcs, cluster_of)
-    folded = {leaf for group in leaves for leaf in group}
+    target = [0] * h_count
+    for u, port in enumerate(h_out_of):
+        if port >= 0:
+            target[port] = 1 + k_in[u]
 
     return _PortGraph(
         h_in_of=h_in_of,
         h_out_of=h_out_of,
         out_edges=out_edges,
-        is_out_port=is_out_port,
+        target=target,
         leaves=leaves,
-        sources=[s for s in range(n) if s not in folded],
+        leaf_targets=leaf_targets,
+        sources=[s for s in range(n) if not stripped[s]],
     )
+
+
+def _exact_ratio(a: int, b: int) -> Value:
+    """``a / b`` as an int when ``b`` divides ``a``, else as a Fraction."""
+    q, rem = divmod(a, b)
+    return q if rem == 0 else Fraction(a, b)
 
 
 def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
     """Dependency accumulation for one source and the leaves folded into
     it; returns per-node credits."""
-    ratio: Callable[[int, int], Value] = Fraction if exact else operator.truediv
-    zero: Value = Fraction(0) if exact else 0.0
+    ratio: Callable[[int, int], Value] = _exact_ratio if exact else operator.truediv
+    zero: Value = 0 if exact else 0.0
 
     ports = len(pg.out_edges)
     src = pg.h_in_of[s]
@@ -427,9 +461,10 @@ def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
             elif dd == known:
                 sigma[dst] += sv * mult
 
-    # pull dependencies over the shortest-path arcs, successors first; every
-    # out port is a target (see the module docstring)
-    is_out_port = pg.is_out_port
+    # pull dependencies over the shortest-path arcs, successors first,
+    # weighting each port by the targets it stands for (see the module
+    # docstring)
+    target = pg.target
     delta: list[Value] = [zero] * ports
     credit: list[Value] = [zero] * len(pg.h_out_of)
     for v in reversed(order):
@@ -437,13 +472,18 @@ def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
         for w, weight, mult, visits in pg.out_edges[v]:
             if d + weight != dist[w]:
                 continue
-            flow = ratio(sv * mult, sigma[w]) * (delta[w] + 1 if is_out_port[w] else delta[w])
+            flow = ratio(sv * mult, sigma[w]) * (delta[w] + target[w])
             delta[v] += flow
             for u, count in visits:
                 credit[u] += flow * ratio(count, mult)
 
+    # each reached node is also interior to the pairs ending at its
+    # stripped leaves; reached counts every node other than s reached
+    reached = -1
     for u, port in enumerate(pg.h_out_of):
-        credit[u] += delta[port]
+        if port >= 0 and dist[port] is not None:
+            credit[u] += delta[port] + (target[port] - 1)
+            reached += target[port]
     credit[s] = zero
 
     leaves = pg.leaves[s]
@@ -452,9 +492,7 @@ def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
         # interior to every pair (leaf, t) for t reached and not the leaf
         multiplier = 1 + len(leaves)
         credit = [c * multiplier for c in credit]
-        reached = sum(1 for port in pg.h_out_of if dist[port] is not None) - 1
-        reached_leaves = sum(1 for leaf in leaves if dist[pg.h_out_of[leaf]] is not None)
-        credit[s] += len(leaves) * reached - reached_leaves
+        credit[s] += len(leaves) * reached - pg.leaf_targets[s]
     return credit
 
 
@@ -485,16 +523,19 @@ def betweenness(
 
     For node v this is the sum over ordered pairs (s, t), s != t, v not in
     {s, t}, of the fraction of minimum-fee s->t paths passing through v.
-    ``exact`` switches the accumulation from floats to rationals. At most
-    ``processes`` workers run, and no more than there are source passes;
-    the result is independent of ``processes``.
+    ``exact`` switches the accumulation from floats to exact values: an int
+    where every ratio it sums divides evenly, a Fraction otherwise. One
+    source pass runs per node that keeps a port; degree-1 leaves have none
+    and are accounted for by their neighbour's pass (see the module
+    docstring). At most ``processes`` workers run, and no more than there
+    are source passes; the result is independent of ``processes``.
     """
     for _, _, weight in graph.arcs:
         if weight < 0:
             raise NegativeWeightError(f"negative arc weight {weight}")
     n = len(graph.node_ids)
     pg = _prepare(graph)
-    totals: list[Value] = [Fraction(0) if exact else 0.0] * n
+    totals: list[Value] = [0 if exact else 0.0] * n
 
     sources = pg.sources
     workers = min(processes or 1, len(sources))

@@ -37,6 +37,7 @@ SNAPSHOT_VERSION = 1
 
 # every node referenced by an announced channel, leaf nodes included
 NODE_COUNT_DEFINITION = "nodes referenced by at least one announced channel, leaves included"
+_LOWER_HEX = frozenset("0123456789abcdef")
 
 TWO_WEEKS_S = 1_209_600
 
@@ -308,9 +309,10 @@ def snapshot_from_json(text: str) -> NetworkSnapshot:
     missing field or one of the wrong JSON type; a policy integer outside
     its wire field's range; a policy list that is not one entry per
     direction; a node id, endpoint or scid that does not parse; a node id or
-    scid listed twice; and a channel endpoint missing from ``nodes``. The
-    ``rgb`` text, ``node_count`` and ``node_count_definition`` are not
-    checked."""
+    scid listed twice; a channel endpoint missing from ``nodes``; an ``rgb``
+    that is neither null nor 6 lowercase hex digits; a ``node_count`` other
+    than the number of ``nodes``; and a ``node_count_definition`` other than
+    ``NODE_COUNT_DEFINITION``."""
     return load_document(text, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, "snapshot", SnapshotFormatError, _snapshot_from_doc)
 
 
@@ -320,11 +322,20 @@ def _snapshot_from_doc(doc: dict) -> NetworkSnapshot:
         node_id = bytes.fromhex(typed(entry, "id", str))
         if node_id in nodes:
             raise ValueError(f"node {node_id.hex()} is listed twice")
+        rgb = typed(entry, "rgb", str, type(None))
+        if rgb is not None and not (len(rgb) == 6 and set(rgb) <= _LOWER_HEX):
+            raise ValueError(f"rgb {rgb!r} of node {node_id.hex()} is not 6 lowercase hex digits")
         nodes[node_id] = NodeInfo(
             alias=typed(entry, "alias", str, type(None)),
-            rgb_color=typed(entry, "rgb", str, type(None)),
+            rgb_color=rgb,
             last_seen=uint(entry, "last_seen", 32, type(None)),
         )
+    node_count = typed(doc, "node_count", int)
+    if node_count != len(nodes):
+        raise ValueError(f"node_count {node_count} is not the {len(nodes)} nodes listed")
+    definition = typed(doc, "node_count_definition", str)
+    if definition != NODE_COUNT_DEFINITION:
+        raise ValueError(f"node_count_definition {definition!r} is not {NODE_COUNT_DEFINITION!r}")
     channels = {}
     for entry in typed(doc, "channels", list):
         scid = ShortChannelId.parse(typed(entry, "scid", str))

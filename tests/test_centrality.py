@@ -183,6 +183,23 @@ class TestPathCountsBeyondFloatRange:
             assert credit[junction[i] + 1] == credit[junction[i] + 2] == (beyond + 1) / 2
 
 
+    def test_tiny_share_is_not_rounded_away(self):
+        # a bypass s->x->t ties with the 2^60 paths of a diamond chain, so x
+        # carries 1/(2^60 + 1) of the pair (s, t)
+        k = 60
+        junction = [3 * i for i in range(k + 1)]
+        arcs = []
+        for i in range(k):
+            for middle in (junction[i] + 1, junction[i] + 2):
+                arcs += [(junction[i], middle, 1), (middle, junction[i + 1], 1)]
+        x = 3 * k + 1
+        arcs += [(junction[0], x, k), (x, junction[k], k)]
+        graph = WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(x + 1)), arcs)
+        share = Fraction(1, 2**k + 1)
+        assert betweenness(graph, exact=True).values[graph.node_ids[x]] == share
+        assert betweenness(graph).values[graph.node_ids[x]] == pytest.approx(float(share), rel=1e-9, abs=0)
+
+
 class TestBruteForce:
     def test_single_arc_all_zero(self):
         graph, ids = make_graph("ab", [("a", "b", 1)])
@@ -205,6 +222,20 @@ class TestBruteForce:
         node_ids = tuple(msggen.node_id(i) for i in range(13))
         with pytest.raises(TooLargeError):
             brute_force_betweenness(WeightedDigraph(node_ids, ()))
+
+
+class TestExactValues:
+    def test_tie_free_path_gives_ints_only(self):
+        graph, ids = make_graph("abcde", [(x, y, 2) for x, y in ("ab", "bc", "cd", "de")])
+        values = by_label(betweenness(graph, exact=True), ids)
+        assert values == {"a": 0, "b": 3, "c": 4, "d": 3, "e": 0}
+        assert {type(v) for v in values.values()} == {int}
+
+    def test_diamond_tie_gives_a_fraction(self):
+        graph, ids = make_graph("sabt", [("s", "a", 1), ("s", "b", 1), ("a", "t", 1), ("b", "t", 1)])
+        values = by_label(betweenness(graph, exact=True), ids)
+        assert values["a"] == values["b"] == Fraction(1, 2)
+        assert type(values["a"]) is Fraction
 
 
 class TestZeroWeights:
@@ -369,15 +400,15 @@ class TestLeafFolding:
         assert hubs_in_clusters > 10
 
     def test_star_plus_core_runs_one_pass_per_unfolded_node(self, monkeypatch):
-        # core a-b-c-d; hub a gets a two-way leaf e, an e->a-only leaf f, an
-        # a->g-only leaf g (not folded: no way out) and a zero-fee leaf h;
-        # i-j is a two-node component (j folds into i); k is isolated
+        # core a-b-c-d; hub a gets a two-way leaf e, an f->a-only leaf f, an
+        # a->g-only leaf g (stripped, no pass: no way out) and a zero-fee
+        # leaf h; i-j is a two-node component (j folds into i); k is isolated
         edges = [(x, y, 3) for x, y in ("ab", "ba", "bc", "cb", "cd", "dc", "da", "ad")]
         edges += [("e", "a", 2), ("a", "e", 5), ("f", "a", 1), ("a", "g", 4)]
         edges += [("h", "a", 0), ("a", "h", 7), ("i", "j", 1), ("j", "i", 1)]
         graph, ids = make_graph("abcdefghijk", edges)
         index = {nid: i for i, nid in enumerate(graph.node_ids)}
-        folded = {index[ids[x]] for x in "efhj"}
+        folded = {index[ids[x]] for x in "efghj"}
         calls = []
         real_pass = centrality._source_pass
 
@@ -417,8 +448,26 @@ class TestLeafFolding:
             if kind in ("both", "in"):
                 arcs.append((hub, leaf, rng.randrange(1, 6)))
         graph = WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(n)), arcs)
-        assert len(graph.node_ids) - len(_prepare(graph).sources) > 60
+        # every leaf of each kind leaves the port graph
+        assert _prepare(graph).sources == list(range(core))
         assert_float_matches_networkx(graph)
+
+    def test_stripped_leaves_own_no_port_and_are_never_reached(self):
+        rng = random.Random(1013)
+        for _ in range(100):
+            graph = leafy_graph(rng, core=rng.randrange(1, 6), leaves=rng.randrange(1, 8))
+            pg = _prepare(graph)
+            kept = set(pg.sources)
+            stripped = set(range(len(graph.node_ids))) - kept
+            owned = sorted({pg.h_in_of[u] for u in kept} | {pg.h_out_of[u] for u in kept})
+            assert owned == list(range(len(pg.out_edges)))
+            assert all(pg.h_in_of[u] == pg.h_out_of[u] == -1 for u in stripped)
+            # each out port stands for its node and the stripped leaves it has an arc to
+            targets = kept | {dst for _, dst, _ in graph.arcs if dst in stripped}
+            assert sum(pg.target) == len(targets)
+            for s in pg.sources:
+                credit = _source_pass(pg, s, exact=True)
+                assert all(credit[u] == 0 for u in stripped)
 
 
 class TestOracleEquivalence:
@@ -631,6 +680,14 @@ class TestReportSerialization:
             '  "version": 1\n'
             "}\n"
         )
+
+    def test_int_and_fraction_values_serialize_alike(self):
+        def report(value):
+            return CentralityReport(5, 7, {msggen.node_id(1): value, msggen.node_id(2): Fraction(1, 3)})
+
+        as_int, as_fraction = report(3), report(Fraction(3))
+        assert report_to_csv(as_int) == report_to_csv(as_fraction)
+        assert report_to_json(as_int) == report_to_json(as_fraction)
 
     def test_leaf_count(self):
         graph, _ = make_graph("abc", [("a", "b", 1), ("b", "c", 1)])

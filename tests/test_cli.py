@@ -582,6 +582,9 @@ BAD_DOCUMENTS = {
     "diagnostics-negative": _snapshot_edit(("diagnostics", "updates_unknown_channel"), -1),
     "alias-int": _snapshot_edit(("nodes", 0, "alias"), 5),
     "rgb-list": _snapshot_edit(("nodes", 0, "rgb"), []),
+    "rgb-not-hex": _snapshot_edit(("nodes", 0, "rgb"), "zz"),
+    "node-count-wrong": _snapshot_edit(("node_count",), 99),
+    "node-count-definition-other": _snapshot_edit(("node_count_definition",), "every node ever announced"),
     "last-seen-float": _snapshot_edit(("nodes", 0, "last_seen"), 150.0),
     "report-not-utf8": ("report", b"\xff" + json.dumps(REPORT_DOC).encode()),
     "report-deeply-nested": ("report", b"{\"a\": " * 100_000),
