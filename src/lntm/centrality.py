@@ -83,8 +83,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .codec import U64_MAX, NodeId
-from .manifest import dump_document, load_document, typed, uint
+from .codec import U64_MAX, NodeId, parse_node_id
+from .manifest import dump_document, dump_table, load_document, typed, uint
 from .replay import ChannelPolicy, RoutingView
 
 PPM_DIVISOR = 1_000_000
@@ -154,7 +154,9 @@ class CentralityReport:
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for v in self.values.values() if v == 0)
+        """Nodes whose value is written as 0.0: an exact value below float
+        range counts, as it is written that way."""
+        return sum(1 for v in self.values.values() if float(v) == 0)
 
 
 def fee_weight(policy: ChannelPolicy, amount_msat: int) -> int:
@@ -627,10 +629,7 @@ def report_items(report: CentralityReport) -> list[tuple[NodeId, Value]]:
 
 
 def report_to_csv(report: CentralityReport) -> str:
-    lines = ["node_id,betweenness"]
-    for node_id, value in report_items(report):
-        lines.append(f"{node_id.hex()},{float(value)!r}")
-    return "\n".join(lines) + "\n"
+    return dump_table(("node_id", "betweenness"), ((node_id.hex(), float(value)) for node_id, value in report_items(report)))
 
 
 def report_to_json(report: CentralityReport) -> str:
@@ -652,9 +651,9 @@ class ReportFormatError(ValueError):
 
 
 def report_from_json(text: str) -> CentralityReport:
-    """Parse a report document. Values must be finite, non-negative JSON
-    numbers; anything else, or a field of the wrong type, raises
-    ReportFormatError."""
+    """Parse a report document. Node ids must be 66 lowercase hex digits
+    starting with 02 or 03, and values finite, non-negative JSON numbers;
+    anything else, or a field of the wrong type, raises ReportFormatError."""
     return load_document(text, REPORT_FORMAT, REPORT_VERSION, "report", ReportFormatError, _report_from_doc)
 
 
@@ -669,5 +668,5 @@ def _report_from_doc(doc: dict) -> CentralityReport:
     return CentralityReport(
         as_of=typed(doc, "as_of", int),
         amount_msat=uint(doc, "amount_msat", 64),
-        values={bytes.fromhex(node_hex): float(value) for node_hex, value in values.items()},
+        values={parse_node_id(node_hex): float(value) for node_hex, value in values.items()},
     )

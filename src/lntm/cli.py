@@ -14,7 +14,8 @@ Exit codes: 1 when an input cannot be read, parsed or used, a computation
 it makes fail included (``_Pipeline``); the message of a document that does
 not parse starts with its path. 2 when an output cannot be written
 (``_emit``) and for usage errors, such as an ``--amount-msat`` outside the
-u64 range or given twice, or a report label that cannot name a file.
+u64 range or given twice, or a report label that cannot name a file or
+a CSV cell.
 
 The centrality and inequality modules are imported only by the commands
 that use them, which keeps them out of every other call's startup.
@@ -33,7 +34,7 @@ import click
 
 from . import __version__
 from .codec import U64_MAX
-from .manifest import atomic_write, write_manifest
+from .manifest import atomic_write, dump_table, manifested
 from .replay import replay, routing_view, snapshot_from_json, snapshot_to_json
 from .store import StoreError, deduplicate_and_order, feed_to_records, open_store, write_store
 
@@ -79,18 +80,19 @@ def _emit(
     parameters: dict,
     files: list[tuple[Path, str | Callable[[Path], object]]],
 ) -> None:
-    """Write every output, each atomically, then the manifest listing them;
-    an OSError exits 2. Files moved into place before a failure stay.
+    """Write every output, each atomically, then the manifest listing them,
+    its input digests taken before the first output is written; an OSError
+    exits 2. Files moved into place before a failure stay.
     ``files`` pairs each path with its text or with a function that writes
     the file at the path it is given."""
     try:
-        for path, content in files:
-            if isinstance(content, str):
-                with atomic_write(path) as fh:
-                    fh.write(content)
-            else:
-                content(path)
-        write_manifest(manifest, command, inputs, parameters, [path for path, _ in files])
+        with manifested(manifest, command, inputs, parameters, [path for path, _ in files]):
+            for path, content in files:
+                if isinstance(content, str):
+                    with atomic_write(path) as fh:
+                        fh.write(content)
+                else:
+                    content(path)
     except OSError as exc:
         _fail(exc, 2)
 
@@ -137,26 +139,24 @@ def snapshot(store_path: str, as_of: int, out_path: str):
 
 
 def _histogram_csv(report: CentralityReport) -> str:
-    """Log-spaced histogram of nonzero values (zero-valued leaves are only
-    dropped here, for plotting; the stored reports keep them)."""
-    values = sorted(float(v) for v in report.values.values() if v > 0)
-    lines = ["bin_low,bin_high,count"]
-    if not values:
-        return "\n".join(lines) + "\n"
-    lo, hi = values[0], values[-1]
-    if lo == hi:
-        lines.append(f"{lo!r},{hi!r},{len(values)}")
-        return "\n".join(lines) + "\n"
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
-    edges = [10 ** (log_lo + i * (log_hi - log_lo) / HISTOGRAM_BINS) for i in range(HISTOGRAM_BINS + 1)]
-    edges[0], edges[-1] = lo, hi
-    counts = [0] * HISTOGRAM_BINS
-    for v in values:
-        i = min(max(bisect_right(edges, v) - 1, 0), HISTOGRAM_BINS - 1)
-        counts[i] += 1
-    for i in range(HISTOGRAM_BINS):
-        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{counts[i]}")
-    return "\n".join(lines) + "\n"
+    """Log-spaced histogram of the values written as nonzero (zero-valued
+    leaves are only dropped here, for plotting; the stored reports keep
+    them)."""
+    values = sorted(v for v in map(float, report.values.values()) if v > 0)
+    rows = []
+    if values and values[0] == values[-1]:
+        rows = [(values[0], values[-1], len(values))]
+    elif values:
+        lo, hi = values[0], values[-1]
+        log_lo, log_hi = math.log10(lo), math.log10(hi)
+        edges = [10 ** (log_lo + i * (log_hi - log_lo) / HISTOGRAM_BINS) for i in range(HISTOGRAM_BINS + 1)]
+        edges[0], edges[-1] = lo, hi
+        counts = [0] * HISTOGRAM_BINS
+        for v in values:
+            i = min(max(bisect_right(edges, v) - 1, 0), HISTOGRAM_BINS - 1)
+            counts[i] += 1
+        rows = zip(edges, edges[1:], counts)
+    return dump_table(("bin_low", "bin_high", "count"), rows)
 
 
 def _distinct_amounts(ctx, param, amounts: tuple[int, ...]) -> tuple[int, ...]:
@@ -226,15 +226,15 @@ def centrality(
 def _labeled_reports(ctx, param, entries: tuple[str, ...]) -> list[tuple[str, str]]:
     """Report arguments are PATH or LABEL=PATH; unlabeled ones get T1..Tn.
     A label names output files and CSV cells, so it must be non-empty and
-    free of ',', '/' and line breaks."""
+    free of ',', '/', '"' and line breaks."""
     labeled = []
     for i, raw in enumerate(entries, start=1):
         if "=" in raw:
             label, _, path = raw.partition("=")
         else:
             label, path = f"T{i}", raw
-        if not label or any(ch in label for ch in ",/\r\n"):
-            raise click.BadParameter(f"label {label!r} is empty or contains ',', '/' or a line break")
+        if not label or any(ch in label for ch in ',/"\r\n'):
+            raise click.BadParameter(f"label {label!r} is empty or contains ',', '/', '\"' or a line break")
         labeled.append((label, path))
     return labeled
 

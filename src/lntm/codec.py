@@ -134,10 +134,14 @@ class ShortChannelId:
 
     @classmethod
     def parse(cls, text: str) -> "ShortChannelId":
+        """The "BxTxO" form ``str`` writes, and no other spelling of it."""
         parts = text.split("x")
         if len(parts) != 3:
             raise ValueError(f"bad short channel id string {text!r}")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]))
+        scid = cls(int(parts[0]), int(parts[1]), int(parts[2]))
+        if str(scid) != text:
+            raise ValueError(f"bad short channel id string {text!r}")
+        return scid
 
 
 @dataclass(frozen=True)
@@ -278,6 +282,15 @@ _STEPS = {type_code: _steps(layout) for type_code, layout in _LAYOUTS.items()}
 _UPDATE = _STEPS[MSG_CHANNEL_UPDATE][0][0]
 _UPDATE_TYPE = _U16.pack(MSG_CHANNEL_UPDATE)
 _UPDATE_END = 2 + _UPDATE.size
+
+
+def parse_node_id(text: str) -> NodeId:
+    """A node id in the one form lntm writes: 66 lowercase hex digits, the
+    first byte 02 or 03 as on the wire."""
+    node_id = bytes.fromhex(text)
+    if not (len(node_id) == 33 and node_id[0] in (0x02, 0x03) and node_id.hex() == text):
+        raise ValueError(f"node id {text!r} is not 66 lowercase hex digits starting with 02 or 03")
+    return node_id
 
 
 def _check_node_id(name: str, value: bytes, offset: int, previous: bytes) -> None:

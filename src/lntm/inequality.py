@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .codec import NodeId
-from .centrality import CentralityReport
+from .centrality import CentralityReport, report_items
+from .manifest import dump_table
 
 
 class EmptyReportError(ValueError):
@@ -74,12 +76,6 @@ def lorenz(report: CentralityReport) -> LorenzSeries:
     return LorenzSeries(points=tuple(points), gini=1.0 - 2.0 * area)
 
 
-def _descending_items(report: CentralityReport) -> list[tuple[NodeId, float]]:
-    items = [(node_id, float(v)) for node_id, v in report.values.items()]
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    return items
-
-
 def top_share(report: CentralityReport, fraction: float) -> TopShare:
     """Share of total value held by the top ceil(fraction * n) nodes."""
     if not 0 < fraction <= 1:
@@ -90,7 +86,7 @@ def top_share(report: CentralityReport, fraction: float) -> TopShare:
     # exact ceil: 0.07 * 100 must select 7 nodes, not 8
     k = math.ceil(Fraction(fraction).limit_denominator(10**9) * n)
     k = min(max(k, 1), n)
-    items = _descending_items(report)
+    items = report_items(report)
     total = math.fsum(v for _, v in items)
     if total == 0:
         return TopShare(fraction=fraction, share=1.0, degenerate=True)
@@ -100,7 +96,7 @@ def top_share(report: CentralityReport, fraction: float) -> TopShare:
 
 def snapshot_ranks(report: CentralityReport) -> dict[NodeId, int]:
     """Dense ranks 1..n by descending value, ties broken by node id."""
-    return {node_id: i for i, (node_id, _) in enumerate(_descending_items(report), 1)}
+    return {node_id: i for i, (node_id, _) in enumerate(report_items(report), 1)}
 
 
 def rank_timelines(
@@ -119,20 +115,17 @@ def rank_timelines(
     labels = [label for label, _ in reports]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate snapshot labels in {labels}")
-    by_label = dict(reports)
-    if anchor not in by_label:
+    if anchor not in labels:
         raise UnknownAnchorError(anchor, labels)
     ranks_by_label = {label: snapshot_ranks(report) for label, report in reports}
-    anchor_order = _descending_items(by_label[anchor])
-    timelines = []
-    for node_id, _ in anchor_order[:k]:
-        ranks = {}
-        for label in labels:
-            rank = ranks_by_label[label].get(node_id)
-            if rank is not None:
-                ranks[label] = rank
-        timelines.append(RankTimeline(node=node_id, ranks=ranks))
-    return timelines
+    # a snapshot's ranks are listed top first
+    return [
+        RankTimeline(
+            node=node_id,
+            ranks={label: ranks[node_id] for label, ranks in ranks_by_label.items() if node_id in ranks},
+        )
+        for node_id in islice(ranks_by_label[anchor], k)
+    ]
 
 
 def gini_trend(
@@ -148,24 +141,18 @@ def gini_trend(
 
 
 def lorenz_to_csv(series: LorenzSeries) -> str:
-    lines = ["population_fraction,cumulative_share"]
-    for x, y in series.points:
-        lines.append(f"{x!r},{y!r}")
-    return "\n".join(lines) + "\n"
+    return dump_table(("population_fraction", "cumulative_share"), series.points)
 
 
 def gini_trend_to_csv(trend: Sequence[tuple[str, float]]) -> str:
-    lines = ["label,gini"]
-    for label, gini in trend:
-        lines.append(f"{label},{gini!r}")
-    return "\n".join(lines) + "\n"
+    return dump_table(("label", "gini"), trend)
 
 
 def top_shares_to_csv(shares: Sequence[tuple[str, TopShare]]) -> str:
-    lines = ["label,fraction,share,degenerate"]
-    for label, ts in shares:
-        lines.append(f"{label},{ts.fraction!r},{ts.share!r},{int(ts.degenerate)}")
-    return "\n".join(lines) + "\n"
+    return dump_table(
+        ("label", "fraction", "share", "degenerate"),
+        ((label, ts.fraction, ts.share, int(ts.degenerate)) for label, ts in shares),
+    )
 
 
 def timelines_to_csv(
@@ -178,16 +165,10 @@ def timelines_to_csv(
     Missing appearances are empty cells; ``rank_cap`` clips displayed ranks
     (presentation only).
     """
-    lines = ["node_id," + ",".join(labels)]
+    rows = []
     for timeline in timelines:
-        cells = []
-        for label in labels:
-            rank = timeline.ranks.get(label)
-            if rank is None:
-                cells.append("")
-            elif rank_cap is not None and rank > rank_cap:
-                cells.append(str(rank_cap))
-            else:
-                cells.append(str(rank))
-        lines.append(timeline.node.hex() + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+        ranks = [timeline.ranks.get(label) for label in labels]
+        if rank_cap is not None:
+            ranks = [None if rank is None else min(rank, rank_cap) for rank in ranks]
+        rows.append((timeline.node.hex(), *ranks))
+    return dump_table(("node_id", *labels), rows)

@@ -1,7 +1,8 @@
-"""Output files and the one JSON layer: the canonical form every JSON
-document is written in, the loader of versioned documents, the typed-field
-checks of every JSON input, atomic writes, and the reproducibility
-manifests written alongside every command's outputs.
+"""Output files and the one JSON and CSV layer: the canonical form every
+JSON document is written in, the one CSV form every table is written in,
+the loader of versioned documents, the typed-field checks of every JSON
+input, atomic writes, and the reproducibility manifests written alongside
+every command's outputs.
 
 A manifest records the tool version, input digests, parameters and output
 digests; two runs with identical manifests produced byte-identical files.
@@ -14,7 +15,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 TOOL_NAME = "lntm"
 
@@ -25,6 +26,17 @@ def dump_document(doc) -> str:
     """The canonical JSON form: keys sorted, two-space indent, a final
     newline, so equal documents are byte-identical (diffable and hashable)."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def dump_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one CSV form: a header row, then one row per entry, cells joined
+    by commas and never quoted, each row ending in a newline. A cell is its
+    value's ``str`` (for a float that is its shortest round-trip ``repr``),
+    and ``None`` is an empty cell. Node ids are hex, numbers need no
+    quoting, and labels may not hold a comma, a quote or a line break."""
+    lines = [",".join(header)]
+    lines += [",".join("" if cell is None else str(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def load_document(text: str, marker: str, version: int, kind: str, error: type[ValueError], build: Callable[[dict], T]) -> T:
@@ -89,6 +101,30 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _digests(paths: Sequence[str | Path]) -> list[dict]:
+    return [{"path": Path(p).name, "sha256": sha256_file(p)} for p in paths]
+
+
+@contextmanager
+def manifested(
+    manifest_path: str | Path,
+    command: str,
+    inputs: Sequence[str | Path],
+    parameters: dict,
+    outputs: Sequence[str | Path],
+) -> Iterator[None]:
+    """Hash ``inputs``, let the block write ``outputs``, then hash those and
+    write the manifest. The inputs are hashed before any output is written,
+    so an output that replaces an input leaves the input's digest as read."""
+    from . import __version__
+
+    doc = {"tool": TOOL_NAME, "version": __version__, "command": command, "inputs": _digests(inputs), "parameters": parameters}
+    yield
+    doc["outputs"] = _digests(outputs)
+    with atomic_write(manifest_path) as fh:
+        fh.write(dump_document(doc))
+
+
 def write_manifest(
     manifest_path: str | Path,
     command: str,
@@ -96,19 +132,6 @@ def write_manifest(
     parameters: dict,
     outputs: Sequence[str | Path],
 ) -> None:
-    from . import __version__
-
-    doc = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": command,
-        "inputs": [
-            {"path": Path(p).name, "sha256": sha256_file(p)} for p in inputs
-        ],
-        "parameters": parameters,
-        "outputs": [
-            {"path": Path(p).name, "sha256": sha256_file(p)} for p in outputs
-        ],
-    }
-    with atomic_write(manifest_path) as fh:
-        fh.write(dump_document(doc))
+    """The manifest of outputs that are already written."""
+    with manifested(manifest_path, command, inputs, parameters, outputs):
+        pass

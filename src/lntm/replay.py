@@ -27,6 +27,7 @@ from .codec import (
     ShortChannelId,
     alias_text,
     decode_message,
+    parse_node_id,
     peek_message,
 )
 from .manifest import dump_document, load_document, typed, uint
@@ -308,7 +309,9 @@ def snapshot_from_json(text: str) -> NetworkSnapshot:
     that is not JSON; a missing or other format marker or version; a
     missing field or one of the wrong JSON type; a policy integer outside
     its wire field's range; a policy list that is not one entry per
-    direction; a node id, endpoint or scid that does not parse; a node id or
+    direction; a node id or endpoint that is not 66 lowercase hex digits
+    starting with 02 or 03; an scid not in the "BxTxO" form ``str`` writes;
+    a channel whose ``node1`` is not below its ``node2``; a node id or
     scid listed twice; a channel endpoint missing from ``nodes``; an ``rgb``
     that is neither null nor 6 lowercase hex digits; a ``node_count`` other
     than the number of ``nodes``; and a ``node_count_definition`` other than
@@ -319,7 +322,7 @@ def snapshot_from_json(text: str) -> NetworkSnapshot:
 def _snapshot_from_doc(doc: dict) -> NetworkSnapshot:
     nodes = {}
     for entry in typed(doc, "nodes", list):
-        node_id = bytes.fromhex(typed(entry, "id", str))
+        node_id = parse_node_id(typed(entry, "id", str))
         if node_id in nodes:
             raise ValueError(f"node {node_id.hex()} is listed twice")
         rgb = typed(entry, "rgb", str, type(None))
@@ -341,10 +344,12 @@ def _snapshot_from_doc(doc: dict) -> NetworkSnapshot:
         scid = ShortChannelId.parse(typed(entry, "scid", str))
         if scid in channels:
             raise ValueError(f"channel {scid} is listed twice")
-        node_1 = bytes.fromhex(typed(entry, "node1", str))
-        node_2 = bytes.fromhex(typed(entry, "node2", str))
+        node_1 = parse_node_id(typed(entry, "node1", str))
+        node_2 = parse_node_id(typed(entry, "node2", str))
         if node_1 not in nodes or node_2 not in nodes:
             raise ValueError(f"an endpoint of channel {scid} is not among the nodes")
+        if not node_1 < node_2:
+            raise ValueError(f"node1 of channel {scid} is not below node2")
         policies = typed(entry, "policies", list)
         if len(policies) != 2:
             raise ValueError(f"channel {scid} has {len(policies)} policies, not 2")

@@ -1,12 +1,14 @@
 """End-to-end CLI tests over a synthetic gossip corpus."""
 
 import copy
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,8 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import lntm
-from lntm.centrality import ReportFormatError, betweenness, build_graph, report_from_json, report_to_json
-from lntm.cli import main
+from lntm.centrality import CentralityReport, ReportFormatError, betweenness, build_graph, report_from_json, report_to_json
+from lntm.cli import _histogram_csv, main
 from lntm.manifest import sha256_file
 from lntm.replay import SnapshotFormatError, replay, routing_view, snapshot_from_json, snapshot_to_json
 from lntm.store import write_store
@@ -318,6 +320,56 @@ class TestCentralityCommand:
         assert not list(tmp_path.glob("r-*"))
 
 
+def _histogram(values):
+    return _histogram_csv(CentralityReport(0, 0, {msggen.node_id(i): v for i, v in enumerate(values)}))
+
+
+class TestHistogramCsv:
+    def test_no_nonzero_value_is_a_header(self):
+        assert _histogram([0.0, 0.0]) == "bin_low,bin_high,count\n"
+        assert _histogram([]) == "bin_low,bin_high,count\n"
+
+    def test_one_distinct_value_is_one_bin(self):
+        assert _histogram([0.0, 2.5, 2.5]) == "bin_low,bin_high,count\n2.5,2.5,2\n"
+
+    def test_a_spread_fills_fifty_log_spaced_bins(self):
+        text = _histogram([float(v) for v in range(101)])
+        lines = text.split("\n")
+        assert lines[0] == "bin_low,bin_high,count"
+        assert lines[1] == "1.0,1.096478196143185,1"
+        assert lines[50] == "91.20108393559097,100.0,9"
+        assert lines[51:] == [""]
+        assert sum(int(line.split(",")[2]) for line in lines[1:51]) == 100
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9973474d111475474d98e4f783a086424d903d26f936d12f9478c7ef9fc8e37d"
+        )
+
+    def test_exact_value_below_float_range_counts_as_written(self):
+        # 2^-1100 is below the smallest float, so it is written as 0.0
+        tiny = CentralityReport(0, 0, {msggen.node_id(1): Fraction(1, 2**1100), msggen.node_id(2): 1})
+        assert _histogram_csv(tiny) == "bin_low,bin_high,count\n1.0,1.0,1\n"
+        assert tiny.leaf_count == 1
+        assert json.loads(report_to_json(tiny))["values"][msggen.node_id(1).hex()] == 0.0
+
+    def test_exact_value_below_float_range_through_the_cli(self, runner, tmp_path, monkeypatch):
+        snap = make_snapshot(runner, tmp_path)
+
+        def tiny_values(graph, exact, processes):
+            ids = graph.node_ids
+            return CentralityReport(graph.as_of, graph.amount_msat, {ids[0]: Fraction(1, 2**1100), ids[1]: 1, ids[2]: 0})
+
+        monkeypatch.setattr("lntm.centrality.betweenness", tiny_values)
+        prefix = tmp_path / "run"
+        result = runner.invoke(
+            main, ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000", "--exact", "--out", str(prefix)]
+        )
+        assert result.exit_code == 0, result.output
+        assert "2 zero-valued nodes" in result.output
+        assert (tmp_path / "run-histogram-10000000.csv").read_text() == "bin_low,bin_high,count\n1.0,1.0,1\n"
+        report = json.loads((tmp_path / "run-centrality-10000000.json").read_text())
+        assert report["leaf_count"] == sorted(report["values"].values()).count(0.0) == 2
+
+
 class TestInequalityCommand:
     def _reports(self, runner, tmp_path):
         snap = make_snapshot(runner, tmp_path)
@@ -374,7 +426,7 @@ class TestInequalityCommand:
         )
         assert result.exit_code == 1
 
-    @pytest.mark.parametrize("label", ["a,b", "a/b", "a\nb", "a\rb", ""])
+    @pytest.mark.parametrize("label", ["a,b", "a/b", "a\nb", "a\rb", "", 'a"b'])
     def test_label_that_cannot_name_a_file_is_a_usage_error(self, runner, tmp_path, label):
         report = self._reports(runner, tmp_path)
         result = runner.invoke(
@@ -431,6 +483,17 @@ class TestCompactCommand:
         runner.invoke(main, ["snapshot", "--store", str(compacted), "--at", "999", "--out", str(snap_b)])
         assert snap_a.read_bytes() == snap_b.read_bytes()
 
+    def test_in_place_compaction_records_the_input_as_read(self, runner, tmp_path):
+        store = tmp_path / "corpus.gsr"
+        build_corpus(store)
+        original = sha256_file(store)
+        result = runner.invoke(main, ["compact", "--store", str(store), "--out", str(store)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "corpus.gsr.manifest.json").read_text())
+        assert manifest["inputs"] == [{"path": "corpus.gsr", "sha256": original}]
+        assert manifest["outputs"] == [{"path": "corpus.gsr", "sha256": sha256_file(store)}]
+        assert sha256_file(store) != original  # the duplicate record is gone
+
     def test_compaction_drops_duplicates(self, runner, tmp_path):
         store = tmp_path / "corpus.gsr"
         records = build_corpus(store)
@@ -459,6 +522,39 @@ class TestCanonicalJson:
         for path in written:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
+
+
+class TestCanonicalCsv:
+    def test_every_csv_output_is_in_canonical_form(self, runner, tmp_path):
+        store = tmp_path / "corpus.gsr"
+        build_corpus(store)
+        snap = tmp_path / "snap.json"
+        for argv in (
+            ["snapshot", "--store", str(store), "--at", "999", "--out", str(snap)],
+            ["centrality", "--snapshot", str(snap), "--out", str(tmp_path / "run")],
+            ["inequality", "--report", f"A={tmp_path / 'run-centrality-10000000.json'}",
+             "--report", f"B={tmp_path / 'run-centrality-10000000000.json'}",
+             "--rank-cap", "2", "--out", str(tmp_path / "ineq")],
+        ):
+            assert runner.invoke(main, argv).exit_code == 0
+        written = sorted(tmp_path.glob("*.csv"))
+        # per amount a report and a histogram; two Lorenz curves, the Gini
+        # trend, the top shares and the rank timelines
+        assert len(written) == 11
+        for path in written:
+            text = path.read_bytes().decode("utf-8")
+            assert "\r" not in text and text.endswith("\n"), path.name
+            header, *rows = [line.split(",") for line in text[:-1].split("\n")]
+            for row in rows:
+                assert len(row) == len(header), path.name
+                for column, cell in zip(header, row):
+                    if column == "node_id":
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # a label or an absent rank
+                    assert cell == repr(value) or (cell.isdigit() and cell == str(int(cell))), (path.name, cell)
 
 
 def test_importing_the_cli_leaves_out_the_compute_modules():
@@ -559,6 +655,18 @@ def _report_edit(path, value):
 
 
 _POLICY = ("channels", 0, "policies", 0)
+_NODE_3 = msggen.node_id(3).hex()  # the highest id, so a rename keeps node1 < node2
+
+
+def _renamed(kind, text):
+    """The document with every mention of node 3's id spelled ``text``."""
+    doc = json.dumps(SNAPSHOT_DOC if kind == "snapshot" else REPORT_DOC)
+    return kind, doc.replace(json.dumps(_NODE_3), json.dumps(text)).encode()
+
+
+def _swapped_endpoints():
+    channel = SNAPSHOT_DOC["channels"][0]
+    return _snapshot_edit(("channels", 0), dict(channel, node1=channel["node2"], node2=channel["node1"]))
 
 BAD_DOCUMENTS = {
     "snapshot-not-utf8": ("snapshot", b"\xff" + json.dumps(SNAPSHOT_DOC).encode()),
@@ -586,6 +694,17 @@ BAD_DOCUMENTS = {
     "node-count-wrong": _snapshot_edit(("node_count",), 99),
     "node-count-definition-other": _snapshot_edit(("node_count_definition",), "every node ever announced"),
     "last-seen-float": _snapshot_edit(("nodes", 0, "last_seen"), 150.0),
+    "node-id-one-byte": _renamed("snapshot", "03"),
+    "node-id-uppercase": _renamed("snapshot", "03" + "AB" * 32),
+    "node-id-with-space": _renamed("snapshot", "02 " + _NODE_3[2:]),
+    "node-id-prefix-04": _renamed("snapshot", "04" + _NODE_3[2:]),
+    "endpoint-with-space": _snapshot_edit(("channels", 1, "node2"), "02 " + _NODE_3[2:]),
+    "node1-above-node2": _swapped_endpoints(),
+    "scid-underscore": _snapshot_edit(("channels", 0, "scid"), "1_2x0x0"),
+    "scid-space": _snapshot_edit(("channels", 0, "scid"), " 12x0x0"),
+    "scid-plus": _snapshot_edit(("channels", 0, "scid"), "+12x0x0"),
+    "scid-leading-zero": _snapshot_edit(("channels", 0, "scid"), "012x0x0"),
+    "scid-arabic-indic": _snapshot_edit(("channels", 0, "scid"), "\u0661\u0662x0x0"),
     "report-not-utf8": ("report", b"\xff" + json.dumps(REPORT_DOC).encode()),
     "report-deeply-nested": ("report", b"{\"a\": " * 100_000),
     "values-list": _report_edit(("values",), []),
@@ -598,6 +717,8 @@ BAD_DOCUMENTS = {
     "value-str": _report_edit(("values", msggen.node_id(2).hex()), "1.0"),
     "value-too-large": _report_edit(("values", msggen.node_id(2).hex()), 10**400),
     "report-as-of-float": _report_edit(("as_of",), 1.5),
+    "report-node-id-one-byte": _renamed("report", "AB"),
+    "report-node-id-with-space": _renamed("report", "02 " + _NODE_3[2:]),
     "amount-over-u64": _report_edit(("amount_msat",), 2**64),
 }
 

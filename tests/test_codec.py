@@ -42,6 +42,11 @@ class TestShortChannelId:
         assert str(s) == "654321x1234x7"
         assert ShortChannelId.parse("654321x1234x7") == s
 
+    @pytest.mark.parametrize("text", ["1_0x2x3", " 1x2x3", "+1x2x3", "01x2x3", "\u0661x2x3", "1x2", "1x2x3x4"])
+    def test_parse_takes_only_the_string_form(self, text):
+        with pytest.raises(ValueError):
+            ShortChannelId.parse(text)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ShortChannelId(1 << 24, 0, 0)
