@@ -69,8 +69,10 @@ and a ``Fraction`` otherwise. Fee-weighted graphs have few shortest-path
 ties, so most values stay ints, which are much cheaper to add, multiply and
 send between processes than ``Fraction``s; the values are equal either way.
 
-The per-source loop is embarrassingly parallel; partial results are always
-reduced in source order so the thread count never changes the output.
+The per-source loop is embarrassingly parallel. The passes are summed in
+fixed blocks of ``SOURCE_BLOCK`` sources, each in source order, and the
+block sums are reduced in block order, serially or in a worker pool alike,
+so the worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -78,10 +80,11 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .codec import U64_MAX, NodeId, parse_node_id
 from .manifest import dump_document, dump_table, load_document, typed, uint
@@ -95,6 +98,10 @@ BRUTE_FORCE_MAX_NODES = 12
 # zero-fee cluster; exceeding it means the cluster is too entangled to
 # count exactly
 ZERO_CLUSTER_PATH_BUDGET = 5_000_000
+
+# source passes summed into one partial result, by a worker or serially; a
+# constant, so float sums never depend on the worker count
+SOURCE_BLOCK = 16
 
 Value = Union[int, float, Fraction]
 
@@ -498,22 +505,86 @@ def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
     return credit
 
 
-def _sparse_credit(credit: list[Value]) -> list[tuple[int, Value]]:
-    return [(i, v) for i, v in enumerate(credit) if v != 0]
+def _add_credit(total: list[Value], credit: list[Value]) -> None:
+    for i, value in enumerate(credit):
+        if value:  # an exact Fraction plus 0 still costs a new Fraction
+            total[i] += value
 
 
-_POOL_PG: Optional[_PortGraph] = None
+def _block_credit(pg: _PortGraph, start: int, exact: bool) -> list[Value]:
+    """Credits of the source passes ``pg.sources[start:start +
+    SOURCE_BLOCK]``, summed in source order."""
+    total: list[Value] = [0 if exact else 0.0] * len(pg.h_out_of)
+    for s in pg.sources[start : start + SOURCE_BLOCK]:
+        _add_credit(total, _source_pass(pg, s, exact))
+    return total
+
+
+_POOL_GRAPHS: list[_PortGraph] = []
 _POOL_EXACT = False
 
 
-def _pool_init(pg: _PortGraph, exact: bool) -> None:
-    global _POOL_PG, _POOL_EXACT
-    _POOL_PG = pg
+def _pool_init(pgs: list[_PortGraph], exact: bool) -> None:
+    global _POOL_GRAPHS, _POOL_EXACT
+    _POOL_GRAPHS = pgs
     _POOL_EXACT = exact
 
 
-def _pool_source(s: int) -> list[tuple[int, Value]]:
-    return _sparse_credit(_source_pass(_POOL_PG, s, _POOL_EXACT))
+def _pool_block(task: tuple[int, int]) -> list[Value]:
+    graph, start = task
+    return _block_credit(_POOL_GRAPHS[graph], start, _POOL_EXACT)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block_credits(
+    pgs: list[_PortGraph], tasks: list[tuple[int, int]], exact: bool, workers: int
+) -> Iterator[list[Value]]:
+    """Each task's block credits, in task order."""
+    if workers <= 1:
+        for graph, start in tasks:
+            yield _block_credit(pgs[graph], start, exact)
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_pool_init, initargs=(pgs, exact)) as pool:
+        yield from pool.imap(_pool_block, tasks, chunksize=1)
+
+
+def betweenness_reports(
+    graphs: list[WeightedDigraph],
+    exact: bool = False,
+    processes: Optional[int] = None,
+) -> list[CentralityReport]:
+    """``betweenness`` of each graph, with one worker pool for all of them.
+
+    Every graph is checked and prepared before a worker starts. At most
+    ``processes`` workers run, no more than there are blocks of source
+    passes and no more than the usable CPUs; the results are independent
+    of ``processes``.
+    """
+    for graph in graphs:
+        for _, _, weight in graph.arcs:
+            if weight < 0:
+                raise NegativeWeightError(f"negative arc weight {weight}")
+    pgs = [_prepare(graph) for graph in graphs]
+    tasks = [
+        (g, start)
+        for g, pg in enumerate(pgs)
+        for start in range(0, len(pg.sources), SOURCE_BLOCK)
+    ]
+    workers = min(processes or 1, len(tasks), _usable_cpus())
+    totals: list[list[Value]] = [[0 if exact else 0.0] * len(graph.node_ids) for graph in graphs]
+    for (g, _), credit in zip(tasks, _block_credits(pgs, tasks, exact, workers)):
+        _add_credit(totals[g], credit)
+    return [
+        CentralityReport(graph.as_of, graph.amount_msat, dict(zip(graph.node_ids, total)))
+        for graph, total in zip(graphs, totals)
+    ]
 
 
 def betweenness(
@@ -529,32 +600,10 @@ def betweenness(
     where every ratio it sums divides evenly, a Fraction otherwise. One
     source pass runs per node that keeps a port; degree-1 leaves have none
     and are accounted for by their neighbour's pass (see the module
-    docstring). At most ``processes`` workers run, and no more than there
-    are source passes; the result is independent of ``processes``.
+    docstring). Workers are capped as in ``betweenness_reports``; the
+    result is independent of ``processes``.
     """
-    for _, _, weight in graph.arcs:
-        if weight < 0:
-            raise NegativeWeightError(f"negative arc weight {weight}")
-    n = len(graph.node_ids)
-    pg = _prepare(graph)
-    totals: list[Value] = [0 if exact else 0.0] * n
-
-    sources = pg.sources
-    workers = min(processes or 1, len(sources))
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(sources) // (workers * 4))
-        with ctx.Pool(workers, initializer=_pool_init, initargs=(pg, exact)) as pool:
-            for sparse in pool.imap(_pool_source, sources, chunksize=chunk):
-                for i, value in sparse:
-                    totals[i] += value
-    else:
-        for s in sources:
-            for i, value in _sparse_credit(_source_pass(pg, s, exact)):
-                totals[i] += value
-
-    values = {graph.node_ids[i]: totals[i] for i in range(n)}
-    return CentralityReport(graph.as_of, graph.amount_msat, values)
+    return betweenness_reports([graph], exact, processes)[0]
 
 
 def brute_force_betweenness(graph: WeightedDigraph) -> CentralityReport:

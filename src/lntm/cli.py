@@ -185,7 +185,7 @@ def centrality(
     out_prefix: str,
 ):
     """Fee-weighted betweenness reports, one per transaction amount."""
-    from .centrality import betweenness, build_graph, report_items, report_to_csv, report_to_json
+    from .centrality import betweenness_reports, build_graph, report_items, report_to_csv, report_to_json
 
     snap = _read_document(snapshot_path, snapshot_from_json)
     amounts = amounts or DEFAULT_AMOUNTS_MSAT
@@ -193,10 +193,9 @@ def centrality(
     view = routing_view(
         snap, prune_stale_after=prune_stale_after, include_disabled=include_disabled
     )
+    graphs = [build_graph(view, amount, enforce_htlc_bounds=enforce_htlc_bounds) for amount in amounts]
     files = []
-    for amount in amounts:
-        graph = build_graph(view, amount, enforce_htlc_bounds=enforce_htlc_bounds)
-        report = betweenness(graph, exact=exact, processes=processes)
+    for amount, report in zip(amounts, betweenness_reports(graphs, exact=exact, processes=processes)):
         files += [
             (Path(f"{out_prefix}-centrality-{amount}.csv"), report_to_csv(report)),
             (Path(f"{out_prefix}-centrality-{amount}.json"), report_to_json(report)),

@@ -12,9 +12,11 @@ from lntm.centrality import (
     NegativeWeightError,
     TooLargeError,
     WeightedDigraph,
+    ZeroClusterError,
     _prepare,
     _source_pass,
     betweenness,
+    betweenness_reports,
     brute_force_betweenness,
     build_graph,
     fee_weight,
@@ -586,10 +588,11 @@ class TestDeterminismAcrossProcesses:
 
 class _SerialContext:
     """Stands in for a multiprocessing context: records each pool's size
-    and runs its map in this process."""
+    and each map's chunk size, and runs the map in this process."""
 
     def __init__(self):
-        self.pools: list[tuple[int, int]] = []
+        self.pools: list[int] = []
+        self.chunksizes: list[int] = []
 
     def __call__(self, method):
         assert method == "fork"
@@ -597,6 +600,7 @@ class _SerialContext:
 
     def Pool(self, processes, initializer, initargs):
         context = self
+        context.pools.append(processes)
 
         class Pool:
             def __enter__(self):
@@ -607,10 +611,20 @@ class _SerialContext:
                 return False
 
             def imap(self, fn, items, chunksize):
-                context.pools.append((processes, chunksize))
+                context.chunksizes.append(chunksize)
                 return map(fn, items)
 
         return Pool()
+
+
+def block_count(graph):
+    return -(-len(_prepare(graph).sources) // centrality.SOURCE_BLOCK)
+
+
+def multi_block_graph():
+    graph = leafy_graph(random.Random(58), core=70, leaves=10, zero_prob=0)
+    assert block_count(graph) > 3
+    return graph
 
 
 class TestWorkerCap:
@@ -619,31 +633,100 @@ class TestWorkerCap:
         fake = _SerialContext()
         monkeypatch.setattr(centrality.multiprocessing, "get_context", fake)
         # the fake pool's initializer runs here; restore what it sets
-        monkeypatch.setattr(centrality, "_POOL_PG", None)
+        monkeypatch.setattr(centrality, "_POOL_GRAPHS", [])
         monkeypatch.setattr(centrality, "_POOL_EXACT", False)
+        self.cpus(monkeypatch, 64)
         return fake
 
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(centrality.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
     def test_workers_never_exceed_passes(self, context):
-        graph = leafy_graph(random.Random(57), core=6, leaves=3, zero_prob=0.1)
-        passes = len(_prepare(graph).sources)
+        graph = multi_block_graph()
+        blocks = block_count(graph)
         serial = betweenness(graph)
         report = betweenness(graph, processes=10**9)
-        assert context.pools == [(passes, 1)]
+        assert context.pools == [blocks]
+        assert context.chunksizes == [1]
         assert report.values == serial.values
 
     def test_fewer_processes_than_passes_are_kept(self, context):
-        graph = leafy_graph(random.Random(58), core=40, leaves=10, zero_prob=0.1)
-        passes = len(_prepare(graph).sources)
-        assert passes >= 24
+        graph = multi_block_graph()
         betweenness(graph, processes=3)
-        assert context.pools == [(3, passes // 12)]
+        assert context.pools == [3]
+        assert context.chunksizes == [1]
+
+    def test_workers_never_exceed_usable_cpus(self, context, monkeypatch):
+        graph = multi_block_graph()
+        self.cpus(monkeypatch, 2)
+        betweenness(graph, processes=10**9)
+        assert context.pools == [2]
+
+    def test_cpu_count_without_affinity(self, context, monkeypatch):
+        graph = multi_block_graph()
+        monkeypatch.delattr(centrality.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(centrality.os, "cpu_count", lambda: 2)
+        betweenness(graph, processes=10**9)
+        monkeypatch.setattr(centrality.os, "cpu_count", lambda: None)
+        betweenness(graph, processes=10**9)
+        assert context.pools == [2]
 
     def test_one_pass_or_one_process_starts_no_pool(self, context):
         graph, _ = make_graph("ab", [("a", "b", 1)])
         assert len(_prepare(graph).sources) == 1
         betweenness(graph, processes=8)
-        betweenness(leafy_graph(random.Random(59), core=6, leaves=3, zero_prob=0.1), processes=1)
+        single_block = leafy_graph(random.Random(59), core=6, leaves=3, zero_prob=0.1)
+        assert block_count(single_block) == 1
+        betweenness(single_block, processes=8)
+        betweenness(multi_block_graph(), processes=1)
         assert context.pools == []
+
+    def test_three_amounts_open_one_pool(self, context):
+        graphs = [leafy_graph(random.Random(seed), core=30, leaves=10, zero_prob=0.1) for seed in (60, 61, 62)]
+        blocks = sum(block_count(graph) for graph in graphs)
+        assert blocks > 3
+        reports = betweenness_reports(graphs, processes=3)
+        assert context.pools == [3]
+        assert context.chunksizes == [1]
+        assert [r.values for r in reports] == [betweenness(graph).values for graph in graphs]
+
+    def test_bad_graph_raises_before_a_pool_starts(self, context, monkeypatch):
+        good = multi_block_graph()
+        negative, _ = make_graph("ab", [("a", "b", -1)])
+        with pytest.raises(NegativeWeightError):
+            betweenness_reports([good, good, negative], processes=3)
+        # four mutually zero-fee nodes need more route steps than allowed
+        cluster, _ = make_graph("abcd", [(a, b, 0) for a in "abcd" for b in "abcd" if a != b])
+        monkeypatch.setattr(centrality, "ZERO_CLUSTER_PATH_BUDGET", 5)
+        with pytest.raises(ZeroClusterError):
+            betweenness_reports([good, cluster, good], processes=3)
+        assert context.pools == []
+
+
+class TestSourceBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    def test_exact_totals_do_not_depend_on_the_block(self, monkeypatch, block):
+        rng = random.Random(64)
+        graphs = [leafy_graph(rng, core=5, leaves=4) for _ in range(20)]
+        graphs += [random_graph(rng, max_nodes=12, zero_prob=0.2) for _ in range(20)]
+        wide = leafy_graph(rng, core=30, leaves=30, zero_prob=0.1)
+        want = betweenness(wide, exact=True).values
+        monkeypatch.setattr(centrality, "SOURCE_BLOCK", block)
+        assert betweenness(wide, exact=True).values == want
+        for graph in graphs:
+            assert len(graph.node_ids) <= 12
+            assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+
+    def test_reports_match_single_calls_with_real_pools(self):
+        rng = random.Random(65)
+        graphs = [leafy_graph(rng, core=30, leaves=20, zero_prob=0.1) for _ in range(3)]
+        assert all(block_count(graph) > 1 for graph in graphs)
+        for exact in (False, True):
+            want = [report_to_json(betweenness(graph, exact=exact)) for graph in graphs]
+            for processes in (1, 2, 3):
+                reports = betweenness_reports(graphs, exact=exact, processes=processes)
+                assert [report_to_json(r) for r in reports] == want
 
 
 class TestReportSerialization:

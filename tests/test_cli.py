@@ -199,15 +199,25 @@ def make_snapshot(runner, tmp_path, at=999):
 
 
 class TestCentralityCommand:
-    def test_one_report_per_amount(self, runner, tmp_path):
+    def test_one_report_per_amount(self, runner, tmp_path, monkeypatch):
         snap = make_snapshot(runner, tmp_path)
         prefix = tmp_path / "run"
+        calls = []
+        real = lntm.centrality.betweenness_reports
+
+        def recorded(graphs, exact, processes):
+            calls.append([graph.amount_msat for graph in graphs])
+            return real(graphs, exact, processes)
+
+        # every amount goes to one call, so one worker pool serves them all
+        monkeypatch.setattr("lntm.centrality.betweenness_reports", recorded)
         result = runner.invoke(
             main,
             ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000",
              "--amount-msat", "1000000000", "--out", str(prefix)],
         )
         assert result.exit_code == 0, result.output
+        assert calls == [[10000000, 1000000000]]
         for amount in (10000000, 1000000000):
             assert (tmp_path / f"run-centrality-{amount}.csv").exists()
             assert (tmp_path / f"run-centrality-{amount}.json").exists()
@@ -354,16 +364,22 @@ class TestHistogramCsv:
     def test_exact_value_below_float_range_through_the_cli(self, runner, tmp_path, monkeypatch):
         snap = make_snapshot(runner, tmp_path)
 
-        def tiny_values(graph, exact, processes):
-            ids = graph.node_ids
-            return CentralityReport(graph.as_of, graph.amount_msat, {ids[0]: Fraction(1, 2**1100), ids[1]: 1, ids[2]: 0})
+        calls = []
 
-        monkeypatch.setattr("lntm.centrality.betweenness", tiny_values)
+        def tiny_values(graphs, exact, processes):
+            calls.append(exact)
+            return [
+                CentralityReport(g.as_of, g.amount_msat, {g.node_ids[0]: Fraction(1, 2**1100), g.node_ids[1]: 1, g.node_ids[2]: 0})
+                for g in graphs
+            ]
+
+        monkeypatch.setattr("lntm.centrality.betweenness_reports", tiny_values)
         prefix = tmp_path / "run"
         result = runner.invoke(
             main, ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000", "--exact", "--out", str(prefix)]
         )
         assert result.exit_code == 0, result.output
+        assert calls == [True]
         assert "2 zero-valued nodes" in result.output
         assert (tmp_path / "run-histogram-10000000.csv").read_text() == "bin_low,bin_high,count\n1.0,1.0,1\n"
         report = json.loads((tmp_path / "run-centrality-10000000.json").read_text())
