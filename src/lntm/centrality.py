@@ -22,21 +22,31 @@ Zero-weight arcs are legal (zero-fee channels exist) and need real care:
   shortest path crosses such a cluster in one contiguous segment (leaving
   and re-entering would cost extra), so the contraction is exact.
 
-The dependency sweep reads the one forward adjacency. In reverse settle
-order each port ``v`` pulls over its shortest-path arcs ``v->w`` (Brandes's
-successor form): ``delta(v) = sum ratio(sigma(v) * mult, sigma(w)) *
-(delta(w) + t(w))``, with ``mult`` the arc's route count and ``t(w)`` the
-target weight of ``w``: the number of targets whose shortest paths end at
-``w``, 0 on an entry-only port (the source's own out port is reached only
-from its entry port, whose delta no node is credited with). A term is the
-arc's flow, and the only crediting step gives each member a bundle's routes
-visit before their exit its share: ``credit[u] += flow * ratio(count,
-mult)``. Then every reached node gets the delta of its out port. For a
+The dependency sweep runs in integers over the one forward adjacency. Let
+``t(v)`` be the target weight of port ``v``: the number of targets whose
+shortest paths end at ``v``, 0 on an entry-only port (the source's own out
+port is reached only from its entry port, whose value no node is credited
+with). Brandes's dependency of ``v`` over a shortest-path arc ``v->w`` with
+route count ``mult`` is ``sigma(v) * mult / sigma(w) * (delta(w) + t(w))``,
+so ``D(v) = (delta(v) + t(v)) / sigma(v)`` is ``t(v) / sigma(v) + sum(mult
+* D(w))`` over those arcs. With ``L`` the lcm of ``sigma`` over the reached
+ports with ``t > 0``, ``E(v) = L * D(v)`` is an integer::
+
+    E(v) = L * t(v) // sigma(v) + sum(mult * E(w))
+
+and each port pulls it over its shortest-path arcs in reverse settle order
+(Brandes's successor form). A bundle arc ``v->w`` carries ``sigma(v) *
+count * D(w)`` paths past each member ``u`` its routes visit ``count``
+times before their exit, so ``C[u] += sigma(v) * count * E(w)``. A reached
+node ``u`` with out port ``p`` is interior to ``delta(p) + t(p) - 1`` pairs
+through ``p`` (those ending at its stripped leaves included, see below):
+its credit is ``(C[u] + sigma(p) * E(p)) / L - 1``, one division per
+reached node, an int when ``L`` divides and a ``Fraction`` otherwise. For a
 cluster member that covers every exit role, the enter-and-leave bundle
-included: the bundles into an exit port split that port's paths (their
-ratios sum to 1), so its delta is exactly the member's credit as the last
-member of a segment that continues past it. The source's credit is reset,
-as a source is never interior to its own pairs.
+included: the bundles into an exit port split that port's paths, so
+``delta(p)`` is exactly the member's credit as the last member of a segment
+that continues past it. The source's credit is reset, as a source is never
+interior to its own pairs.
 
 Degree-1 nodes leave the port graph (Baglioni et al., ASONAM 2012; Sariyuce
 et al., SDM 2013). A node ``l`` outside any zero-fee cluster whose only
@@ -64,27 +74,26 @@ path, so it matters only as an endpoint, and it gets no port:
   before the fold, like any source's. A leaf with only the arc ``u->l``
   reaches nothing and needs no pass.
 
-In exact mode a ratio is a Python int when the division leaves no remainder
-and a ``Fraction`` otherwise. Fee-weighted graphs have few shortest-path
-ties, so most values stay ints, which are much cheaper to add, multiply and
-send between processes than ``Fraction``s; the values are equal either way.
+Fee-weighted graphs have few shortest-path ties, so ``L`` is mostly 1 and
+most values stay ints, which are much cheaper to add and to send between
+processes than ``Fraction``s. Values are written as floats only by the
+report writers, each the correctly rounded exact value.
 
-The per-source loop is embarrassingly parallel. The passes are summed in
-fixed blocks of ``SOURCE_BLOCK`` sources, each in source order, and the
-block sums are reduced in block order, serially or in a worker pool alike,
-so the worker count never changes the output.
+The per-source loop is embarrassingly parallel. Exact sums do not depend on
+their order, so the worker count never changes the output; ``SOURCE_BLOCK``
+sources make up one task, summed by a worker or serially alike.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing
-import operator
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .codec import U64_MAX, NodeId, parse_node_id
 from .manifest import dump_document, dump_table, load_document, typed, uint
@@ -94,13 +103,14 @@ PPM_DIVISOR = 1_000_000
 
 BRUTE_FORCE_MAX_NODES = 12
 
-# extension steps allowed while enumerating simple routes inside one
-# zero-fee cluster; exceeding it means the cluster is too entangled to
-# count exactly
+# work allowed while enumerating simple routes inside one zero-fee cluster,
+# each route extension costing the length of the route it extends (its
+# visit counts); exceeding it means the cluster is too entangled to count
+# exactly
 ZERO_CLUSTER_PATH_BUDGET = 5_000_000
 
-# source passes summed into one partial result, by a worker or serially; a
-# constant, so float sums never depend on the worker count
+# source passes summed into one partial result, by a worker or serially:
+# the size of one worker task
 SOURCE_BLOCK = 16
 
 Value = Union[int, float, Fraction]
@@ -298,7 +308,7 @@ def _cluster_bundles(
                 continue
             if nxt in on_path:
                 continue
-            steps += 1
+            steps += len(path)
             if steps > budget:
                 raise ZeroClusterError(
                     f"zero-fee cluster of {len(members)} nodes exceeds "
@@ -431,18 +441,9 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
     )
 
 
-def _exact_ratio(a: int, b: int) -> Value:
-    """``a / b`` as an int when ``b`` divides ``a``, else as a Fraction."""
-    q, rem = divmod(a, b)
-    return q if rem == 0 else Fraction(a, b)
-
-
-def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
+def _source_pass(pg: _PortGraph, s: int) -> list[Value]:
     """Dependency accumulation for one source and the leaves folded into
-    it; returns per-node credits."""
-    ratio: Callable[[int, int], Value] = _exact_ratio if exact else operator.truediv
-    zero: Value = 0 if exact else 0.0
-
+    it; returns per-node credits, each an int or a Fraction."""
     ports = len(pg.out_edges)
     src = pg.h_in_of[s]
     dist: list[Optional[int]] = [None] * ports
@@ -470,69 +471,70 @@ def _source_pass(pg: _PortGraph, s: int, exact: bool) -> list[Value]:
             elif dd == known:
                 sigma[dst] += sv * mult
 
-    # pull dependencies over the shortest-path arcs, successors first,
-    # weighting each port by the targets it stands for (see the module
-    # docstring)
+    # pull E over the shortest-path arcs, successors first, and the bundle
+    # visits into C (see the module docstring)
     target = pg.target
-    delta: list[Value] = [zero] * ports
-    credit: list[Value] = [zero] * len(pg.h_out_of)
+    L = 1
+    for v in order:
+        if target[v] and L % sigma[v]:
+            L = math.lcm(L, sigma[v])
+    E = [0] * ports
+    C = [0] * len(pg.h_out_of)
     for v in reversed(order):
         d, sv = dist[v], sigma[v]
+        e = target[v] * L // sv
         for w, weight, mult, visits in pg.out_edges[v]:
             if d + weight != dist[w]:
                 continue
-            flow = ratio(sv * mult, sigma[w]) * (delta[w] + target[w])
-            delta[v] += flow
+            ew = E[w]
+            e += mult * ew
             for u, count in visits:
-                credit[u] += flow * ratio(count, mult)
+                C[u] += sv * count * ew
+        E[v] = e
 
-    # each reached node is also interior to the pairs ending at its
-    # stripped leaves; reached counts every node other than s reached
+    # each folded leaf repeats this pass one arc further out, so every
+    # credit counts 1 + k times; reached counts every node other than s
+    # reached, stripped leaves included
+    leaves = pg.leaves[s]
+    multiplier = 1 + len(leaves)
+    credit: list[Value] = [0] * len(pg.h_out_of)
     reached = -1
     for u, port in enumerate(pg.h_out_of):
         if port >= 0 and dist[port] is not None:
-            credit[u] += delta[port] + (target[port] - 1)
+            numerator = multiplier * (C[u] + sigma[port] * E[port] - L)
+            q, rem = divmod(numerator, L)
+            credit[u] = q if rem == 0 else Fraction(numerator, L)
             reached += target[port]
-    credit[s] = zero
-
-    leaves = pg.leaves[s]
-    if leaves:
-        # each folded leaf repeats this pass one arc further out, with s
-        # interior to every pair (leaf, t) for t reached and not the leaf
-        multiplier = 1 + len(leaves)
-        credit = [c * multiplier for c in credit]
-        credit[s] += len(leaves) * reached - pg.leaf_targets[s]
+    # s is interior to every pair (leaf, t) for t reached and not the leaf
+    credit[s] = len(leaves) * reached - pg.leaf_targets[s]
     return credit
 
 
 def _add_credit(total: list[Value], credit: list[Value]) -> None:
     for i, value in enumerate(credit):
-        if value:  # an exact Fraction plus 0 still costs a new Fraction
+        if value:  # a Fraction plus 0 still costs a new Fraction
             total[i] += value
 
 
-def _block_credit(pg: _PortGraph, start: int, exact: bool) -> list[Value]:
-    """Credits of the source passes ``pg.sources[start:start +
-    SOURCE_BLOCK]``, summed in source order."""
-    total: list[Value] = [0 if exact else 0.0] * len(pg.h_out_of)
+def _block_credit(pg: _PortGraph, start: int) -> list[Value]:
+    """Summed credits of the passes of ``pg.sources[start:start + SOURCE_BLOCK]``."""
+    total: list[Value] = [0] * len(pg.h_out_of)
     for s in pg.sources[start : start + SOURCE_BLOCK]:
-        _add_credit(total, _source_pass(pg, s, exact))
+        _add_credit(total, _source_pass(pg, s))
     return total
 
 
 _POOL_GRAPHS: list[_PortGraph] = []
-_POOL_EXACT = False
 
 
-def _pool_init(pgs: list[_PortGraph], exact: bool) -> None:
-    global _POOL_GRAPHS, _POOL_EXACT
+def _pool_init(pgs: list[_PortGraph]) -> None:
+    global _POOL_GRAPHS
     _POOL_GRAPHS = pgs
-    _POOL_EXACT = exact
 
 
 def _pool_block(task: tuple[int, int]) -> list[Value]:
     graph, start = task
-    return _block_credit(_POOL_GRAPHS[graph], start, _POOL_EXACT)
+    return _block_credit(_POOL_GRAPHS[graph], start)
 
 
 def _usable_cpus() -> int:
@@ -542,24 +544,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block_credits(
-    pgs: list[_PortGraph], tasks: list[tuple[int, int]], exact: bool, workers: int
-) -> Iterator[list[Value]]:
+def _block_credits(pgs: list[_PortGraph], tasks: list[tuple[int, int]], workers: int) -> Iterator[list[Value]]:
     """Each task's block credits, in task order."""
     if workers <= 1:
         for graph, start in tasks:
-            yield _block_credit(pgs[graph], start, exact)
+            yield _block_credit(pgs[graph], start)
         return
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(pgs, exact)) as pool:
+    with ctx.Pool(workers, initializer=_pool_init, initargs=(pgs,)) as pool:
         yield from pool.imap(_pool_block, tasks, chunksize=1)
 
 
-def betweenness_reports(
-    graphs: list[WeightedDigraph],
-    exact: bool = False,
-    processes: Optional[int] = None,
-) -> list[CentralityReport]:
+def betweenness_reports(graphs: list[WeightedDigraph], processes: Optional[int] = None) -> list[CentralityReport]:
     """``betweenness`` of each graph, with one worker pool for all of them.
 
     Every graph is checked and prepared before a worker starts. At most
@@ -572,14 +568,10 @@ def betweenness_reports(
             if weight < 0:
                 raise NegativeWeightError(f"negative arc weight {weight}")
     pgs = [_prepare(graph) for graph in graphs]
-    tasks = [
-        (g, start)
-        for g, pg in enumerate(pgs)
-        for start in range(0, len(pg.sources), SOURCE_BLOCK)
-    ]
+    tasks = [(g, start) for g, pg in enumerate(pgs) for start in range(0, len(pg.sources), SOURCE_BLOCK)]
     workers = min(processes or 1, len(tasks), _usable_cpus())
-    totals: list[list[Value]] = [[0 if exact else 0.0] * len(graph.node_ids) for graph in graphs]
-    for (g, _), credit in zip(tasks, _block_credits(pgs, tasks, exact, workers)):
+    totals: list[list[Value]] = [[0] * len(graph.node_ids) for graph in graphs]
+    for (g, _), credit in zip(tasks, _block_credits(pgs, tasks, workers)):
         _add_credit(totals[g], credit)
     return [
         CentralityReport(graph.as_of, graph.amount_msat, dict(zip(graph.node_ids, total)))
@@ -589,21 +581,21 @@ def betweenness_reports(
 
 def betweenness(
     graph: WeightedDigraph,
-    exact: bool = False,
     processes: Optional[int] = None,
+    *,
+    exact: bool = False,  # ignored: the benchmark still passes it, until ROADMAP item 1
 ) -> CentralityReport:
     """Unnormalized betweenness of every node, endpoints excluded.
 
     For node v this is the sum over ordered pairs (s, t), s != t, v not in
-    {s, t}, of the fraction of minimum-fee s->t paths passing through v.
-    ``exact`` switches the accumulation from floats to exact values: an int
-    where every ratio it sums divides evenly, a Fraction otherwise. One
+    {s, t}, of the fraction of minimum-fee s->t paths passing through v,
+    exactly: an int, or a Fraction where shortest-path ties leave one. One
     source pass runs per node that keeps a port; degree-1 leaves have none
     and are accounted for by their neighbour's pass (see the module
     docstring). Workers are capped as in ``betweenness_reports``; the
     result is independent of ``processes``.
     """
-    return betweenness_reports([graph], exact, processes)[0]
+    return betweenness_reports([graph], processes)[0]
 
 
 def brute_force_betweenness(graph: WeightedDigraph) -> CentralityReport:
@@ -673,8 +665,9 @@ REPORT_VERSION = 1
 
 
 def report_items(report: CentralityReport) -> list[tuple[NodeId, Value]]:
-    """Entries sorted by descending value, then node id."""
-    return sorted(report.values.items(), key=lambda kv: (-kv[1], kv[0]))
+    """Entries sorted by descending written (float) value, then node id, so
+    that a report read back from its JSON ranks the same."""
+    return sorted(report.values.items(), key=lambda kv: (-float(kv[1]), kv[0]))
 
 
 def report_to_csv(report: CentralityReport) -> str:

@@ -173,7 +173,8 @@ def _distinct_amounts(ctx, param, amounts: tuple[int, ...]) -> tuple[int, ...]:
 @click.option("--enforce-htlc-bounds", is_flag=True, help="Drop arcs whose htlc_minimum/htlc_maximum exclude the amount.")
 @click.option("--prune-stale-after", type=click.IntRange(min=0), default=None, help="Drop arcs whose policy is older than as_of minus this many seconds.")
 @click.option("--include-disabled", is_flag=True, help="Keep arcs whose policy is flagged disabled.")
-@click.option("--exact", is_flag=True, help="Accumulate betweenness in exact rational arithmetic.")
+# a no-op: values are always exact; the benchmark still passes it, until ROADMAP item 1
+@click.option("--exact", is_flag=True, hidden=True, expose_value=False)
 @click.option("--out", "out_prefix", required=True, type=click.Path(), help="Prefix for report files.")
 def centrality(
     snapshot_path: str,
@@ -181,7 +182,6 @@ def centrality(
     enforce_htlc_bounds: bool,
     prune_stale_after: int | None,
     include_disabled: bool,
-    exact: bool,
     out_prefix: str,
 ):
     """Fee-weighted betweenness reports, one per transaction amount."""
@@ -195,7 +195,7 @@ def centrality(
     )
     graphs = [build_graph(view, amount, enforce_htlc_bounds=enforce_htlc_bounds) for amount in amounts]
     files = []
-    for amount, report in zip(amounts, betweenness_reports(graphs, exact=exact, processes=processes)):
+    for amount, report in zip(amounts, betweenness_reports(graphs, processes=processes)):
         files += [
             (Path(f"{out_prefix}-centrality-{amount}.csv"), report_to_csv(report)),
             (Path(f"{out_prefix}-centrality-{amount}.json"), report_to_json(report)),
@@ -216,7 +216,6 @@ def centrality(
             "enforce_htlc_bounds": enforce_htlc_bounds,
             "prune_stale_after": prune_stale_after,
             "include_disabled": include_disabled,
-            "exact": exact,
         },
         files,
     )

@@ -70,7 +70,7 @@ class TestAcceptance:
             rng = random.Random(0x0AC1E)
             for _ in range(500):
                 graph = random_graph(rng, max_nodes=10, zero_prob=0.08, max_weight=1000)
-                exact = betweenness(graph, exact=True)
+                exact = betweenness(graph)
                 oracle = brute_force_betweenness(graph)
                 assert exact.values == oracle.values
             elapsed = time.monotonic() - started

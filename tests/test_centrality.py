@@ -1,5 +1,6 @@
 """Centrality kernel tests: fee weighting, hand fixtures, oracle equivalence."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -177,7 +178,7 @@ class TestPathCountsBeyondFloatRange:
         graph = WeightedDigraph.from_arcs(
             tuple(msggen.node_id(i) for i in range(3 * k + 1)), arcs
         )
-        credit = _source_pass(_prepare(graph), junction[0], exact=False)
+        credit = _source_pass(_prepare(graph), junction[0])
         assert credit[junction[0]] == 0
         for i in range(k):
             beyond = 3 * (k - i - 1)
@@ -198,8 +199,9 @@ class TestPathCountsBeyondFloatRange:
         arcs += [(junction[0], x, k), (x, junction[k], k)]
         graph = WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(x + 1)), arcs)
         share = Fraction(1, 2**k + 1)
-        assert betweenness(graph, exact=True).values[graph.node_ids[x]] == share
-        assert betweenness(graph).values[graph.node_ids[x]] == pytest.approx(float(share), rel=1e-9, abs=0)
+        report = betweenness(graph)
+        assert report.values[graph.node_ids[x]] == share
+        assert json.loads(report_to_json(report))["values"][graph.node_ids[x].hex()] == float(share)
 
 
 class TestBruteForce:
@@ -210,7 +212,7 @@ class TestBruteForce:
 
     def test_three_cycle_matches_kernel(self):
         graph, _ = make_graph("abc", [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
-        assert brute_force_betweenness(graph).values == betweenness(graph, exact=True).values
+        assert brute_force_betweenness(graph).values == betweenness(graph).values
 
     def test_star_center_twelve(self):
         edges = []
@@ -229,13 +231,13 @@ class TestBruteForce:
 class TestExactValues:
     def test_tie_free_path_gives_ints_only(self):
         graph, ids = make_graph("abcde", [(x, y, 2) for x, y in ("ab", "bc", "cd", "de")])
-        values = by_label(betweenness(graph, exact=True), ids)
+        values = by_label(betweenness(graph), ids)
         assert values == {"a": 0, "b": 3, "c": 4, "d": 3, "e": 0}
         assert {type(v) for v in values.values()} == {int}
 
     def test_diamond_tie_gives_a_fraction(self):
         graph, ids = make_graph("sabt", [("s", "a", 1), ("s", "b", 1), ("a", "t", 1), ("b", "t", 1)])
-        values = by_label(betweenness(graph, exact=True), ids)
+        values = by_label(betweenness(graph), ids)
         assert values["a"] == values["b"] == Fraction(1, 2)
         assert type(values["a"]) is Fraction
 
@@ -245,9 +247,9 @@ class TestZeroWeights:
         graph, ids = make_graph(
             "sabt", [("s", "a", 0), ("a", "b", 0), ("b", "t", 5)]
         )
-        exact = betweenness(graph, exact=True)
-        assert exact.values == brute_force_betweenness(graph).values
-        values = by_label(exact, ids)
+        report = betweenness(graph)
+        assert report.values == brute_force_betweenness(graph).values
+        values = by_label(report, ids)
         assert values["a"] == 2  # (s,b), (s,t)
         assert values["b"] == 2  # (s,t), (a,t)
 
@@ -256,9 +258,9 @@ class TestZeroWeights:
         graph, ids = make_graph(
             "sabt", [("s", "a", 1), ("a", "b", 0), ("b", "a", 0), ("b", "t", 1)]
         )
-        exact = betweenness(graph, exact=True)
-        assert exact.values == brute_force_betweenness(graph).values
-        values = by_label(exact, ids)
+        report = betweenness(graph)
+        assert report.values == brute_force_betweenness(graph).values
+        values = by_label(report, ids)
         assert values["a"] == 2  # interior of (s,b) and (s,t)
         assert values["b"] == 2  # interior of (s,t) and (a,t)
 
@@ -266,9 +268,9 @@ class TestZeroWeights:
         graph, ids = make_graph(
             "sab", [("s", "a", 1), ("s", "b", 1), ("a", "b", 0), ("b", "a", 0)]
         )
-        exact = betweenness(graph, exact=True)
-        assert exact.values == brute_force_betweenness(graph).values
-        values = by_label(exact, ids)
+        report = betweenness(graph)
+        assert report.values == brute_force_betweenness(graph).values
+        values = by_label(report, ids)
         assert values["a"] == Fraction(1, 2)
         assert values["b"] == Fraction(1, 2)
 
@@ -283,14 +285,14 @@ class TestZeroWeights:
                 ("c", "t", 3),
             ],
         )
-        assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+        assert betweenness(graph).values == brute_force_betweenness(graph).values
 
     def test_dense_zero_cluster(self):
         members = "abcd"
         edges = [(x, y, 0) for x in members for y in members if x != y]
         edges += [("s", "a", 1), ("c", "t", 1), ("s", "t", 9)]
         graph, _ = make_graph("sabcdt", edges)
-        assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+        assert betweenness(graph).values == brute_force_betweenness(graph).values
 
     def test_random_zero_heavy_graphs(self):
         rng = random.Random(4242)
@@ -304,7 +306,17 @@ class TestZeroWeights:
                         weight = 0 if rng.random() < 0.4 else rng.randrange(1, 20)
                         arcs.append((u, v, weight))
             graph = WeightedDigraph.from_arcs(node_ids, arcs)
-            assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+            assert betweenness(graph).values == brute_force_betweenness(graph).values
+
+    def test_cluster_budget_counts_visit_work(self, monkeypatch):
+        # four mutually zero-fee nodes: 60 route extensions, which write
+        # 132 visit counts; the budget bounds the visit work
+        cluster, _ = make_graph("abcd", [(a, b, 0) for a in "abcd" for b in "abcd" if a != b])
+        monkeypatch.setattr(centrality, "ZERO_CLUSTER_PATH_BUDGET", 100)
+        with pytest.raises(ZeroClusterError):
+            _prepare(cluster)
+        monkeypatch.setattr(centrality, "ZERO_CLUSTER_PATH_BUDGET", 132)
+        assert betweenness(cluster).values == brute_force_betweenness(cluster).values
 
     def test_ports_numbered_topologically(self):
         rng = random.Random(99)
@@ -336,7 +348,7 @@ def random_graph(rng, max_nodes=10, edge_prob=0.3, zero_prob=0.08, max_weight=10
 
 
 def assert_float_matches_networkx(graph):
-    """Float mode within 1e-9 relative of networkx (no zero-weight arcs)."""
+    """Written values within 1e-9 relative of networkx (no zero-weight arcs)."""
     import networkx as nx  # test-only oracle
     nx_graph = nx.DiGraph()
     nx_graph.add_nodes_from(range(len(graph.node_ids)))
@@ -344,7 +356,7 @@ def assert_float_matches_networkx(graph):
     want = nx.betweenness_centrality(nx_graph, weight="weight", normalized=False, endpoints=False)
     got = betweenness(graph).values
     for i, node_id in enumerate(graph.node_ids):
-        assert abs(got[node_id] - want[i]) <= 1e-9 * max(1.0, abs(want[i]))
+        assert abs(float(got[node_id]) - want[i]) <= 1e-9 * max(1.0, abs(want[i]))
 
 
 def leafy_graph(rng, core=6, leaves=5, zero_prob=0.3, max_weight=20):
@@ -396,7 +408,7 @@ class TestLeafFolding:
             hubs_in_clusters += sum(
                 1 for u, group in enumerate(pg.leaves) if group and pg.h_in_of[u] != pg.h_out_of[u]
             )
-            assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+            assert betweenness(graph).values == brute_force_betweenness(graph).values
         # the fold must actually have applied, also on zero-fee cluster hubs
         assert folded > 300
         assert hubs_in_clusters > 10
@@ -414,12 +426,12 @@ class TestLeafFolding:
         calls = []
         real_pass = centrality._source_pass
 
-        def counting_pass(pg, s, exact):
+        def counting_pass(pg, s):
             calls.append(s)
-            return real_pass(pg, s, exact)
+            return real_pass(pg, s)
 
         monkeypatch.setattr(centrality, "_source_pass", counting_pass)
-        report = betweenness(graph, exact=True)
+        report = betweenness(graph)
         assert sorted(calls) == sorted(set(range(len(graph.node_ids))) - folded)
         assert report.values == brute_force_betweenness(graph).values
         assert by_label(report, ids)["a"] > 0
@@ -429,9 +441,9 @@ class TestLeafFolding:
         edges = [(x, "h", 1) for x in "abcde"] + [("h", x, 1) for x in "abc"]
         graph, ids = make_graph("habcde", edges)
         assert len(_prepare(graph).sources) == 1
-        values = by_label(betweenness(graph, exact=True), ids)
+        values = by_label(betweenness(graph), ids)
         assert values["h"] == 5 * 3 - 3  # each leaf reaches the 3 others h reaches
-        assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+        assert betweenness(graph).values == brute_force_betweenness(graph).values
 
     def test_float_mode_matches_networkx_with_40_percent_leaves(self):
         rng = random.Random(340)
@@ -468,7 +480,7 @@ class TestLeafFolding:
             targets = kept | {dst for _, dst, _ in graph.arcs if dst in stripped}
             assert sum(pg.target) == len(targets)
             for s in pg.sources:
-                credit = _source_pass(pg, s, exact=True)
+                credit = _source_pass(pg, s)
                 assert all(credit[u] == 0 for u in stripped)
 
 
@@ -477,17 +489,19 @@ class TestOracleEquivalence:
         rng = random.Random(20_21)
         for _ in range(120):
             graph = random_graph(rng)
-            assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+            assert betweenness(graph).values == brute_force_betweenness(graph).values
 
-    def test_float_mode_within_1e9_relative(self):
-        rng = random.Random(77)
-        for _ in range(60):
+    def test_written_values_are_correctly_rounded(self):
+        # the same graphs as the exact match: every value in the report
+        # JSON and CSV is the float nearest the oracle's rational
+        rng = random.Random(20_21)
+        for _ in range(120):
             graph = random_graph(rng)
-            got = betweenness(graph).values
-            want = brute_force_betweenness(graph).values
-            for node_id, expected in want.items():
-                expected = float(expected)
-                assert abs(got[node_id] - expected) <= 1e-9 * max(1.0, abs(expected))
+            report = betweenness(graph)
+            want = {nid.hex(): float(v) for nid, v in brute_force_betweenness(graph).values.items()}
+            assert json.loads(report_to_json(report))["values"] == want
+            rows = report_to_csv(report).splitlines()[1:]
+            assert {nid: float(v) for nid, v in (row.split(",") for row in rows)} == want
 
     def test_float_mode_matches_networkx_at_300_nodes(self):
         rng = random.Random(300)
@@ -578,12 +592,11 @@ class TestDeterminismAcrossProcesses:
     def test_leaf_heavy_graph_output_is_byte_identical(self):
         graph = leafy_graph(random.Random(56), core=30, leaves=40, zero_prob=0.1)
         assert len(graph.node_ids) - len(_prepare(graph).sources) > 20
-        for exact in (False, True):
-            outputs = set()
-            for processes in (1, 2, 3):
-                report = betweenness(graph, exact=exact, processes=processes)
-                outputs.add((report_to_json(report), report_to_csv(report)))
-            assert len(outputs) == 1
+        outputs = set()
+        for processes in (1, 2, 3):
+            report = betweenness(graph, processes=processes)
+            outputs.add((report_to_json(report), report_to_csv(report)))
+        assert len(outputs) == 1
 
 
 class _SerialContext:
@@ -634,7 +647,6 @@ class TestWorkerCap:
         monkeypatch.setattr(centrality.multiprocessing, "get_context", fake)
         # the fake pool's initializer runs here; restore what it sets
         monkeypatch.setattr(centrality, "_POOL_GRAPHS", [])
-        monkeypatch.setattr(centrality, "_POOL_EXACT", False)
         self.cpus(monkeypatch, 64)
         return fake
 
@@ -711,22 +723,21 @@ class TestSourceBlocks:
         graphs = [leafy_graph(rng, core=5, leaves=4) for _ in range(20)]
         graphs += [random_graph(rng, max_nodes=12, zero_prob=0.2) for _ in range(20)]
         wide = leafy_graph(rng, core=30, leaves=30, zero_prob=0.1)
-        want = betweenness(wide, exact=True).values
+        want = betweenness(wide).values
         monkeypatch.setattr(centrality, "SOURCE_BLOCK", block)
-        assert betweenness(wide, exact=True).values == want
+        assert betweenness(wide).values == want
         for graph in graphs:
             assert len(graph.node_ids) <= 12
-            assert betweenness(graph, exact=True).values == brute_force_betweenness(graph).values
+            assert betweenness(graph).values == brute_force_betweenness(graph).values
 
     def test_reports_match_single_calls_with_real_pools(self):
         rng = random.Random(65)
         graphs = [leafy_graph(rng, core=30, leaves=20, zero_prob=0.1) for _ in range(3)]
         assert all(block_count(graph) > 1 for graph in graphs)
-        for exact in (False, True):
-            want = [report_to_json(betweenness(graph, exact=exact)) for graph in graphs]
-            for processes in (1, 2, 3):
-                reports = betweenness_reports(graphs, exact=exact, processes=processes)
-                assert [report_to_json(r) for r in reports] == want
+        want = [report_to_json(betweenness(graph)) for graph in graphs]
+        for processes in (1, 2, 3):
+            reports = betweenness_reports(graphs, processes=processes)
+            assert [report_to_json(r) for r in reports] == want
 
 
 class TestReportSerialization:
@@ -776,6 +787,17 @@ class TestReportSerialization:
         graph, _ = make_graph("abc", [("a", "b", 1), ("b", "c", 1)])
         report = betweenness(graph)
         assert report.leaf_count == 2  # a and c
+
+    def test_values_equal_as_floats_rank_by_id_after_a_round_trip(self):
+        # both values are written as 0.3333333333333333, so the CSV and the
+        # JSON read back list them in id order
+        third = Fraction(1, 3)
+        report = CentralityReport(0, 0, {msggen.node_id(1): third, msggen.node_id(2): third + Fraction(1, 10**30)})
+        ordered = [nid for nid, _ in report_items(report)]
+        assert ordered == [msggen.node_id(1), msggen.node_id(2)]
+        assert [nid for nid, _ in report_items(report_from_json(report_to_json(report)))] == ordered
+        rows = report_to_csv(report).splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [nid.hex() for nid in ordered]
 
     def test_report_items_ordering(self):
         report = CentralityReport(

@@ -205,9 +205,9 @@ class TestCentralityCommand:
         calls = []
         real = lntm.centrality.betweenness_reports
 
-        def recorded(graphs, exact, processes):
+        def recorded(graphs, processes):
             calls.append([graph.amount_msat for graph in graphs])
-            return real(graphs, exact, processes)
+            return real(graphs, processes)
 
         # every amount goes to one call, so one worker pool serves them all
         monkeypatch.setattr("lntm.centrality.betweenness_reports", recorded)
@@ -252,6 +252,22 @@ class TestCentralityCommand:
         assert result.exit_code == 0
         manifest = json.loads((tmp_path / "run-manifest.json").read_text())
         assert manifest["parameters"]["amounts_msat"] == [10000000, 1000000000, 10000000000]
+
+    def test_exact_flag_changes_nothing(self, runner, tmp_path):
+        # values are always exact; the flag is accepted and ignored
+        snap = make_snapshot(runner, tmp_path)
+        outputs = []
+        for flags in ([], ["--exact"]):
+            out = tmp_path / ("exact" if flags else "plain")
+            out.mkdir()
+            result = runner.invoke(main, ["centrality", "--snapshot", str(snap), *flags, "--out", str(out / "run")])
+            assert result.exit_code == 0, result.output
+            outputs.append((result.output, {path.name: path.read_bytes() for path in out.iterdir()}))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 10  # three amounts' CSV, JSON and histogram, and the manifest
+        manifest = json.loads(outputs[0][1]["run-manifest.json"])
+        assert "exact" not in manifest["parameters"]
+        assert "--exact" not in runner.invoke(main, ["centrality", "--help"]).output
 
     def test_amount_out_of_u64_range_is_a_usage_error(self, runner, tmp_path):
         snap = make_snapshot(runner, tmp_path)
@@ -366,8 +382,8 @@ class TestHistogramCsv:
 
         calls = []
 
-        def tiny_values(graphs, exact, processes):
-            calls.append(exact)
+        def tiny_values(graphs, processes):
+            calls.append(len(graphs))
             return [
                 CentralityReport(g.as_of, g.amount_msat, {g.node_ids[0]: Fraction(1, 2**1100), g.node_ids[1]: 1, g.node_ids[2]: 0})
                 for g in graphs
@@ -376,10 +392,10 @@ class TestHistogramCsv:
         monkeypatch.setattr("lntm.centrality.betweenness_reports", tiny_values)
         prefix = tmp_path / "run"
         result = runner.invoke(
-            main, ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000", "--exact", "--out", str(prefix)]
+            main, ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000", "--out", str(prefix)]
         )
         assert result.exit_code == 0, result.output
-        assert calls == [True]
+        assert calls == [1]
         assert "2 zero-valued nodes" in result.output
         assert (tmp_path / "run-histogram-10000000.csv").read_text() == "bin_low,bin_high,count\n1.0,1.0,1\n"
         report = json.loads((tmp_path / "run-centrality-10000000.json").read_text())
