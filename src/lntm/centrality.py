@@ -40,13 +40,15 @@ count * D(w)`` paths past each member ``u`` its routes visit ``count``
 times before their exit, so ``C[u] += sigma(v) * count * E(w)``. A reached
 node ``u`` with out port ``p`` is interior to ``delta(p) + t(p) - 1`` pairs
 through ``p`` (those ending at its stripped leaves included, see below):
-its credit is ``(C[u] + sigma(p) * E(p)) / L - 1``, one division per
-reached node, an int when ``L`` divides and a ``Fraction`` otherwise. For a
-cluster member that covers every exit role, the enter-and-leave bundle
-included: the bundles into an exit port split that port's paths, so
-``delta(p)`` is exactly the member's credit as the last member of a segment
-that continues past it. The source's credit is reset, as a source is never
-interior to its own pairs.
+its credit is ``(C[u] + sigma(p) * E(p)) / L - 1``. For a cluster member
+that covers every exit role, the enter-and-leave bundle included: the
+bundles into an exit port split that port's paths, so ``delta(p)`` is
+exactly the member's credit as the last member of a segment that continues
+past it. The source gets no credit, as a source is never interior to its
+own pairs. A pass credits only the out ports in its settle order, adding
+each numerator to its block's sum for that ``L``; a block of passes divides
+once per denominator and node, an int when ``L`` divides and a
+``Fraction`` otherwise.
 
 Degree-1 nodes leave the port graph (Baglioni et al., ASONAM 2012; Sariyuce
 et al., SDM 2013). A node ``l`` outside any zero-fee cluster whose only
@@ -70,9 +72,23 @@ path, so it matters only as an endpoint, and it gets no port:
   ``k * R - r`` to ``u`` itself, where ``R``, the nodes other than ``u``
   the pass reached, sums the target weights of the reached out ports minus
   1, and ``r`` counts the folded leaves ``u`` also has an arc to. A
-  cluster-member hub needs nothing more: its own credit is reset to zero
+  cluster-member hub needs nothing more: its pass gives it no credit
   before the fold, like any source's. A leaf with only the arc ``u->l``
   reaches nothing and needs no pass.
+
+A pass also drops the arcs it proves useless. Once its Dijkstra has run,
+an arc ``s->x`` out of the source's own out port with weight ``w > dist(s,
+x)`` is on no shortest path from any source: a path through it could take
+the cheaper route from ``s`` to ``x`` instead, and cutting the cycles out
+of that walk never costs more, as weights are >= 0. Out-port distances are node
+distances, the same for every member of a zero-fee cluster, so this holds
+for a cluster member's out port too; and that port holds plain arcs only,
+so bundles are never touched. The pass keeps only its tight arcs, ``dist(s)
++ w == dist(x)``, ties included. Dropping an arc changes no distance, no
+sigma and no shortest-path arc, so every later pass in the same process,
+serial or in a worker, computes the same values over fewer arcs. Sources run
+in order of out-degree, largest first (ties by index): hubs have the most
+arcs to drop, so the passes after theirs relax the fewest arcs.
 
 Fee-weighted graphs have few shortest-path ties, so ``L`` is mostly 1 and
 most values stay ints, which are much cheaper to add and to send between
@@ -80,8 +96,9 @@ processes than ``Fraction``s. Values are written as floats only by the
 report writers, each the correctly rounded exact value.
 
 The per-source loop is embarrassingly parallel. Exact sums do not depend on
-their order, so the worker count never changes the output; ``SOURCE_BLOCK``
-sources make up one task, summed by a worker or serially alike.
+their order, so the worker count never changes the output, nor does which
+worker ran which block and so dropped which arcs; ``SOURCE_BLOCK`` sources
+make up one task, summed by a worker or serially alike.
 """
 
 from __future__ import annotations
@@ -91,6 +108,7 @@ import math
 import multiprocessing
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -343,15 +361,19 @@ class _PortGraph:
 
     Ports are numbered in a topological order of the zero-weight arcs: every
     zero arc, bundle or not, leads from a lower port to a higher one.
+
+    Source passes drop the dominated arcs of their source's out port from
+    ``out_edges`` (see the module docstring).
     """
 
     h_in_of: list[int]
     h_out_of: list[int]
     out_edges: list[list[tuple[int, int, int, tuple[tuple[int, int], ...]]]]
     target: list[int]  # per port: 1 + k_in(u) on u's out port, 0 on an entry-only port
+    node_of: list[int]  # per port: u on u's out port, -1 on an entry-only port
     leaves: list[list[int]]  # per node: the leaves folded into it
     leaf_targets: list[int]  # per node: its folded leaves it also has an arc to
-    sources: list[int]  # nodes that get a source pass: all kept nodes
+    sources: list[int]  # nodes that get a source pass: all kept nodes, hubs first
 
 
 def _strip_leaves(n: int, arcs, cluster_of: list[int]) -> list[bool]:
@@ -426,24 +448,31 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
             out_edges[h_in_of[x]].append((h_out_of[y], 0, mult, visits))
 
     target = [0] * h_count
+    node_of = [-1] * h_count
     for u, port in enumerate(h_out_of):
         if port >= 0:
             target[port] = 1 + k_in[u]
+            node_of[port] = u
+    # hubs first, ties in index order: they drop the most arcs
+    sources = sorted((s for s in range(n) if not stripped[s]), key=lambda s: -len(out_edges[h_out_of[s]]))
 
     return _PortGraph(
         h_in_of=h_in_of,
         h_out_of=h_out_of,
         out_edges=out_edges,
         target=target,
+        node_of=node_of,
         leaves=leaves,
         leaf_targets=leaf_targets,
-        sources=[s for s in range(n) if not stripped[s]],
+        sources=sources,
     )
 
 
-def _source_pass(pg: _PortGraph, s: int) -> list[Value]:
+def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> None:
     """Dependency accumulation for one source and the leaves folded into
-    it; returns per-node credits, each an int or a Fraction."""
+    it: adds each reached node's credit numerator over the pass's
+    denominator ``L`` to ``sums[L]``. Drops the source's out arcs that are
+    on no shortest path (see the module docstring)."""
     ports = len(pg.out_edges)
     src = pg.h_in_of[s]
     dist: list[Optional[int]] = [None] * ports
@@ -471,6 +500,12 @@ def _source_pass(pg: _PortGraph, s: int) -> list[Value]:
             elif dd == known:
                 sigma[dst] += sv * mult
 
+    # keep only the tight arcs out of s: the others are on no shortest path
+    # from any source, so no later pass needs them
+    home = pg.h_out_of[s]
+    base = dist[home]
+    pg.out_edges[home] = [arc for arc in pg.out_edges[home] if base + arc[1] == dist[arc[0]]]
+
     # pull E over the shortest-path arcs, successors first, and the bundle
     # visits into C (see the module docstring)
     target = pg.target
@@ -497,17 +532,18 @@ def _source_pass(pg: _PortGraph, s: int) -> list[Value]:
     # reached, stripped leaves included
     leaves = pg.leaves[s]
     multiplier = 1 + len(leaves)
-    credit: list[Value] = [0] * len(pg.h_out_of)
+    numerators = sums[L]
+    node_of = pg.node_of
     reached = -1
-    for u, port in enumerate(pg.h_out_of):
-        if port >= 0 and dist[port] is not None:
-            numerator = multiplier * (C[u] + sigma[port] * E[port] - L)
-            q, rem = divmod(numerator, L)
-            credit[u] = q if rem == 0 else Fraction(numerator, L)
-            reached += target[port]
-    # s is interior to every pair (leaf, t) for t reached and not the leaf
-    credit[s] = len(leaves) * reached - pg.leaf_targets[s]
-    return credit
+    for v in order:
+        u = node_of[v]
+        if u >= 0 and u != s:
+            numerators[u] += multiplier * (C[u] + sigma[v] * E[v] - L)
+        reached += target[v]
+    # s is interior to no pair of its own, only to every pair (leaf, t)
+    # for t reached and not the leaf
+    if leaves:
+        sums[1][s] += len(leaves) * reached - pg.leaf_targets[s]
 
 
 def _add_credit(total: list[Value], credit: list[Value]) -> None:
@@ -516,11 +552,19 @@ def _add_credit(total: list[Value], credit: list[Value]) -> None:
             total[i] += value
 
 
-def _block_credit(pg: _PortGraph, start: int) -> list[Value]:
-    """Summed credits of the passes of ``pg.sources[start:start + SOURCE_BLOCK]``."""
-    total: list[Value] = [0] * len(pg.h_out_of)
-    for s in pg.sources[start : start + SOURCE_BLOCK]:
-        _add_credit(total, _source_pass(pg, s))
+def _block_credit(pg: _PortGraph, sources: list[int]) -> list[Value]:
+    """Summed credits of the passes of ``sources``: each pass adds to the
+    numerators of its denominator, and each (denominator, node) divides once."""
+    n = len(pg.h_out_of)
+    sums: defaultdict[int, list[int]] = defaultdict(lambda: [0] * n)
+    for s in sources:
+        _source_pass(pg, s, sums)
+    total: list[Value] = sums.pop(1, [0] * n)
+    for L, numerators in sums.items():
+        for u, numerator in enumerate(numerators):
+            if numerator:
+                q, rem = divmod(numerator, L)
+                total[u] += q if rem == 0 else Fraction(numerator, L)
     return total
 
 
@@ -532,9 +576,9 @@ def _pool_init(pgs: list[_PortGraph]) -> None:
     _POOL_GRAPHS = pgs
 
 
-def _pool_block(task: tuple[int, int]) -> list[Value]:
-    graph, start = task
-    return _block_credit(_POOL_GRAPHS[graph], start)
+def _pool_block(task: tuple[int, list[int]]) -> list[Value]:
+    graph, sources = task
+    return _block_credit(_POOL_GRAPHS[graph], sources)
 
 
 def _usable_cpus() -> int:
@@ -544,11 +588,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block_credits(pgs: list[_PortGraph], tasks: list[tuple[int, int]], workers: int) -> Iterator[list[Value]]:
+def _block_credits(pgs: list[_PortGraph], tasks: list[tuple[int, list[int]]], workers: int) -> Iterator[list[Value]]:
     """Each task's block credits, in task order."""
     if workers <= 1:
-        for graph, start in tasks:
-            yield _block_credit(pgs[graph], start)
+        for graph, sources in tasks:
+            yield _block_credit(pgs[graph], sources)
         return
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_pool_init, initargs=(pgs,)) as pool:
@@ -568,7 +612,9 @@ def betweenness_reports(graphs: list[WeightedDigraph], processes: Optional[int] 
             if weight < 0:
                 raise NegativeWeightError(f"negative arc weight {weight}")
     pgs = [_prepare(graph) for graph in graphs]
-    tasks = [(g, start) for g, pg in enumerate(pgs) for start in range(0, len(pg.sources), SOURCE_BLOCK)]
+    tasks = [
+        (g, pg.sources[start : start + SOURCE_BLOCK]) for g, pg in enumerate(pgs) for start in range(0, len(pg.sources), SOURCE_BLOCK)
+    ]
     workers = min(processes or 1, len(tasks), _usable_cpus())
     totals: list[list[Value]] = [[0] * len(graph.node_ids) for graph in graphs]
     for (g, _), credit in zip(tasks, _block_credits(pgs, tasks, workers)):

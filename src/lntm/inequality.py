@@ -4,7 +4,9 @@ Zero-valued leaf nodes count as population members here; any
 leaf-exclusion for plotting readability belongs to the plot emitters, not
 to the statistics. The Gini coefficient is one minus twice the trapezoidal
 area under the piecewise-linear Lorenz curve, with no small-sample
-correction.
+correction. Both are taken exactly from the written (float) values and
+rounded once: every Lorenz share and the Gini are the floats nearest their
+exact values.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Optional, Sequence
 
 from .codec import NodeId
@@ -60,20 +62,18 @@ def lorenz(report: CentralityReport) -> LorenzSeries:
     n = len(report.values)
     if n == 0:
         raise EmptyReportError("no nodes in report")
-    values = sorted(float(v) for v in report.values.values())
-    total = math.fsum(values)
+    # exact running sums of the written values: each share is the float
+    # nearest its exact value, so the curve ends at (1, 1)
+    running = list(accumulate(map(Fraction, sorted(float(v) for v in report.values.values()))))
+    total = running[-1]
     if total == 0:
         points = tuple((i / n, i / n) for i in range(n + 1))
         return LorenzSeries(points=points, gini=0.0)
-    points = [(0.0, 0.0)]
-    running = 0.0
-    for i, value in enumerate(values, start=1):
-        running += value
-        points.append((i / n, running / total))
-    area = math.fsum(
-        (points[i - 1][1] + points[i][1]) / (2.0 * n) for i in range(1, n + 1)
-    )
-    return LorenzSeries(points=tuple(points), gini=1.0 - 2.0 * area)
+    points = ((0.0, 0.0), *((i / n, float(r / total)) for i, r in enumerate(running, start=1)))
+    # the trapezoids under the exact curve sum to (2 * sum(running) - total)
+    # / (n * total), so the Gini is the float nearest one minus that
+    gini = 1 - (2 * sum(running) - total) / (n * total)
+    return LorenzSeries(points=points, gini=float(gini))
 
 
 def top_share(report: CentralityReport, fraction: float) -> TopShare:

@@ -14,8 +14,9 @@ from lntm.centrality import (
     TooLargeError,
     WeightedDigraph,
     ZeroClusterError,
+    _add_credit,
+    _block_credit,
     _prepare,
-    _source_pass,
     betweenness,
     betweenness_reports,
     brute_force_betweenness,
@@ -178,7 +179,7 @@ class TestPathCountsBeyondFloatRange:
         graph = WeightedDigraph.from_arcs(
             tuple(msggen.node_id(i) for i in range(3 * k + 1)), arcs
         )
-        credit = _source_pass(_prepare(graph), junction[0])
+        credit = _block_credit(_prepare(graph), [junction[0]])
         assert credit[junction[0]] == 0
         for i in range(k):
             beyond = 3 * (k - i - 1)
@@ -426,9 +427,9 @@ class TestLeafFolding:
         calls = []
         real_pass = centrality._source_pass
 
-        def counting_pass(pg, s):
+        def counting_pass(pg, s, sums):
             calls.append(s)
-            return real_pass(pg, s)
+            return real_pass(pg, s, sums)
 
         monkeypatch.setattr(centrality, "_source_pass", counting_pass)
         report = betweenness(graph)
@@ -463,7 +464,7 @@ class TestLeafFolding:
                 arcs.append((hub, leaf, rng.randrange(1, 6)))
         graph = WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(n)), arcs)
         # every leaf of each kind leaves the port graph
-        assert _prepare(graph).sources == list(range(core))
+        assert sorted(_prepare(graph).sources) == list(range(core))
         assert_float_matches_networkx(graph)
 
     def test_stripped_leaves_own_no_port_and_are_never_reached(self):
@@ -480,8 +481,115 @@ class TestLeafFolding:
             targets = kept | {dst for _, dst, _ in graph.arcs if dst in stripped}
             assert sum(pg.target) == len(targets)
             for s in pg.sources:
-                credit = _source_pass(pg, s)
+                credit = _block_credit(pg, [s])
                 assert all(credit[u] == 0 for u in stripped)
+
+
+def plant_dominated_arcs(rng, graph, count):
+    """GRAPH plus up to COUNT arcs u->v, each dearer than a two-hop route
+    u->m->v, between nodes that had no arc u->v."""
+    has_arc = {(u, v) for u, v, _ in graph.arcs}
+    out = [[] for _ in graph.node_ids]
+    for u, v, w in graph.arcs:
+        out[u].append((v, w))
+    shortcuts = sorted({
+        (u, v, a + b)
+        for u, m, a in graph.arcs
+        for v, b in out[m]
+        if v != u and (u, v) not in has_arc
+    })
+    planted = [(u, v, w + rng.randrange(1, 5)) for u, v, w in rng.sample(shortcuts, min(count, len(shortcuts)))]
+    return WeightedDigraph.from_arcs(graph.node_ids, graph.arcs + tuple(planted), graph.amount_msat)
+
+
+def out_targets(pg, graph, ids, label):
+    """Labels of the nodes that LABEL's out port still has an arc to."""
+    label_of = {nid: x for x, nid in ids.items()}
+    entry = {pg.h_in_of[u]: label_of[nid] for u, nid in enumerate(graph.node_ids)}
+    return {entry[dst] for dst, _, _, _ in pg.out_edges[pg.h_out_of[graph.node_ids.index(ids[label])]]}
+
+
+def port_arcs(pg, weight=None):
+    """Arcs left in the port graph, or those of one weight."""
+    return sum(1 for edges in pg.out_edges for _, w, _, _ in edges if weight is None or w == weight)
+
+
+class TestArcPruning:
+    def test_planted_dominated_arcs_are_dropped_and_values_stay_exact(self):
+        rng = random.Random(1400)
+        dropped = with_clusters = 0
+        for _ in range(150):
+            core = leafy_graph(rng, core=rng.randrange(2, 7), leaves=rng.randrange(0, 4))
+            graph = plant_dominated_arcs(rng, core, 4)
+            assert len(graph.node_ids) <= 12
+            pg = _prepare(graph)
+            with_clusters += pg.h_in_of != pg.h_out_of
+            arcs, zero_arcs = port_arcs(pg), port_arcs(pg, 0)
+            credit = _block_credit(pg, pg.sources)
+            dropped += arcs - port_arcs(pg)
+            # a zero arc is always tight
+            assert port_arcs(pg, 0) == zero_arcs
+            want = brute_force_betweenness(graph).values
+            assert dict(zip(graph.node_ids, credit)) == want
+            assert betweenness(graph).values == want
+            # the fully pruned port graph gives the same values again
+            assert _block_credit(pg, pg.sources) == credit
+        assert dropped > 100
+        assert with_clusters > 20
+
+    @staticmethod
+    def cluster_graph():
+        # a and b charge each other nothing and both have an arc to t: a's
+        # is free, b's costs 5 and is dominated by b->a->t
+        return make_graph("sabt", [("a", "b", 0), ("b", "a", 0), ("a", "t", 0), ("b", "t", 5), ("s", "a", 1), ("s", "b", 1)])
+
+    def test_zero_arc_leaving_a_cluster_is_kept(self):
+        graph, ids = self.cluster_graph()
+        pg = _prepare(graph)
+        credit = _block_credit(pg, pg.sources)
+        assert out_targets(pg, graph, ids, "a") == {"t"}
+        assert dict(zip(graph.node_ids, credit)) == brute_force_betweenness(graph).values
+
+    def test_cluster_members_dominated_arc_is_dropped(self):
+        graph, ids = self.cluster_graph()
+        pg = _prepare(graph)
+        assert out_targets(pg, graph, ids, "b") == {"t"}
+        _block_credit(pg, [graph.node_ids.index(ids["b"])])
+        assert out_targets(pg, graph, ids, "b") == set()
+        assert out_targets(pg, graph, ids, "a") == {"t"}
+        credit = _block_credit(pg, pg.sources)
+        assert dict(zip(graph.node_ids, credit)) == brute_force_betweenness(graph).values
+
+    def test_tied_arc_is_kept(self):
+        # s->t ties with s->m->t
+        graph, ids = make_graph("smt", [("s", "t", 4), ("s", "m", 2), ("m", "t", 2), ("t", "s", 1)])
+        pg = _prepare(graph)
+        credit = _block_credit(pg, [graph.node_ids.index(ids["s"])])
+        assert out_targets(pg, graph, ids, "s") == {"t", "m"}
+        assert credit[graph.node_ids.index(ids["m"])] == Fraction(1, 2)
+        assert betweenness(graph).values == brute_force_betweenness(graph).values
+
+    def test_workers_prune_different_arcs_and_write_the_same_bytes(self):
+        rng = random.Random(1401)
+        base = leafy_graph(rng, core=70, leaves=10, zero_prob=0.01)
+        # nodes 0, 1 and 2 charge each other nothing
+        cluster = tuple((u, v, 0) for u in range(3) for v in range(3) if u != v)
+        base = WeightedDigraph.from_arcs(base.node_ids, base.arcs + cluster)
+        graph = plant_dominated_arcs(rng, base, 300)
+        pg = _prepare(graph)
+        assert block_count(graph) > 3
+        assert pg.h_in_of[:3] != pg.h_out_of[:3]
+        arcs = port_arcs(pg)
+        serial = _block_credit(pg, pg.sources)
+        assert arcs - port_arcs(pg) > 300
+        # every pass on a port graph that no other pass has pruned
+        unpruned = [0] * len(graph.node_ids)
+        for s in pg.sources:
+            _add_credit(unpruned, _block_credit(_prepare(graph), [s]))
+        assert serial == unpruned
+        want = report_to_json(CentralityReport(graph.as_of, graph.amount_msat, dict(zip(graph.node_ids, unpruned))))
+        for processes in (1, 2, 3):
+            assert report_to_json(betweenness_reports([graph], processes=processes)[0]) == want
 
 
 class TestOracleEquivalence:
