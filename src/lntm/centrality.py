@@ -46,7 +46,7 @@ bundles into an exit port split that port's paths, so ``delta(p)`` is
 exactly the member's credit as the last member of a segment that continues
 past it. The source gets no credit, as a source is never interior to its
 own pairs. A pass credits only the out ports in its settle order, adding
-each numerator to its block's sum for that ``L``; a block of passes divides
+each numerator to its share's sum for that ``L``; a share of passes divides
 once per denominator and node, an int when ``L`` divides and a
 ``Fraction`` otherwise.
 
@@ -95,10 +95,11 @@ most values stay ints, which are much cheaper to add and to send between
 processes than ``Fraction``s. Values are written as floats only by the
 report writers, each the correctly rounded exact value.
 
-The per-source loop is embarrassingly parallel. Exact sums do not depend on
-their order, so the worker count never changes the output, nor does which
-worker ran which block and so dropped which arcs; ``SOURCE_BLOCK`` sources
-make up one task, summed by a worker or serially alike.
+The per-source loop is embarrassingly parallel. Worker ``i`` of ``W`` runs
+the passes ``sources[i::W]`` of every graph, still hubs first, and prunes
+its own copy of the port graphs; a serial run is share ``0`` of ``1``.
+Exact sums do not depend on their order, so the worker count never changes
+the output, nor does which worker ran which pass and so dropped which arcs.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .codec import U64_MAX, NodeId, parse_node_id
 from .manifest import dump_document, dump_table, load_document, typed, uint
@@ -126,10 +127,6 @@ BRUTE_FORCE_MAX_NODES = 12
 # visit counts); exceeding it means the cluster is too entangled to count
 # exactly
 ZERO_CLUSTER_PATH_BUDGET = 5_000_000
-
-# source passes summed into one partial result, by a worker or serially:
-# the size of one worker task
-SOURCE_BLOCK = 16
 
 Value = Union[int, float, Fraction]
 
@@ -546,13 +543,7 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
         sums[1][s] += len(leaves) * reached - pg.leaf_targets[s]
 
 
-def _add_credit(total: list[Value], credit: list[Value]) -> None:
-    for i, value in enumerate(credit):
-        if value:  # a Fraction plus 0 still costs a new Fraction
-            total[i] += value
-
-
-def _block_credit(pg: _PortGraph, sources: list[int]) -> list[Value]:
+def _credit(pg: _PortGraph, sources: list[int]) -> list[Value]:
     """Summed credits of the passes of ``sources``: each pass adds to the
     numerators of its denominator, and each (denominator, node) divides once."""
     n = len(pg.h_out_of)
@@ -568,6 +559,12 @@ def _block_credit(pg: _PortGraph, sources: list[int]) -> list[Value]:
     return total
 
 
+def _share_credits(pgs: list[_PortGraph], share: int, workers: int) -> list[list[Value]]:
+    """Per graph, the credits of share ``share`` of ``workers``: the passes
+    of every ``workers``-th source from the ``share``-th on, hubs first."""
+    return [_credit(pg, pg.sources[share::workers]) for pg in pgs]
+
+
 _POOL_GRAPHS: list[_PortGraph] = []
 
 
@@ -576,9 +573,8 @@ def _pool_init(pgs: list[_PortGraph]) -> None:
     _POOL_GRAPHS = pgs
 
 
-def _pool_block(task: tuple[int, list[int]]) -> list[Value]:
-    graph, sources = task
-    return _block_credit(_POOL_GRAPHS[graph], sources)
+def _pool_share(share: int, workers: int) -> list[list[Value]]:
+    return _share_credits(_POOL_GRAPHS, share, workers)
 
 
 def _usable_cpus() -> int:
@@ -588,40 +584,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block_credits(pgs: list[_PortGraph], tasks: list[tuple[int, list[int]]], workers: int) -> Iterator[list[Value]]:
-    """Each task's block credits, in task order."""
-    if workers <= 1:
-        for graph, sources in tasks:
-            yield _block_credit(pgs[graph], sources)
-        return
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(pgs,)) as pool:
-        yield from pool.imap(_pool_block, tasks, chunksize=1)
-
-
 def betweenness_reports(graphs: list[WeightedDigraph], processes: Optional[int] = None) -> list[CentralityReport]:
     """``betweenness`` of each graph, with one worker pool for all of them.
 
     Every graph is checked and prepared before a worker starts. At most
-    ``processes`` workers run, no more than there are blocks of source
-    passes and no more than the usable CPUs; the results are independent
-    of ``processes``.
+    ``processes`` workers run, no more than the largest graph has source
+    passes and no more than the usable CPUs; each runs one strided share of
+    every graph's passes, and the results are independent of ``processes``.
     """
     for graph in graphs:
         for _, _, weight in graph.arcs:
             if weight < 0:
                 raise NegativeWeightError(f"negative arc weight {weight}")
     pgs = [_prepare(graph) for graph in graphs]
-    tasks = [
-        (g, pg.sources[start : start + SOURCE_BLOCK]) for g, pg in enumerate(pgs) for start in range(0, len(pg.sources), SOURCE_BLOCK)
-    ]
-    workers = min(processes or 1, len(tasks), _usable_cpus())
-    totals: list[list[Value]] = [[0] * len(graph.node_ids) for graph in graphs]
-    for (g, _), credit in zip(tasks, _block_credits(pgs, tasks, workers)):
-        _add_credit(totals[g], credit)
+    passes = max((len(pg.sources) for pg in pgs), default=0)
+    workers = max(1, min(processes or 1, passes, _usable_cpus()))
+    if workers == 1:
+        shares = [_share_credits(pgs, 0, 1)]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_pool_init, initargs=(pgs,)) as pool:
+            shares = pool.starmap(_pool_share, [(share, workers) for share in range(workers)])
     return [
-        CentralityReport(graph.as_of, graph.amount_msat, dict(zip(graph.node_ids, total)))
-        for graph, total in zip(graphs, totals)
+        CentralityReport(graph.as_of, graph.amount_msat, dict(zip(graph.node_ids, map(sum, zip(*credits)))))
+        for graph, credits in zip(graphs, zip(*shares))
     ]
 
 
@@ -638,8 +624,9 @@ def betweenness(
     exactly: an int, or a Fraction where shortest-path ties leave one. One
     source pass runs per node that keeps a port; degree-1 leaves have none
     and are accounted for by their neighbour's pass (see the module
-    docstring). Workers are capped as in ``betweenness_reports``; the
-    result is independent of ``processes``.
+    docstring). Up to ``processes`` workers each run a strided share of
+    the passes, capped as in ``betweenness_reports``; the result is
+    independent of ``processes``.
     """
     return betweenness_reports([graph], processes)[0]
 

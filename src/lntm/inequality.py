@@ -4,9 +4,9 @@ Zero-valued leaf nodes count as population members here; any
 leaf-exclusion for plotting readability belongs to the plot emitters, not
 to the statistics. The Gini coefficient is one minus twice the trapezoidal
 area under the piecewise-linear Lorenz curve, with no small-sample
-correction. Both are taken exactly from the written (float) values and
-rounded once: every Lorenz share and the Gini are the floats nearest their
-exact values.
+correction. These and the top shares are taken exactly from the written
+(float) values and rounded once: every Lorenz share, the Gini and every top
+share are the floats nearest their exact values.
 """
 
 from __future__ import annotations
@@ -57,19 +57,24 @@ class RankTimeline:
     ranks: dict[str, int]  # snapshot label -> rank (1 = top); absent if missing
 
 
+def _running_sums(report: CentralityReport) -> list[Fraction]:
+    """Exact running sums of the written values in ascending order, from 0:
+    entry i sums the i smallest."""
+    if not report.values:
+        raise EmptyReportError("no nodes in report")
+    return list(accumulate(map(Fraction, sorted(float(v) for v in report.values.values())), initial=Fraction(0)))
+
+
 def lorenz(report: CentralityReport) -> LorenzSeries:
     """Lorenz curve and Gini coefficient over every node of the report."""
-    n = len(report.values)
-    if n == 0:
-        raise EmptyReportError("no nodes in report")
-    # exact running sums of the written values: each share is the float
-    # nearest its exact value, so the curve ends at (1, 1)
-    running = list(accumulate(map(Fraction, sorted(float(v) for v in report.values.values()))))
-    total = running[-1]
+    running = _running_sums(report)
+    n, total = len(running) - 1, running[-1]
     if total == 0:
         points = tuple((i / n, i / n) for i in range(n + 1))
         return LorenzSeries(points=points, gini=0.0)
-    points = ((0.0, 0.0), *((i / n, float(r / total)) for i, r in enumerate(running, start=1)))
+    # each share is the float nearest its exact value, so the curve ends at
+    # (1, 1)
+    points = tuple((i / n, float(r / total)) for i, r in enumerate(running))
     # the trapezoids under the exact curve sum to (2 * sum(running) - total)
     # / (n * total), so the Gini is the float nearest one minus that
     gini = 1 - (2 * sum(running) - total) / (n * total)
@@ -77,21 +82,19 @@ def lorenz(report: CentralityReport) -> LorenzSeries:
 
 
 def top_share(report: CentralityReport, fraction: float) -> TopShare:
-    """Share of total value held by the top ceil(fraction * n) nodes."""
+    """Share of total value held by the top ceil(fraction * n) nodes: the
+    float nearest the exact share of their written values."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction {fraction} outside (0, 1]")
-    n = len(report.values)
-    if n == 0:
-        raise EmptyReportError("no nodes in report")
+    running = _running_sums(report)
+    n, total = len(running) - 1, running[-1]
     # exact ceil: 0.07 * 100 must select 7 nodes, not 8
     k = math.ceil(Fraction(fraction).limit_denominator(10**9) * n)
     k = min(max(k, 1), n)
-    items = report_items(report)
-    total = math.fsum(v for _, v in items)
     if total == 0:
         return TopShare(fraction=fraction, share=1.0, degenerate=True)
-    top = math.fsum(v for _, v in items[:k])
-    return TopShare(fraction=fraction, share=top / total)
+    # the top k hold the total less the n - k smallest
+    return TopShare(fraction=fraction, share=float((total - running[n - k]) / total))
 
 
 def snapshot_ranks(report: CentralityReport) -> dict[NodeId, int]:

@@ -14,8 +14,7 @@ from lntm.centrality import (
     TooLargeError,
     WeightedDigraph,
     ZeroClusterError,
-    _add_credit,
-    _block_credit,
+    _credit,
     _prepare,
     betweenness,
     betweenness_reports,
@@ -179,7 +178,7 @@ class TestPathCountsBeyondFloatRange:
         graph = WeightedDigraph.from_arcs(
             tuple(msggen.node_id(i) for i in range(3 * k + 1)), arcs
         )
-        credit = _block_credit(_prepare(graph), [junction[0]])
+        credit = _credit(_prepare(graph), [junction[0]])
         assert credit[junction[0]] == 0
         for i in range(k):
             beyond = 3 * (k - i - 1)
@@ -481,7 +480,7 @@ class TestLeafFolding:
             targets = kept | {dst for _, dst, _ in graph.arcs if dst in stripped}
             assert sum(pg.target) == len(targets)
             for s in pg.sources:
-                credit = _block_credit(pg, [s])
+                credit = _credit(pg, [s])
                 assert all(credit[u] == 0 for u in stripped)
 
 
@@ -525,7 +524,7 @@ class TestArcPruning:
             pg = _prepare(graph)
             with_clusters += pg.h_in_of != pg.h_out_of
             arcs, zero_arcs = port_arcs(pg), port_arcs(pg, 0)
-            credit = _block_credit(pg, pg.sources)
+            credit = _credit(pg, pg.sources)
             dropped += arcs - port_arcs(pg)
             # a zero arc is always tight
             assert port_arcs(pg, 0) == zero_arcs
@@ -533,7 +532,7 @@ class TestArcPruning:
             assert dict(zip(graph.node_ids, credit)) == want
             assert betweenness(graph).values == want
             # the fully pruned port graph gives the same values again
-            assert _block_credit(pg, pg.sources) == credit
+            assert _credit(pg, pg.sources) == credit
         assert dropped > 100
         assert with_clusters > 20
 
@@ -546,7 +545,7 @@ class TestArcPruning:
     def test_zero_arc_leaving_a_cluster_is_kept(self):
         graph, ids = self.cluster_graph()
         pg = _prepare(graph)
-        credit = _block_credit(pg, pg.sources)
+        credit = _credit(pg, pg.sources)
         assert out_targets(pg, graph, ids, "a") == {"t"}
         assert dict(zip(graph.node_ids, credit)) == brute_force_betweenness(graph).values
 
@@ -554,17 +553,17 @@ class TestArcPruning:
         graph, ids = self.cluster_graph()
         pg = _prepare(graph)
         assert out_targets(pg, graph, ids, "b") == {"t"}
-        _block_credit(pg, [graph.node_ids.index(ids["b"])])
+        _credit(pg, [graph.node_ids.index(ids["b"])])
         assert out_targets(pg, graph, ids, "b") == set()
         assert out_targets(pg, graph, ids, "a") == {"t"}
-        credit = _block_credit(pg, pg.sources)
+        credit = _credit(pg, pg.sources)
         assert dict(zip(graph.node_ids, credit)) == brute_force_betweenness(graph).values
 
     def test_tied_arc_is_kept(self):
         # s->t ties with s->m->t
         graph, ids = make_graph("smt", [("s", "t", 4), ("s", "m", 2), ("m", "t", 2), ("t", "s", 1)])
         pg = _prepare(graph)
-        credit = _block_credit(pg, [graph.node_ids.index(ids["s"])])
+        credit = _credit(pg, [graph.node_ids.index(ids["s"])])
         assert out_targets(pg, graph, ids, "s") == {"t", "m"}
         assert credit[graph.node_ids.index(ids["m"])] == Fraction(1, 2)
         assert betweenness(graph).values == brute_force_betweenness(graph).values
@@ -577,15 +576,17 @@ class TestArcPruning:
         base = WeightedDigraph.from_arcs(base.node_ids, base.arcs + cluster)
         graph = plant_dominated_arcs(rng, base, 300)
         pg = _prepare(graph)
-        assert block_count(graph) > 3
         assert pg.h_in_of[:3] != pg.h_out_of[:3]
+        # two shares of the passes, each on its own copy, leave different arcs
+        copies = [_prepare(graph) for _ in range(2)]
+        for share, copy in enumerate(copies):
+            _credit(copy, copy.sources[share::2])
+        assert copies[0].out_edges != copies[1].out_edges
         arcs = port_arcs(pg)
-        serial = _block_credit(pg, pg.sources)
+        serial = _credit(pg, pg.sources)
         assert arcs - port_arcs(pg) > 300
         # every pass on a port graph that no other pass has pruned
-        unpruned = [0] * len(graph.node_ids)
-        for s in pg.sources:
-            _add_credit(unpruned, _block_credit(_prepare(graph), [s]))
+        unpruned = [sum(credits) for credits in zip(*(_credit(_prepare(graph), [s]) for s in pg.sources))]
         assert serial == unpruned
         want = report_to_json(CentralityReport(graph.as_of, graph.amount_msat, dict(zip(graph.node_ids, unpruned))))
         for processes in (1, 2, 3):
@@ -709,11 +710,11 @@ class TestDeterminismAcrossProcesses:
 
 class _SerialContext:
     """Stands in for a multiprocessing context: records each pool's size
-    and each map's chunk size, and runs the map in this process."""
+    and each map's tasks, and runs the map in this process."""
 
     def __init__(self):
         self.pools: list[int] = []
-        self.chunksizes: list[int] = []
+        self.tasks: list[list[tuple[int, int]]] = []
 
     def __call__(self, method):
         assert method == "fork"
@@ -731,60 +732,68 @@ class _SerialContext:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, fn, items, chunksize):
-                context.chunksizes.append(chunksize)
-                return map(fn, items)
+            def starmap(self, fn, items):
+                context.tasks.append(list(items))
+                return [fn(*item) for item in context.tasks[-1]]
 
         return Pool()
 
 
-def block_count(graph):
-    return -(-len(_prepare(graph).sources) // centrality.SOURCE_BLOCK)
+@pytest.fixture
+def context(monkeypatch):
+    fake = _SerialContext()
+    monkeypatch.setattr(centrality.multiprocessing, "get_context", fake)
+    # the fake pool's initializer runs here; restore what it sets
+    monkeypatch.setattr(centrality, "_POOL_GRAPHS", [])
+    cpus(monkeypatch, 64)
+    return fake
 
 
-def multi_block_graph():
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(centrality.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def shares(workers):
+    """The tasks of one pool of WORKERS: one strided share each."""
+    return [(share, workers) for share in range(workers)]
+
+
+def pass_count(graph):
+    return len(_prepare(graph).sources)
+
+
+def many_pass_graph():
     graph = leafy_graph(random.Random(58), core=70, leaves=10, zero_prob=0)
-    assert block_count(graph) > 3
+    assert pass_count(graph) > 64
     return graph
 
 
 class TestWorkerCap:
-    @pytest.fixture
-    def context(self, monkeypatch):
-        fake = _SerialContext()
-        monkeypatch.setattr(centrality.multiprocessing, "get_context", fake)
-        # the fake pool's initializer runs here; restore what it sets
-        monkeypatch.setattr(centrality, "_POOL_GRAPHS", [])
-        self.cpus(monkeypatch, 64)
-        return fake
-
-    @staticmethod
-    def cpus(monkeypatch, count):
-        monkeypatch.setattr(centrality.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
     def test_workers_never_exceed_passes(self, context):
-        graph = multi_block_graph()
-        blocks = block_count(graph)
+        # a graph with few passes still forks, one worker per pass
+        graph = leafy_graph(random.Random(59), core=6, leaves=3, zero_prob=0.1)
+        passes = pass_count(graph)
+        assert 1 < passes < 64
         serial = betweenness(graph)
         report = betweenness(graph, processes=10**9)
-        assert context.pools == [blocks]
-        assert context.chunksizes == [1]
+        assert context.pools == [passes]
+        assert context.tasks == [shares(passes)]
         assert report.values == serial.values
 
     def test_fewer_processes_than_passes_are_kept(self, context):
-        graph = multi_block_graph()
+        graph = many_pass_graph()
         betweenness(graph, processes=3)
         assert context.pools == [3]
-        assert context.chunksizes == [1]
+        assert context.tasks == [shares(3)]
 
     def test_workers_never_exceed_usable_cpus(self, context, monkeypatch):
-        graph = multi_block_graph()
-        self.cpus(monkeypatch, 2)
+        graph = many_pass_graph()
+        cpus(monkeypatch, 2)
         betweenness(graph, processes=10**9)
         assert context.pools == [2]
 
     def test_cpu_count_without_affinity(self, context, monkeypatch):
-        graph = multi_block_graph()
+        graph = many_pass_graph()
         monkeypatch.delattr(centrality.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(centrality.os, "cpu_count", lambda: 2)
         betweenness(graph, processes=10**9)
@@ -794,25 +803,23 @@ class TestWorkerCap:
 
     def test_one_pass_or_one_process_starts_no_pool(self, context):
         graph, _ = make_graph("ab", [("a", "b", 1)])
-        assert len(_prepare(graph).sources) == 1
+        assert pass_count(graph) == 1
         betweenness(graph, processes=8)
-        single_block = leafy_graph(random.Random(59), core=6, leaves=3, zero_prob=0.1)
-        assert block_count(single_block) == 1
-        betweenness(single_block, processes=8)
-        betweenness(multi_block_graph(), processes=1)
+        assert betweenness_reports([], processes=8) == []
+        assert betweenness(WeightedDigraph((), ()), processes=8).values == {}
+        betweenness(many_pass_graph(), processes=1)
         assert context.pools == []
 
     def test_three_amounts_open_one_pool(self, context):
         graphs = [leafy_graph(random.Random(seed), core=30, leaves=10, zero_prob=0.1) for seed in (60, 61, 62)]
-        blocks = sum(block_count(graph) for graph in graphs)
-        assert blocks > 3
+        assert all(pass_count(graph) > 3 for graph in graphs)
         reports = betweenness_reports(graphs, processes=3)
         assert context.pools == [3]
-        assert context.chunksizes == [1]
+        assert context.tasks == [shares(3)]
         assert [r.values for r in reports] == [betweenness(graph).values for graph in graphs]
 
     def test_bad_graph_raises_before_a_pool_starts(self, context, monkeypatch):
-        good = multi_block_graph()
+        good = many_pass_graph()
         negative, _ = make_graph("ab", [("a", "b", -1)])
         with pytest.raises(NegativeWeightError):
             betweenness_reports([good, good, negative], processes=3)
@@ -824,24 +831,53 @@ class TestWorkerCap:
         assert context.pools == []
 
 
-class TestSourceBlocks:
-    @pytest.mark.parametrize("block", [1, 7, 10**6])
-    def test_exact_totals_do_not_depend_on_the_block(self, monkeypatch, block):
+class TestSourceShares:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_exact_totals_do_not_depend_on_the_share_count(self, context, workers):
+        # the fixture's 64 CPUs allow more shares than this host has; the
+        # fake pool runs them in this process
         rng = random.Random(64)
         graphs = [leafy_graph(rng, core=5, leaves=4) for _ in range(20)]
         graphs += [random_graph(rng, max_nodes=12, zero_prob=0.2) for _ in range(20)]
         wide = leafy_graph(rng, core=30, leaves=30, zero_prob=0.1)
         want = betweenness(wide).values
-        monkeypatch.setattr(centrality, "SOURCE_BLOCK", block)
-        assert betweenness(wide).values == want
+        assert betweenness(wide, processes=workers).values == want
+        assert context.pools == ([workers] if workers > 1 else [])
         for graph in graphs:
             assert len(graph.node_ids) <= 12
-            assert betweenness(graph).values == brute_force_betweenness(graph).values
+            assert betweenness(graph, processes=workers).values == brute_force_betweenness(graph).values
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_every_source_runs_exactly_once(self, context, monkeypatch, workers):
+        # the middle graph has fewer passes than there are shares
+        graphs = [
+            leafy_graph(random.Random(66), core=30, leaves=10, zero_prob=0.1),
+            make_graph("abc", [("a", "b", 1), ("b", "c", 1)])[0],
+            many_pass_graph(),
+        ]
+        assert pass_count(graphs[1]) < 3
+        # calls name their graph by its node count
+        assert len({len(g.node_ids) for g in graphs}) == 3
+        calls = []
+        real_pass = centrality._source_pass
+
+        def counting_pass(pg, s, sums):
+            calls.append((len(pg.h_out_of), s))
+            return real_pass(pg, s, sums)
+
+        monkeypatch.setattr(centrality, "_source_pass", counting_pass)
+        betweenness_reports(graphs, processes=workers)
+        assert context.tasks == ([shares(workers)] if workers > 1 else [])
+        sources = [(len(g.node_ids), _prepare(g).sources) for g in graphs]
+        assert sorted(calls) == sorted((n, s) for n, order in sources for s in order)
+        # the fake pool runs the shares in turn: each takes every
+        # workers-th source of each graph, hubs first
+        assert calls == [(n, s) for share in range(workers) for n, order in sources for s in order[share::workers]]
 
     def test_reports_match_single_calls_with_real_pools(self):
         rng = random.Random(65)
         graphs = [leafy_graph(rng, core=30, leaves=20, zero_prob=0.1) for _ in range(3)]
-        assert all(block_count(graph) > 1 for graph in graphs)
+        assert all(pass_count(graph) > 3 for graph in graphs)
         want = [report_to_json(betweenness(graph)) for graph in graphs]
         for processes in (1, 2, 3):
             reports = betweenness_reports(graphs, processes=processes)

@@ -143,14 +143,33 @@ class TestTopShare:
 
     def test_uniform_half(self):
         ts = top_share(report([5, 5, 5, 5]), 0.5)
-        assert ts.share == pytest.approx(0.5, abs=1e-12)
+        assert ts.share == 0.5
 
     def test_four_three_two_one(self):
         ts = top_share(report([4, 3, 2, 1]), 0.25)
-        assert ts.share == pytest.approx(0.4, abs=1e-12)
+        assert ts.share == 0.4
 
     def test_full_fraction_is_unity(self):
-        assert top_share(report([1, 2, 3]), 1.0).share == pytest.approx(1.0, abs=1e-12)
+        assert top_share(report([1, 2, 3]), 1.0).share == 1.0
+        assert top_share(report([0.1, 0.2, 0.3]), 1.0).share == 1.0
+
+    def test_share_is_rounded_once(self):
+        # 0.3 / (0.1 + 0.3) in floats is 0.7499999999999999; the exact share
+        # of the written values rounds to 0.75, as the Lorenz point (0.5,
+        # 0.25) says
+        values = report([0.1, 0.3])
+        assert top_share(values, 0.5).share == 0.75
+        assert lorenz(values).points[1] == (0.5, 0.25)
+
+    def test_shares_are_the_nearest_floats(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            values = [rng.random() * 10 ** rng.randrange(0, 7) for _ in range(rng.randrange(1, 60))]
+            fraction = rng.choice((0.01, 0.1, 0.25, 0.5, 0.9))
+            exact = sorted(map(Fraction, values), reverse=True)
+            k = math.ceil(Fraction(fraction).limit_denominator() * len(exact))
+            want = float(sum(exact[:k]) / sum(exact))
+            assert top_share(report(values), fraction).share == want
 
     def test_zero_total_degenerate(self):
         ts = top_share(report([0, 0]), 0.5)
@@ -161,7 +180,7 @@ class TestTopShare:
         # 0.07 of 100 nodes must be 7 nodes, not 8 (float 0.07*100 > 7)
         values = [1] * 100
         ts = top_share(report(values), 0.07)
-        assert ts.share == pytest.approx(0.07, abs=1e-12)
+        assert ts.share == 0.07
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -179,7 +198,7 @@ class TestTopShare:
                 continue
             fraction = rng.choice((0.1, 0.25, 0.5, 0.9))
             ts = top_share(report(values), fraction)
-            assert ts.share >= fraction - 1e-9
+            assert ts.share >= fraction
 
 
 class TestRankTimelines:
