@@ -106,7 +106,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
 import os
 import sys
 from collections import defaultdict
@@ -602,6 +601,8 @@ def betweenness_reports(graphs: list[WeightedDigraph], processes: Optional[int] 
     if workers == 1:
         shares = [_share_credits(pgs, 0, 1)]
     else:
+        import multiprocessing  # only when a pool forks: a third of this module's import time
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=_pool_init, initargs=(pgs,)) as pool:
             shares = pool.starmap(_pool_share, [(share, workers) for share in range(workers)])

@@ -8,12 +8,14 @@ not depend on it.
 Each command reads its inputs and computes every result before it writes
 anything; then ``_emit`` writes all outputs and the manifest. Every file
 goes to a temporary file that is moved into place, so none is ever left
-half-written.
+half-written. ``compact`` alone writes while it reads: sorted runs, which
+it merges into its output and removes however it exits.
 
 Exit codes: 1 when an input cannot be read, parsed or used, a computation
 it makes fail included (``_Pipeline``); the message of a document that does
 not parse starts with its path. 2 when an output cannot be written
-(``_emit``) and for usage errors, such as an ``--amount-msat`` outside the
+(``_emit``), a sorted run that ``compact`` spills beside its output
+included, and for usage errors, such as an ``--amount-msat`` outside the
 u64 range or given twice, or a report label that cannot name a file or
 a CSV cell.
 
@@ -36,7 +38,7 @@ from . import __version__
 from .codec import U64_MAX
 from .manifest import atomic_write, dump_table, manifested
 from .replay import replay, routing_view, snapshot_from_json, snapshot_to_json
-from .store import StoreError, deduplicate_and_order, feed_to_records, open_store, write_store
+from .store import SpillError, StoreError, compacted, open_store, write_store
 
 if TYPE_CHECKING:
     from .centrality import CentralityReport
@@ -100,11 +102,14 @@ def _emit(
 class _Pipeline(click.Group):
     """Exits 1 when an input cannot be read (OSError), is a bad archive
     (StoreError), or is a document or computation that cannot be used
-    (ValueError, the base of every other lntm error)."""
+    (ValueError, the base of every other lntm error); exits 2 when a sorted
+    run of ``compact`` cannot be written or read (SpillError)."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except SpillError as exc:
+            _fail(exc, 2)
         except (OSError, StoreError, ValueError) as exc:
             _fail(exc, 1)
 
@@ -290,16 +295,18 @@ def inequality(
 @click.option("--store", "store_path", required=True, type=click.Path(exists=True, dir_okay=False), help="GSR1 archive or JSON-lines debug file.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Compacted GSR1 output path.")
 def compact(store_path: str, out_path: str):
-    """Rewrite an archive as its deduplicated, time-ordered equivalent."""
-    feed = deduplicate_and_order(open_store(store_path))
-    _emit(
-        Path(f"{out_path}.manifest.json"),
-        "compact",
-        [store_path],
-        {},
-        [(Path(out_path), lambda path: write_store(path, feed_to_records(feed)))],
-    )
-    click.echo(f"wrote {len(feed)} records")
+    """Rewrite an archive as its deduplicated, time-ordered equivalent, in
+    bounded memory: sorted runs are spilled beside the output and merged."""
+    written = []
+    with compacted(open_store(store_path), out_path) as records:
+        _emit(
+            Path(f"{out_path}.manifest.json"),
+            "compact",
+            [store_path],
+            {},
+            [(Path(out_path), lambda path: written.append(write_store(path, records)))],
+        )
+    click.echo(f"wrote {written[0]} records")
 
 
 if __name__ == "__main__":

@@ -279,9 +279,19 @@ def _steps(layout: tuple) -> tuple:
 
 
 _STEPS = {type_code: _steps(layout) for type_code, layout in _LAYOUTS.items()}
-_UPDATE = _STEPS[MSG_CHANNEL_UPDATE][0][0]
+# the fixed channel_update fields with pad bytes for all but the four a
+# peek unpacks, so a complete update is read with one unpack
+_PEEKED = ("short_channel_id", "timestamp", "message_flags", "channel_flags")
+_UPDATE_PEEK = struct.Struct(
+    ">"
+    + "".join(
+        fmt if name in _PEEKED else f"{struct.calcsize('>' + fmt)}x"
+        for name, fmt in _LAYOUTS[MSG_CHANNEL_UPDATE]
+        if name != _GATED
+    )
+)
 _UPDATE_TYPE = _U16.pack(MSG_CHANNEL_UPDATE)
-_UPDATE_END = 2 + _UPDATE.size
+_UPDATE_END = 2 + _UPDATE_PEEK.size
 
 
 def parse_node_id(text: str) -> NodeId:
@@ -369,13 +379,13 @@ def peek_message(data: bytes) -> tuple[int, int | None, bytes, int]:
     channel_announcement, which carries none, and ``channel_flags`` is 0
     for the two announcements. Raises exactly what decode_message raises
     on the same bytes. A complete channel_update is read with one struct
-    unpack; no message becomes a dataclass.
+    unpack of the four fields it needs; no message becomes a dataclass.
     """
     if data[:2] == _UPDATE_TYPE and len(data) >= _UPDATE_END:
-        fields = _UPDATE.unpack_from(data, 2)
-        # message_flags, then room for a flagged u64 htlc_maximum_msat
-        if not fields[4] & FLAG_HTLC_MAXIMUM or len(data) >= _UPDATE_END + 8:
-            return MSG_CHANNEL_UPDATE, fields[3], fields[2], fields[5]
+        scid, timestamp, message_flags, channel_flags = _UPDATE_PEEK.unpack_from(data, 2)
+        # room for a flagged u64 htlc_maximum_msat
+        if not message_flags & FLAG_HTLC_MAXIMUM or len(data) >= _UPDATE_END + 8:
+            return MSG_CHANNEL_UPDATE, timestamp, scid, channel_flags
     # an incomplete channel_update raises here
     type_code, values, _ = _read(data)
     if type_code == MSG_CHANNEL_ANNOUNCEMENT:

@@ -139,8 +139,10 @@ def replay(source: OrderedFeed | Iterable[StoreRecord], as_of: int) -> NetworkSn
 
     Every record is validated, those after as_of too: the first that does
     not decode raises DecodeFailureError with its index in ``source``. An
-    OrderedFeed is folded as the records it compacts to. Only the payloads
-    that govern the snapshot are decoded in full.
+    OrderedFeed, the in-memory compaction that ``deduplicate_and_order``
+    still builds for the benchmark's traced pass, is folded as the records
+    it holds. Only the payloads that govern the snapshot are decoded in
+    full.
     """
     records = feed_to_records(source) if isinstance(source, OrderedFeed) else source
     # per scid the least (arrival, payload) announcement: endpoints never

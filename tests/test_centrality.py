@@ -1,6 +1,7 @@
 """Centrality kernel tests: fee weighting, hand fixtures, oracle equivalence."""
 
 import json
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -742,7 +743,7 @@ class _SerialContext:
 @pytest.fixture
 def context(monkeypatch):
     fake = _SerialContext()
-    monkeypatch.setattr(centrality.multiprocessing, "get_context", fake)
+    monkeypatch.setattr(multiprocessing, "get_context", fake)
     # the fake pool's initializer runs here; restore what it sets
     monkeypatch.setattr(centrality, "_POOL_GRAPHS", [])
     cpus(monkeypatch, 64)

@@ -16,11 +16,12 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import lntm
+from lntm import store
 from lntm.centrality import CentralityReport, ReportFormatError, betweenness, build_graph, report_from_json, report_to_json
 from lntm.cli import _histogram_csv, main
 from lntm.manifest import sha256_file
 from lntm.replay import SnapshotFormatError, replay, routing_view, snapshot_from_json, snapshot_to_json
-from lntm.store import write_store
+from lntm.store import StoreRecord, write_store
 
 import msggen
 
@@ -535,6 +536,117 @@ class TestCompactCommand:
         assert f"wrote {len(records) - 1} records" in result.output  # one duplicate in corpus
 
 
+def spill_corpus(path):
+    """The corpus plus six more versions of one direction: runs of two
+    versions spill five times, and its duplicate update lands in a run of
+    its own (the copy it repeats is spilled by then)."""
+    s23 = msggen.scid(23)
+    extra = [msggen.record(ts, msggen.make_channel_update(s23, ts, direction=1)) for ts in range(400, 406)]
+    records = corpus_records() + extra
+    write_store(path, records)
+    return records
+
+
+class TestCompactRuns:
+    """``compact`` with channel_updates spilled in runs of two versions."""
+
+    @pytest.fixture(autouse=True)
+    def runs(self, monkeypatch):
+        monkeypatch.setattr(store, "RUN_RECORDS", 2)
+        written = []
+        write_run = store._write_run
+        monkeypatch.setattr(store, "_write_run", lambda *args: written.append(write_run(*args)))
+        return written
+
+    def test_runs_write_the_same_bytes(self, runner, tmp_path, monkeypatch, runs):
+        spill_corpus(tmp_path / "corpus.gsr")
+        outputs = set()
+        # five runs spilled, then at FAN_IN = 2 three merged from the oldest
+        # pairs: 1+2, 3+4, 5+(1+2); the last call holds every version
+        for run_records, fan_in, written in ((2, 2, 5 + 3), (2, 16, 5), (1 << 14, 16, 0)):
+            monkeypatch.setattr(store, "RUN_RECORDS", run_records)
+            monkeypatch.setattr(store, "FAN_IN", fan_in)
+            runs.clear()
+            out = tmp_path / f"{run_records}-{fan_in}.gsr"
+            result = runner.invoke(main, ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert len(runs) == written
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+        assert not list(tmp_path.glob(".*"))
+
+    def test_missing_output_directory_exits_2(self, runner, tmp_path):
+        spill_corpus(tmp_path / "corpus.gsr")
+        out = tmp_path / "missing-dir" / "x.gsr"
+        result = runner.invoke(main, ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: [Errno 2] No such file or directory:")
+        assert ".x.gsr.run-" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
+
+    @pytest.mark.parametrize("fails", ["read-only", "full"])
+    @pytest.mark.parametrize("failing_run", [1, 6])
+    def test_unwritable_run_exits_2(self, runner, tmp_path, monkeypatch, runs, fails, failing_run):
+        # run 1 is spilled while the archive is read, run 6 while the
+        # oldest runs are merged two at a time
+        monkeypatch.setattr(store, "FAN_IN", 2)
+        spill_corpus(tmp_path / "corpus.gsr")
+        opened = []
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        def run_open(path, mode="r", *args, **kwargs):
+            if ".run-" in str(path) and "x" in mode:
+                opened.append(path)
+                if len(opened) == failing_run and fails == "read-only":
+                    raise PermissionError(13, "Permission denied", str(path))
+                if len(opened) == failing_run:
+                    return FullDisk(open(path, mode, *args, **kwargs))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("lntm.store.open", run_open, raising=False)
+        out = tmp_path / "compacted.gsr"
+        result = runner.invoke(main, ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", str(out)])
+        assert result.exit_code == 2
+        message = "[Errno 13] Permission denied" if fails == "read-only" else "[Errno 28] No space left on device"
+        assert result.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in result.stderr
+        assert len(opened) == failing_run
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
+
+    def test_failed_output_write_removes_the_runs(self, runner, tmp_path, runs):
+        spill_corpus(tmp_path / "corpus.gsr")
+        (tmp_path / "compacted.gsr.manifest.json").mkdir()  # the manifest cannot be written
+        out = tmp_path / "compacted.gsr"
+        result = runner.invoke(main, ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", str(out)])
+        assert result.exit_code == 2
+        assert len(runs) == 5
+        # the output itself was moved into place before the manifest failed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["compacted.gsr", "compacted.gsr.manifest.json", "corpus.gsr"]
+
+    def test_bad_record_after_a_spill_exits_1(self, runner, tmp_path, runs):
+        records = spill_corpus(tmp_path / "scratch.gsr") + [StoreRecord(5, b"\x01\x02\x03")]
+        (tmp_path / "scratch.gsr").unlink()
+        write_store(tmp_path / "corpus.gsr", records)
+        out = tmp_path / "compacted.gsr"
+        result = runner.invoke(main, ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: record {len(records) - 1} does not decode")
+        assert len(runs) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
+
+
 class TestCanonicalJson:
     def test_every_json_output_is_in_canonical_form(self, runner, tmp_path):
         store = tmp_path / "corpus.gsr"
@@ -589,14 +701,18 @@ class TestCanonicalCsv:
                     assert cell == repr(value) or (cell.isdigit() and cell == str(int(cell))), (path.name, cell)
 
 
-def test_importing_the_cli_leaves_out_the_compute_modules():
-    code = (
-        "import sys, lntm.cli; "
-        "print(sorted({'lntm.centrality', 'lntm.inequality', 'multiprocessing'} & set(sys.modules)))"
-    )
+def _modules_loaded_by(module: str, names: set[str]) -> list[str]:
+    """Which of NAMES a fresh interpreter has loaded after importing MODULE."""
+    code = f"import json, sys, {module}; print(json.dumps(sorted(set({sorted(names)!r}) & set(sys.modules))))"
     env = dict(os.environ, PYTHONPATH=str(Path(lntm.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    return json.loads(result.stdout)
+
+
+def test_importing_the_cli_leaves_out_the_compute_modules():
+    assert _modules_loaded_by("lntm.cli", {"lntm.centrality", "lntm.inequality", "multiprocessing"}) == []
+    # multiprocessing is imported only when a pool forks
+    assert _modules_loaded_by("lntm.centrality", {"lntm.centrality", "multiprocessing"}) == ["lntm.centrality"]
 
 
 class TestManifestWriteFailure:

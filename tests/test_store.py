@@ -1,11 +1,14 @@
-"""Archive framing and feed ordering tests."""
+"""Archive framing and compaction tests."""
 
+import io
 import json
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lntm import store
 from lntm.codec import decode_message
 from lntm.manifest import atomic_write
 from lntm.store import (
@@ -75,6 +78,68 @@ class TestFraming:
         assert blob[4:12] == b"\x01\x02\x03\x04\x05\x06\x07\x08"
         assert blob[12:16] == b"\x00\x00\x00\x0c"
         assert blob[16:] == rec.payload
+
+
+def reference_frames(blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | None]:
+    """The records of a GSR1 file read field by field, and the offset and
+    detail of the CorruptFrameError that ends them, if one does."""
+    records, pos = [], 4
+    while pos < len(blob):
+        if pos + 12 > len(blob):
+            return records, (pos, "frame header truncated")
+        arrival_ts = int.from_bytes(blob[pos : pos + 8], "big")
+        msg_len = int.from_bytes(blob[pos + 8 : pos + 12], "big")
+        if pos + 12 + msg_len > len(blob):
+            return records, (pos, f"length field {msg_len} exceeds remaining bytes")
+        records.append(StoreRecord(arrival_ts, blob[pos + 12 : pos + 12 + msg_len]))
+        pos += 12 + msg_len
+    return records, None
+
+
+def read_blocks(blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | None]:
+    """What the block reader yields on a GSR1 file's bytes before it stops,
+    and the offset and message of the CorruptFrameError it stops with, if
+    any."""
+    fh = io.BytesIO(blob)
+    assert fh.read(4) == b"GSR1"
+    records = []
+    try:
+        for rec in store._read_frames(fh):
+            records.append(rec)
+    except CorruptFrameError as exc:
+        return records, (exc.offset, str(exc))
+    return records, None
+
+
+class TestBlockReader:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.binary(max_size=90)), max_size=12
+        ),
+        block=st.integers(1, 64),
+        tail=st.binary(max_size=16),
+    )
+    def test_matches_a_field_by_field_reader(self, frames, block, tail):
+        # blocks of 1..64 bytes: frames straddle blocks, many are longer than
+        # one, and empty payloads are drawn often
+        blob = b"GSR1" + b"".join(struct.pack(">QI", ts, len(p)) + p for ts, p in frames) + tail
+        last = len(blob) - len(tail) - (12 + len(frames[-1][1]) if frames else 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(store, "BLOCK_BYTES", block)
+            # the whole file, then a cut at every byte of the last frame
+            for cut in [len(blob), *range(last, len(blob) - len(tail))]:
+                records, error = reference_frames(blob[:cut])
+                if error is not None:
+                    error = (error[0], f"corrupt frame at byte offset {error[0]}: {error[1]}")
+                assert read_blocks(blob[:cut]) == (records, error)
+
+    def test_a_frame_longer_than_a_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store, "BLOCK_BYTES", 16)
+        recs = [StoreRecord(1, bytes(range(100))), StoreRecord(2, b""), StoreRecord(3, b"\x01\x02")]
+        path = tmp_path / "long.gsr"
+        write_store(path, recs)
+        assert list(read_store(path)) == recs
 
 
 class TestAtomicWrite:
@@ -310,3 +375,32 @@ class TestDeduplicateAndOrder:
         path = tmp_path / "compact.gsr"
         write_store(path, feed_to_records(feed))
         assert deduplicate_and_order(read_store(path)) == feed
+
+
+class TestCompactionAcrossRuns(TestDeduplicateAndOrder):
+    """Every compaction test again, with channel_updates spilled to runs of
+    RUN_RECORDS versions and merged two at a time."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 5])
+    def small_runs(self, request, monkeypatch):
+        monkeypatch.setattr(store, "RUN_RECORDS", request.param)
+        monkeypatch.setattr(store, "FAN_IN", 2)
+        written = []
+        write_run = store._write_run
+        monkeypatch.setattr(store, "_write_run", lambda *args: written.append(write_run(*args)))
+        return written
+
+    @pytest.mark.parametrize("smaller_first", [True, False])
+    def test_clone_pair_split_across_runs_keeps_the_smaller_payload(self, small_runs, smaller_first):
+        a, b = (
+            msggen.record(1, msggen.make_channel_update(msggen.scid(1), 100, fee_base_msat=fee))
+            for fee in (1, 2)
+        )
+        smaller, larger = sorted([a, b], key=lambda rec: rec.payload)
+        # enough other versions between the two that they land in different runs
+        others = [msggen.record(1, msggen.make_channel_update(msggen.scid(2), ts)) for ts in range(10, 20)]
+        pair = [smaller, larger] if smaller_first else [larger, smaller]
+        feed = deduplicate_and_order([pair[0], *others, pair[1]])
+        assert len(small_runs) >= 2
+        assert [e.payload for e in feed if e.effective_ts == 100] == [smaller.payload]
+        assert len(feed) == 1 + len(others)
