@@ -230,7 +230,8 @@ def build_graph(
             ):
                 continue
         weight = fee_weight(policy, amount_msat)
-        # a snapshot does not guarantee distinct channel endpoints
+        # parsed snapshots and decoded announcements have node1 < node2, but
+        # a RoutingView built in code may still hold a self-arc
         if arc.source != arc.target:
             arcs.append((index[arc.source], index[arc.target], weight))
     return WeightedDigraph.from_arcs(view.nodes, arcs, amount_msat, view.as_of)

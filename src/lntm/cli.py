@@ -8,16 +8,17 @@ not depend on it.
 Each command reads its inputs and computes every result before it writes
 anything; then ``_emit`` writes all outputs and the manifest. Every file
 goes to a temporary file that is moved into place, so none is ever left
-half-written. ``compact`` alone writes while it reads: sorted runs, which
-it merges into its output and removes however it exits.
+half-written. ``compact`` alone reads while it writes: its output's writer
+reads the archive, spills sorted runs beside the output, merges them into
+it and removes them however it exits.
 
 Exit codes: 1 when an input cannot be read, parsed or used, a computation
 it makes fail included (``_Pipeline``); the message of a document that does
-not parse starts with its path. 2 when an output cannot be written
-(``_emit``), a sorted run that ``compact`` spills beside its output
-included, and for usage errors, such as an ``--amount-msat`` outside the
-u64 range or given twice, or a report label that cannot name a file or
-a CSV cell.
+not parse starts with its path. 2 for any OSError inside ``_emit``: an
+output that cannot be written, and for ``compact`` a run or an archive
+read that fails once writing has started; and for usage errors, such as
+an ``--amount-msat`` outside the u64 range or given twice, or a report
+label that cannot name a file or a CSV cell.
 
 The centrality and inequality modules are imported only by the commands
 that use them, which keeps them out of every other call's startup.
@@ -38,7 +39,7 @@ from . import __version__
 from .codec import U64_MAX
 from .manifest import atomic_write, dump_table, manifested
 from .replay import replay, routing_view, snapshot_from_json, snapshot_to_json
-from .store import SpillError, StoreError, compacted, open_store, write_store
+from .store import StoreError, open_store, write_compacted
 
 if TYPE_CHECKING:
     from .centrality import CentralityReport
@@ -102,14 +103,12 @@ def _emit(
 class _Pipeline(click.Group):
     """Exits 1 when an input cannot be read (OSError), is a bad archive
     (StoreError), or is a document or computation that cannot be used
-    (ValueError, the base of every other lntm error); exits 2 when a sorted
-    run of ``compact`` cannot be written or read (SpillError)."""
+    (ValueError, the base of every other lntm error). An OSError inside
+    ``_emit`` has exited 2 by then."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except SpillError as exc:
-            _fail(exc, 2)
         except (OSError, StoreError, ValueError) as exc:
             _fail(exc, 1)
 
@@ -297,15 +296,15 @@ def inequality(
 def compact(store_path: str, out_path: str):
     """Rewrite an archive as its deduplicated, time-ordered equivalent, in
     bounded memory: sorted runs are spilled beside the output and merged."""
+    records = open_store(store_path)
     written = []
-    with compacted(open_store(store_path), out_path) as records:
-        _emit(
-            Path(f"{out_path}.manifest.json"),
-            "compact",
-            [store_path],
-            {},
-            [(Path(out_path), lambda path: written.append(write_store(path, records)))],
-        )
+    _emit(
+        Path(f"{out_path}.manifest.json"),
+        "compact",
+        [store_path],
+        {},
+        [(Path(out_path), lambda path: written.append(write_compacted(path, records)))],
+    )
     click.echo(f"wrote {written[0]} records")
 
 

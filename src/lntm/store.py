@@ -11,19 +11,20 @@ of the JSON layer in ``manifest``.
 
 Ordering model: compaction keeps *every* distinct message version, so the
 compacted archive still answers "state at time T" for any T. Only exact
-duplicates and same-timestamp channel_update clones are collapsed. Records
-are keyed with ``codec.peek_message`` and no message object is kept. A
-compacted record's arrival time is its effective timestamp, and a payload
-starts with its type code, so compacted records sort as plain
+duplicates, later arrivals of a channel_announcement and same-timestamp
+channel_update clones are collapsed, by the rules ``_collapse`` states.
+Records are keyed with ``codec.peek_message`` and no message object is
+kept. A compacted record's arrival time is its effective timestamp, and a
+payload starts with its type code, so compacted records sort as plain
 ``(effective_ts, payload)`` tuples in ``(effective_ts, type_code,
 payload)`` order. Replay does not need that order: it folds records in any
 order (see ``replay``).
 
-Compaction runs in bounded memory. Announcements stay in memory (one entry
-per channel and node version). channel_update versions collapse in a
-buffer of ``RUN_RECORDS``; each full buffer is written as a sorted GSR1 run
-to a dot-named file beside the output, and the runs are merged, at most
-``FAN_IN`` at a time.
+Compaction runs in bounded memory. Every record goes into a buffer of
+``RUN_RECORDS``; each full buffer is written as a sorted GSR1 run to a
+dot-named file beside the output, and the runs are merged, at most
+``FAN_IN`` at a time, collapsing as they go. Only the channel_announcement
+payloads already merged are held, one per channel.
 """
 
 from __future__ import annotations
@@ -32,18 +33,17 @@ import heapq
 import json
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .codec import FLAG_DIRECTION, MSG_CHANNEL_UPDATE, CodecError, peek_message
+from .codec import FLAG_DIRECTION, MSG_CHANNEL_ANNOUNCEMENT, MSG_CHANNEL_UPDATE, CodecError, peek_message
 from .manifest import atomic_write, typed, uint
 
 STORE_MAGIC = b"GSR1"
 
-# distinct channel_update versions held before they are spilled as a run
+# records held before they are spilled as a sorted run
 RUN_RECORDS = 1 << 14
 # runs read at once, each through one block; beyond that the oldest are
 # first merged into one run
@@ -84,11 +84,6 @@ class DecodeFailureError(StoreError):
         self.cause = cause
 
 
-class SpillError(Exception):
-    """A run could not be written or read beside the output: an output
-    failure, not a bad input. Raised from the OSError, and reads as it."""
-
-
 class StoreRecord(NamedTuple):
     arrival_ts: int  # seconds, when the collector first saw the message
     payload: bytes  # raw message bytes, starting with the u16 type code
@@ -127,11 +122,15 @@ def read_store(path: str | Path) -> Iterator[StoreRecord]:
 def _read_frames(fh: IO[bytes]) -> Iterator[StoreRecord]:
     """Cut frames out of blocks of ``BLOCK_BYTES``; the bytes of a frame that
     does not end in its block are carried into the next read, which is made
-    as long as the frame needs."""
+    as long as the frame needs. A frame is checked against the file's size
+    before it is read, so a corrupt length never sets the size of a read."""
     header = _FRAME_HEADER.size
     unpack_from = _FRAME_HEADER.unpack_from
     new = tuple.__new__  # a StoreRecord without the Python frame of its constructor
-    block, pos, base = b"", 0, 4  # base: the file offset of block[0]
+    base = fh.tell()  # the file offset of block[0]
+    file_size = fh.seek(0, os.SEEK_END)
+    fh.seek(base)
+    block, pos = b"", 0
     while True:
         size = len(block)
         missing = 0
@@ -139,13 +138,13 @@ def _read_frames(fh: IO[bytes]) -> Iterator[StoreRecord]:
             arrival_ts, msg_len = unpack_from(block, pos)
             end = pos + header + msg_len
             if end > size:
+                if base + end > file_size:
+                    raise CorruptFrameError(base + pos, f"length field {msg_len} exceeds remaining bytes")
                 missing = end - size
                 break
             yield new(StoreRecord, (arrival_ts, block[pos + header : end]))
             pos = end
         more = fh.read(max(missing, BLOCK_BYTES))
-        if len(more) < missing:
-            raise CorruptFrameError(base + pos, f"length field {msg_len} exceeds remaining bytes")
         if not more:
             if pos < size:
                 raise CorruptFrameError(base + pos, "frame header truncated")
@@ -201,123 +200,101 @@ def open_store(path: str | Path) -> Iterator[StoreRecord]:
     return read_store_jsonl(path)
 
 
-@contextmanager
-def compacted(records: Iterable[StoreRecord], beside: str | Path) -> Iterator[Iterator[StoreRecord]]:
-    """Collapse duplicates and order records; the block gets the compacted
-    records as a stream.
+def write_compacted(path: str | Path, records: Iterable[StoreRecord]) -> int:
+    """Write the compacted archive of ``records`` at ``path``, a GSR1 file
+    that appears only once it is complete; returns the record count.
 
-    - exact byte-duplicates collapse to one record; for channel_announcement
-      the earliest arrival time is kept (it carries no timestamp, and the
-      arrival is the only observable proxy)
-    - distinct channel_updates sharing (scid, direction, timestamp) collapse
-      to the lexicographically smallest payload, keeping ordering total and
-      permutation-invariant
-    - every distinct-timestamp version of an update survives
+    Arrival times are rewritten to the effective timestamps, duplicates
+    and clones collapse as ``_collapse`` states, and records come out in
+    (effective_ts, type_code, payload) order.
 
-    Arrival times are rewritten to the effective timestamps, and records
-    come out in (effective_ts, type_code, payload) order.
-
-    Every record is read and validated before the block starts; the first
-    that does not decode raises DecodeFailureError with its index. Sorted
-    runs of channel_updates go to dot-named files in the real directory of
-    ``beside``. A run that cannot be written, or read before the block
-    starts, raises SpillError; one the block's stream cannot read raises
-    the OSError there. Every run is removed when the block exits, however
-    it exits.
+    Every record is validated before the output is started; the first that
+    does not decode raises DecodeFailureError with its index. Sorted runs
+    go to dot-named files in the real directory of ``path``, and every run
+    is removed before this returns or raises. An OSError on the archive, a
+    run or the output propagates.
     """
-    path = Path(os.path.realpath(beside))
-    prefix = path.parent / f".{path.name}.run-"
+    real = Path(os.path.realpath(path))
+    prefix = real.parent / f".{real.name}.run-"
     runs: list[Path] = []
     try:
         held = _first_pass(records, prefix, runs)
-        try:
-            while len(runs) > FAN_IN:
-                oldest = runs[:FAN_IN]
-                with _merged(oldest) as merged:
-                    _write_run(prefix, runs, merged)
-                for run in oldest:
-                    run.unlink()
-                del runs[:FAN_IN]
-        except OSError as exc:
-            raise SpillError(exc) from exc
+        while len(runs) > FAN_IN:
+            oldest = runs[:FAN_IN]
+            _write_run(prefix, runs, _merge(oldest))
+            for run in oldest:
+                run.unlink()
+            del runs[:FAN_IN]
         held.sort()
-        with _merged(runs, held) as merged:
-            yield merged
+        return write_store(path, _merge(runs, held))
     finally:
         for run in runs:
             run.unlink(missing_ok=True)
 
 
-def _first_pass(records: Iterable[StoreRecord], prefix: Path, runs: list[Path]) -> list[StoreRecord]:
-    """Validate every record; collapse announcements in memory and
-    channel_updates in a buffer that is spilled to a new run whenever a
-    version past ``RUN_RECORDS`` arrives. Returns the announcements and the
-    last buffer, unsorted."""
-    earliest: dict[bytes, int] = {}  # announcement payload -> effective timestamp
-    versions: dict[tuple[bytes, int, int], bytes] = {}  # (scid, direction, timestamp) -> payload
+def _first_pass(records: Iterable[StoreRecord], prefix: Path, runs: list[Path]) -> list[tuple[int, bytes]]:
+    """Validate every record and buffer it as ``(effective_ts, payload)``;
+    a record that arrives while ``RUN_RECORDS`` are held first spills them
+    as a sorted run. Returns the last buffer, unsorted."""
+    held: list[tuple[int, bytes]] = []
     for index, (arrival_ts, payload) in enumerate(records):
         try:
-            type_code, timestamp, key, flags = peek_message(payload)
+            timestamp = peek_message(payload)[1]
         except CodecError as exc:
             raise DecodeFailureError(index, exc) from exc
-        if type_code == MSG_CHANNEL_UPDATE:
-            clone = (key, flags & FLAG_DIRECTION, timestamp)
-            best = versions.get(clone)
-            if best is None and len(versions) == RUN_RECORDS:
-                _write_run(prefix, runs, sorted(_version_records(versions)))
-                versions = {}
-            if best is None or payload < best:
-                versions[clone] = payload
-        else:
-            eff = arrival_ts if timestamp is None else timestamp
-            known = earliest.get(payload)
-            if known is None or eff < known:
-                earliest[payload] = eff
-    return [StoreRecord(eff, payload) for payload, eff in earliest.items()] + _version_records(versions)
-
-
-def _version_records(versions: dict[tuple[bytes, int, int], bytes]) -> list[StoreRecord]:
-    return [StoreRecord(timestamp, payload) for (_, _, timestamp), payload in versions.items()]
+        if len(held) == RUN_RECORDS:
+            held.sort()
+            _write_run(prefix, runs, held)
+            held = []
+        held.append((arrival_ts if timestamp is None else timestamp, payload))
+    return held
 
 
 def _write_run(prefix: Path, runs: list[Path], records: Iterable[StoreRecord]) -> None:
     """Write sorted records as a new GSR1 run, listed in ``runs`` from the
     moment it exists."""
     path = Path(f"{prefix}{os.urandom(6).hex()}")
-    try:
-        with open(path, "xb") as fh:
-            runs.append(path)
-            fh.write(STORE_MAGIC)
-            _write_frames(fh, records)
-    except OSError as exc:
-        raise SpillError(exc) from exc
+    with open(path, "xb") as fh:
+        runs.append(path)
+        fh.write(STORE_MAGIC)
+        _write_frames(fh, records)
 
 
-@contextmanager
-def _merged(runs: list[Path], held: Iterable[StoreRecord] = ()) -> Iterator[Iterator[StoreRecord]]:
-    """The collapsed merge of sorted runs and a sorted list held in memory;
-    the runs are closed when the block exits."""
-    streams = [read_store(run) for run in runs]
-    try:
-        yield _collapse(heapq.merge(*streams, held))
-    finally:
-        for stream in streams:
-            stream.close()
+def _merge(runs: list[Path], held: Iterable[tuple[int, bytes]] = ()) -> Iterator[StoreRecord]:
+    """The collapsed merge of sorted runs and a sorted list held in memory."""
+    return _collapse(heapq.merge(*map(read_store, runs), held))
 
 
 def _collapse(records: Iterable[StoreRecord]) -> Iterator[StoreRecord]:
-    """Drop from a sorted stream every record that repeats or is a clone of
-    an earlier one with its timestamp, so the smallest payload stays. Clone
-    keys are taken only in timestamp groups of two or more."""
+    """The compaction rules, on a sorted stream of records keyed by their
+    effective timestamps; every distinct version of a message survives
+    except:
+
+    - a channel_announcement already passed drops, so the earliest arrival
+      stays (it carries no timestamp, and the arrival is the only
+      observable proxy); one payload per channel is held for this
+    - at one timestamp, a repeat of a record's bytes drops, and so does a
+      channel_update sharing (scid, direction) with an earlier one, so the
+      lexicographically smallest payload stays and the output does not
+      depend on arrival order; clone keys are taken only in timestamp
+      groups of two or more
+    """
+    announcement = MSG_CHANNEL_ANNOUNCEMENT.to_bytes(2, "big")
+    announced: set[bytes] = set()
     group_ts, first, seen = None, None, None
     for rec in records:
-        if rec.arrival_ts != group_ts:
-            group_ts, first, seen = rec.arrival_ts, rec, None
+        ts, payload = rec
+        if payload[:2] == announcement:
+            if payload in announced:
+                continue
+            announced.add(payload)
+        if ts != group_ts:
+            group_ts, first, seen = ts, payload, None
             yield rec
             continue
         if seen is None:
-            seen = {_clone_key(first.payload)}
-        key = _clone_key(rec.payload)
+            seen = {_clone_key(first)}
+        key = _clone_key(payload)
         if key not in seen:
             seen.add(key)
             yield rec
@@ -331,14 +308,16 @@ def _clone_key(payload: bytes) -> object:
 
 
 def deduplicate_and_order(records: Iterable[StoreRecord]) -> OrderedFeed:
-    """``compacted`` held in memory as a feed, its runs spilled to a
-    temporary directory. Only the benchmark's traced pass and the tests
-    still use the feed types."""
+    """``write_compacted`` into a temporary directory, read back as a feed.
+    Only the benchmark's traced pass and the tests still use the feed
+    types."""
     import tempfile
 
-    with tempfile.TemporaryDirectory() as spill, compacted(records, Path(spill) / "feed") as merged:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feed"
+        write_compacted(path, records)
         return OrderedFeed(
-            tuple(FeedEntry(ts, int.from_bytes(payload[:2], "big"), payload) for ts, payload in merged)
+            tuple(FeedEntry(ts, int.from_bytes(payload[:2], "big"), payload) for ts, payload in read_store(path))
         )
 
 

@@ -117,7 +117,8 @@ class TestBuildGraph:
         assert graph.arcs[0][2] == 2500
 
     def test_self_arc_dropped(self):
-        # a hand-edited snapshot may name the same node at both channel ends
+        # snapshot_from_json and the codec reject equal channel ends, so only
+        # a RoutingView built in code, as here, can hold a self-arc
         view, _ = make_view("ab", [("a", "a", policy()), ("a", "b", policy(base=7))])
         assert build_graph(view, 0).arcs == ((0, 1, 7),)
 

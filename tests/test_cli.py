@@ -1,6 +1,7 @@
 """End-to-end CLI tests over a synthetic gossip corpus."""
 
 import copy
+import errno
 import hashlib
 import json
 import math
@@ -537,9 +538,10 @@ class TestCompactCommand:
 
 
 def spill_corpus(path):
-    """The corpus plus six more versions of one direction: runs of two
-    versions spill five times, and its duplicate update lands in a run of
-    its own (the copy it repeats is spilled by then)."""
+    """The corpus plus six more versions of one direction, 14 records: runs
+    of two records spill six times and the last two stay held, and its
+    duplicate update (record 8, in run 4) lands in another run than the
+    copy it repeats (record 2, in run 1)."""
     s23 = msggen.scid(23)
     extra = [msggen.record(ts, msggen.make_channel_update(s23, ts, direction=1)) for ts in range(400, 406)]
     records = corpus_records() + extra
@@ -548,7 +550,7 @@ def spill_corpus(path):
 
 
 class TestCompactRuns:
-    """``compact`` with channel_updates spilled in runs of two versions."""
+    """``compact`` with records spilled in runs of two."""
 
     @pytest.fixture(autouse=True)
     def runs(self, monkeypatch):
@@ -561,9 +563,13 @@ class TestCompactRuns:
     def test_runs_write_the_same_bytes(self, runner, tmp_path, monkeypatch, runs):
         spill_corpus(tmp_path / "corpus.gsr")
         outputs = set()
-        # five runs spilled, then at FAN_IN = 2 three merged from the oldest
-        # pairs: 1+2, 3+4, 5+(1+2); the last call holds every version
-        for run_records, fan_in, written in ((2, 2, 5 + 3), (2, 16, 5), (1 << 14, 16, 0)):
+        # every record enters the buffer, announcements included: a record
+        # that arrives while two are held spills them, so records 3, 5, 7,
+        # 9, 11 and 13 each spill one run (six) and records 13 and 14 stay
+        # held. At FAN_IN = 2 the oldest pairs are merged until two runs are
+        # left: 1+2, 3+4, 5+6, (1+2)+(3+4), four more; at FAN_IN = 16 none.
+        # The last call holds every record.
+        for run_records, fan_in, written in ((2, 2, 6 + 4), (2, 16, 6), (1 << 14, 16, 0)):
             monkeypatch.setattr(store, "RUN_RECORDS", run_records)
             monkeypatch.setattr(store, "FAN_IN", fan_in)
             runs.clear()
@@ -585,10 +591,11 @@ class TestCompactRuns:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
 
     @pytest.mark.parametrize("fails", ["read-only", "full"])
-    @pytest.mark.parametrize("failing_run", [1, 6])
+    @pytest.mark.parametrize("failing_run", [1, 6, 7])
     def test_unwritable_run_exits_2(self, runner, tmp_path, monkeypatch, runs, fails, failing_run):
-        # run 1 is spilled while the archive is read, run 6 while the
-        # oldest runs are merged two at a time
+        # runs 1 and 6 are the first and last spilled while the archive is
+        # read, run 7 the first written while the oldest runs are merged two
+        # at a time
         monkeypatch.setattr(store, "FAN_IN", 2)
         spill_corpus(tmp_path / "corpus.gsr")
         opened = []
@@ -631,9 +638,66 @@ class TestCompactRuns:
         out = tmp_path / "compacted.gsr"
         result = runner.invoke(main, ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", str(out)])
         assert result.exit_code == 2
-        assert len(runs) == 5
+        assert len(runs) == 6
         # the output itself was moved into place before the manifest failed
         assert sorted(p.name for p in tmp_path.iterdir()) == ["compacted.gsr", "compacted.gsr.manifest.json", "corpus.gsr"]
+
+    def test_unreadable_run_in_the_final_merge_exits_2(self, runner, tmp_path, monkeypatch, runs):
+        # six runs at the default FAN_IN: the first read of a run is the
+        # final merge, while the output is being written
+        spill_corpus(tmp_path / "corpus.gsr")
+        read = []
+
+        def run_open(path, mode="r", *args, **kwargs):
+            if ".run-" in str(path) and mode == "rb":
+                read.append(path)
+                raise OSError(errno.EIO, "Input/output error", str(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("lntm.store.open", run_open, raising=False)
+        out = tmp_path / "compacted.gsr"
+        result = runner.invoke(main, ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: [Errno 5] Input/output error")
+        assert "Traceback" not in result.stderr
+        assert len(runs) == 6 and len(read) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
+
+    def test_archive_read_failing_partway_exits_2(self, runner, tmp_path, monkeypatch, runs):
+        # the archive opens and its first block is read, six runs spill,
+        # then the next read fails: compact has started writing by then
+        archive = tmp_path / "corpus.gsr"
+        spill_corpus(archive)
+
+        class Partway:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def read(self, size=-1):
+                if self.fh.tell() > len(store.STORE_MAGIC):
+                    raise OSError(errno.EIO, "Input/output error")
+                return self.fh.read(size)
+
+        def archive_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return Partway(fh) if Path(path) == archive else fh
+
+        monkeypatch.setattr("lntm.store.open", archive_open, raising=False)
+        out = tmp_path / "compacted.gsr"
+        result = runner.invoke(main, ["compact", "--store", str(archive), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: [Errno 5] Input/output error")
+        assert len(runs) == 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
 
     def test_bad_record_after_a_spill_exits_1(self, runner, tmp_path, runs):
         records = spill_corpus(tmp_path / "scratch.gsr") + [StoreRecord(5, b"\x01\x02\x03")]
@@ -643,7 +707,8 @@ class TestCompactRuns:
         result = runner.invoke(main, ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", str(out)])
         assert result.exit_code == 1
         assert result.stderr.startswith(f"error: record {len(records) - 1} does not decode")
-        assert len(runs) == 5
+        # the 14 good records spill six runs; the bad one fails before a spill
+        assert len(runs) == 6
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
 
 

@@ -96,11 +96,10 @@ def reference_frames(blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | 
     return records, None
 
 
-def read_blocks(blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | None]:
+def read_blocks(fh: io.BytesIO) -> tuple[list[StoreRecord], tuple[int, str] | None]:
     """What the block reader yields on a GSR1 file's bytes before it stops,
     and the offset and message of the CorruptFrameError it stops with, if
     any."""
-    fh = io.BytesIO(blob)
     assert fh.read(4) == b"GSR1"
     records = []
     try:
@@ -132,7 +131,26 @@ class TestBlockReader:
                 records, error = reference_frames(blob[:cut])
                 if error is not None:
                     error = (error[0], f"corrupt frame at byte offset {error[0]}: {error[1]}")
-                assert read_blocks(blob[:cut]) == (records, error)
+                assert read_blocks(io.BytesIO(blob[:cut])) == (records, error)
+
+    @pytest.mark.parametrize("block", [16, store.BLOCK_BYTES])
+    @pytest.mark.parametrize("frames", [0, 3])
+    def test_a_corrupt_length_never_sets_the_size_of_a_read(self, monkeypatch, block, frames):
+        good = b"".join(struct.pack(">QI", i, 20) + bytes(range(20)) for i in range(frames))
+        blob = b"GSR1" + good + struct.pack(">QI", 7, 0xFFFFFFFF) + bytes(10)
+
+        overreach = []  # how far past the end of the file each read asks
+
+        class Reads(io.BytesIO):
+            def read(self, n=-1):
+                overreach.append(n - (len(blob) - self.tell()))
+                return super().read(n)
+
+        monkeypatch.setattr(store, "BLOCK_BYTES", block)
+        records, error = reference_frames(blob)
+        assert error[1] == "length field 4294967295 exceeds remaining bytes"
+        assert read_blocks(Reads(blob)) == (records, (error[0], f"corrupt frame at byte offset {error[0]}: {error[1]}"))
+        assert max(overreach[1:]) <= block  # the first read is the magic
 
     def test_a_frame_longer_than_a_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store, "BLOCK_BYTES", 16)
@@ -288,6 +306,30 @@ class TestDeduplicateAndOrder:
         feed = deduplicate_and_order([msggen.record(90, ann), msggen.record(40, ann)])
         assert len(feed) == 1
         assert feed.entries[0].effective_ts == 40
+
+    def test_exact_duplicate_node_announcements_collapse(self):
+        ann = msggen.make_node_announcement(msggen.node_id(1), 100)
+        records = [msggen.record(arrival, ann) for arrival in (5, 9, 5)]
+        feed = deduplicate_and_order(records)
+        assert [(e.effective_ts, e.payload) for e in feed] == [(100, records[0].payload)]
+
+    def test_announcement_seen_again_earlier_keeps_that_arrival(self):
+        ann = msggen.make_channel_announcement(
+            msggen.scid(1), msggen.node_id(1), msggen.node_id(2)
+        )
+        upd = msggen.make_channel_update(msggen.scid(1), 50)
+        records = [msggen.record(90, ann), msggen.record(91, upd), msggen.record(40, ann), msggen.record(60, ann)]
+        feed = deduplicate_and_order(records)
+        assert [(e.effective_ts, e.payload) for e in feed] == [(40, records[0].payload), (50, records[1].payload)]
+
+    def test_announcement_and_update_at_one_timestamp_both_survive(self):
+        ann = msggen.make_channel_announcement(
+            msggen.scid(1), msggen.node_id(1), msggen.node_id(2)
+        )
+        upd = msggen.make_channel_update(msggen.scid(1), 100)
+        records = [msggen.record(5, upd), msggen.record(100, ann)]
+        feed = deduplicate_and_order(records)
+        assert [(e.effective_ts, e.payload) for e in feed] == [(100, records[1].payload), (100, records[0].payload)]
 
     def test_same_key_different_bytes_keeps_one(self):
         # same (scid, direction, timestamp) but different fee: one survives,
