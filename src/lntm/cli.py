@@ -39,7 +39,7 @@ from . import __version__
 from .codec import U64_MAX
 from .manifest import atomic_write, dump_table, manifested
 from .replay import replay, routing_view, snapshot_from_json, snapshot_to_json
-from .store import StoreError, open_store, write_compacted
+from .store import open_store, write_compacted
 
 if TYPE_CHECKING:
     from .centrality import CentralityReport
@@ -101,15 +101,14 @@ def _emit(
 
 
 class _Pipeline(click.Group):
-    """Exits 1 when an input cannot be read (OSError), is a bad archive
-    (StoreError), or is a document or computation that cannot be used
-    (ValueError, the base of every other lntm error). An OSError inside
-    ``_emit`` has exited 2 by then."""
+    """Exits 1 when an input cannot be read (OSError), or is an archive,
+    document or computation that cannot be used (ValueError, the base of
+    every lntm error). An OSError inside ``_emit`` has exited 2 by then."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (OSError, StoreError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             _fail(exc, 1)
 
 

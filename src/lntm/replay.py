@@ -1,12 +1,14 @@
 """Fold archived gossip up to an instant into the network view.
 
-A snapshot is one pass over archive records in any order. Every replay rule
-is a min or max reduction, so neither the record order nor duplicates
-change it, and no time-ordered feed is needed. Channel closes are invisible
-to gossip, so a snapshot never deletes a channel; newer channel_updates
-supersede older ones per (channel, direction). The optional staleness
-window on the routing view approximates liveness (two weeks, 1209600 s, is
-the conventional cutoff).
+A snapshot is one pass over ``(arrival_ts, payload)`` records in any order,
+raw or compacted: a compacted record's arrival time is its effective
+timestamp, which replay reads as an arrival. Every replay rule is a min or
+max reduction, so neither the record order nor duplicates change it, and no
+time-ordered feed is needed. Channel closes are invisible to gossip, so a
+snapshot never deletes a channel; newer channel_updates supersede older
+ones per (channel, direction). The optional staleness window on the routing
+view approximates liveness (two weeks, 1209600 s, is the conventional
+cutoff).
 
 Snapshots are written and read as JSON documents through the JSON layer in
 ``manifest``.
@@ -31,7 +33,7 @@ from .codec import (
     peek_message,
 )
 from .manifest import dump_document, load_document, typed, uint
-from .store import DecodeFailureError, OrderedFeed, StoreRecord, feed_to_records
+from .store import DecodeFailureError, StoreRecord
 
 SNAPSHOT_FORMAT = "gossip-network-snapshot"
 SNAPSHOT_VERSION = 1
@@ -127,7 +129,7 @@ class RoutingView:
     arcs: tuple[Arc, ...]
 
 
-def replay(source: OrderedFeed | Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
+def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
     """Fold archive records into the snapshot as of ``as_of`` (inclusive).
 
     The snapshot holds every channel announced at or before as_of; per
@@ -138,13 +140,9 @@ def replay(source: OrderedFeed | Iterable[StoreRecord], as_of: int) -> NetworkSn
     tallies count distinct messages.
 
     Every record is validated, those after as_of too: the first that does
-    not decode raises DecodeFailureError with its index in ``source``. An
-    OrderedFeed, the in-memory compaction that ``deduplicate_and_order``
-    still builds for the benchmark's traced pass, is folded as the records
-    it holds. Only the payloads that govern the snapshot are decoded in
-    full.
+    not decode raises DecodeFailureError with its index in ``records``.
+    Only the payloads that govern the snapshot are decoded in full.
     """
-    records = feed_to_records(source) if isinstance(source, OrderedFeed) else source
     # per scid the least (arrival, payload) announcement: endpoints never
     # change, so snapshots stay monotone even if a conflicting
     # re-announcement shows up
@@ -156,9 +154,9 @@ def replay(source: OrderedFeed | Iterable[StoreRecord], as_of: int) -> NetworkSn
     unannounced: dict[bytes, set[tuple[int, int]]] = {}
     # per node every distinct (timestamp, payload); the greatest governs
     node_versions: dict[NodeId, set[tuple[int, bytes]]] = {}
-    for index, rec in enumerate(records):
+    for index, (arrival_ts, payload) in enumerate(records):
         try:
-            type_code, timestamp, key, flags = peek_message(rec.payload)
+            type_code, timestamp, key, flags = peek_message(payload)
         except CodecError as exc:
             raise DecodeFailureError(index, exc) from exc
         if type_code == MSG_CHANNEL_UPDATE:
@@ -166,20 +164,20 @@ def replay(source: OrderedFeed | Iterable[StoreRecord], as_of: int) -> NetworkSn
                 continue
             direction = flags & FLAG_DIRECTION
             best = updates.get((key, direction))
-            if best is None or timestamp > best[0] or (timestamp == best[0] and rec.payload < best[1]):
-                updates[key, direction] = (timestamp, rec.payload)
+            if best is None or timestamp > best[0] or (timestamp == best[0] and payload < best[1]):
+                updates[key, direction] = (timestamp, payload)
             if key not in announcements:
                 unannounced.setdefault(key, set()).add((direction, timestamp))
         elif type_code == MSG_CHANNEL_ANNOUNCEMENT:
-            if rec.arrival_ts > as_of:
+            if arrival_ts > as_of:
                 continue
-            candidate = (rec.arrival_ts, rec.payload)
+            candidate = (arrival_ts, payload)
             best = announcements.get(key)
             if best is None or candidate < best:
                 announcements[key] = candidate
             unannounced.pop(key, None)
         elif timestamp <= as_of:
-            node_versions.setdefault(key, set()).add((timestamp, rec.payload))
+            node_versions.setdefault(key, set()).add((timestamp, payload))
 
     channels: dict[ShortChannelId, Channel] = {}
     node_set = set()

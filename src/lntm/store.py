@@ -14,11 +14,12 @@ compacted archive still answers "state at time T" for any T. Only exact
 duplicates, later arrivals of a channel_announcement and same-timestamp
 channel_update clones are collapsed, by the rules ``_collapse`` states.
 Records are keyed with ``codec.peek_message`` and no message object is
-kept. A compacted record's arrival time is its effective timestamp, and a
-payload starts with its type code, so compacted records sort as plain
-``(effective_ts, payload)`` tuples in ``(effective_ts, type_code,
-payload)`` order. Replay does not need that order: it folds records in any
-order (see ``replay``).
+kept. A compacted record is the same ``(int, bytes)`` pair as any other;
+its arrival time is its effective timestamp, and ``FeedEntry`` names its
+fields that way. A payload starts with its type code, so compacted records
+sort as plain tuples in ``(effective_ts, type_code, payload)`` order.
+Replay does not need that order: it folds records in any order (see
+``replay``).
 
 Compaction runs in bounded memory. Every record goes into a buffer of
 ``RUN_RECORDS``; each full buffer is written as a sorted GSR1 run to a
@@ -33,7 +34,6 @@ import heapq
 import json
 import os
 import struct
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -56,8 +56,8 @@ _WRITE_BATCH = 1 << 10
 _FRAME_HEADER = struct.Struct(">QI")
 
 
-class StoreError(Exception):
-    """Base class for archive read failures."""
+class StoreError(ValueError):
+    """Base class for archive read failures, a ValueError like every lntm error."""
 
 
 class BadMagicError(StoreError):
@@ -90,24 +90,10 @@ class StoreRecord(NamedTuple):
 
 
 class FeedEntry(NamedTuple):
-    """Fields in feed order, so entries sort as plain tuples."""
+    """A compacted record: its arrival time is its effective timestamp."""
 
     effective_ts: int
-    type_code: int
     payload: bytes
-
-
-@dataclass(frozen=True)
-class OrderedFeed:
-    """Deduplicated entries sorted by (effective_ts, type_code, payload)."""
-
-    entries: tuple[FeedEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[FeedEntry]:
-        return iter(self.entries)
 
 
 def read_store(path: str | Path) -> Iterator[StoreRecord]:
@@ -307,21 +293,17 @@ def _clone_key(payload: bytes) -> object:
     return (key, flags & FLAG_DIRECTION) if type_code == MSG_CHANNEL_UPDATE else payload
 
 
-def deduplicate_and_order(records: Iterable[StoreRecord]) -> OrderedFeed:
-    """``write_compacted`` into a temporary directory, read back as a feed.
-    Only the benchmark's traced pass and the tests still use the feed
-    types."""
+def deduplicate_and_order(records: Iterable[StoreRecord]) -> tuple[FeedEntry, ...]:
+    """``write_compacted`` into a temporary directory, read back. Only the
+    benchmark's traced pass and the tests still use it."""
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "feed"
         write_compacted(path, records)
-        return OrderedFeed(
-            tuple(FeedEntry(ts, int.from_bytes(payload[:2], "big"), payload) for ts, payload in read_store(path))
-        )
+        return tuple(map(FeedEntry._make, read_store(path)))
 
 
-def feed_to_records(feed: OrderedFeed) -> Iterator[StoreRecord]:
-    """Re-serialize a feed as store records (the compaction output)."""
-    for entry in feed:
-        yield StoreRecord(entry.effective_ts, entry.payload)
+def feed_to_records(feed: Iterable[FeedEntry]) -> Iterator[StoreRecord]:
+    """Compacted records as store records."""
+    return map(StoreRecord._make, feed)

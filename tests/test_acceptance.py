@@ -19,7 +19,7 @@ from lntm.cli import main
 from lntm.codec import CodecError, decode_message, encode_message
 from lntm.inequality import gini_trend, lorenz
 from lntm.replay import replay, routing_view, snapshot_to_json
-from lntm.store import OrderedFeed, deduplicate_and_order, open_store, write_store
+from lntm.store import deduplicate_and_order, open_store, write_store
 
 import msggen
 from test_centrality import make_view, policy, random_graph
@@ -174,7 +174,7 @@ class TestAcceptance:
 
             # prefix equivalence: replay(feed, T) == replay(prefix<=T, infinity)
             for t in (125, 199, 349, 450):
-                trimmed = OrderedFeed(tuple(e for e in feed if e.effective_ts <= t))
+                trimmed = [e for e in feed if e.effective_ts <= t]
                 direct = replay(feed, t)
                 on_prefix = replay(trimmed, 2**48)
                 assert direct.nodes == on_prefix.nodes

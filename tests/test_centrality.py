@@ -122,6 +122,19 @@ class TestBuildGraph:
         view, _ = make_view("ab", [("a", "a", policy()), ("a", "b", policy(base=7))])
         assert build_graph(view, 0).arcs == ((0, 1, 7),)
 
+    @pytest.mark.parametrize(
+        "arc, message",
+        [
+            ((0, 2, 1), r"arc \(0,2\) outside node range"),
+            ((-1, 0, 1), r"arc \(-1,0\) outside node range"),
+            ((1, 1, 1), "self-arc at node 1"),
+        ],
+    )
+    def test_from_arcs_rejects_bad_endpoints(self, arc, message):
+        node_ids = (msggen.node_id(1), msggen.node_id(2))
+        with pytest.raises(ValueError, match=message):
+            WeightedDigraph.from_arcs(node_ids, [(0, 1, 1), arc])
+
 
 class TestBetweennessFixtures:
     def test_directed_three_cycle(self):
@@ -228,6 +241,11 @@ class TestBruteForce:
         node_ids = tuple(msggen.node_id(i) for i in range(13))
         with pytest.raises(TooLargeError):
             brute_force_betweenness(WeightedDigraph(node_ids, ()))
+
+    def test_negative_weight_rejected(self):
+        graph, _ = make_graph("abc", [("a", "b", 1), ("b", "c", -1)])
+        with pytest.raises(NegativeWeightError, match="negative arc weight -1"):
+            brute_force_betweenness(graph)
 
 
 class TestExactValues:

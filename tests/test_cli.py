@@ -305,6 +305,17 @@ class TestCentralityCommand:
         assert "--prune-stale-after" in result.stderr
         assert not list(tmp_path.glob("r-*"))
 
+    def test_non_integer_thread_count_is_a_usage_error(self, runner, tmp_path):
+        snap = make_snapshot(runner, tmp_path)
+        result = runner.invoke(
+            main,
+            ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000", "--out", str(tmp_path / "r")],
+            env={"LNTM_THREADS": "abc"},
+        )
+        assert result.exit_code == 2, result.output
+        assert "LNTM_THREADS='abc' is not an integer" in result.stderr
+        assert not list(tmp_path.glob("r-*"))
+
     def test_failure_at_a_later_amount_writes_nothing(self, runner, tmp_path):
         snap = make_snapshot(runner, tmp_path, at=150)
         doc = json.loads(snap.read_text())
@@ -895,7 +906,7 @@ BAD_DOCUMENTS = {
     "last-update-bool": _snapshot_edit(_POLICY + ("last_update_ts",), True),
     "policies-one": _snapshot_edit(("channels", 0, "policies"), [None]),
     "policies-str": _snapshot_edit(("channels", 0, "policies"), ""),
-    "endpoint-not-a-node": _snapshot_edit(("nodes",), SNAPSHOT_DOC["nodes"][1:]),
+    "endpoint-not-a-node": ("snapshot", json.dumps(dict(SNAPSHOT_DOC, nodes=SNAPSHOT_DOC["nodes"][1:], node_count=2)).encode()),
     "as-of-str": _snapshot_edit(("as_of",), "999"),
     "as-of-float": _snapshot_edit(("as_of",), 999.0),
     "node-listed-twice": _snapshot_edit(("nodes",), SNAPSHOT_DOC["nodes"] + SNAPSHOT_DOC["nodes"][:1]),
@@ -960,6 +971,15 @@ class TestBadDocuments:
             with pytest.raises(error):
                 parse(text)
         assert run_on_document(kind, content, tmp_path).exit_code == 1
+
+    def test_endpoint_missing_from_nodes_names_the_file(self, tmp_path):
+        result = run_on_document(*BAD_DOCUMENTS["endpoint-not-a-node"], tmp_path)
+        scid = SNAPSHOT_DOC["channels"][0]["scid"]
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: {tmp_path / 'doc.json'}: malformed snapshot document: "
+            f"an endpoint of channel {scid} is not among the nodes\n"
+        )
 
     def test_valid_documents_pass(self, tmp_path):
         for kind, doc in (("snapshot", SNAPSHOT_DOC), ("report", REPORT_DOC)):

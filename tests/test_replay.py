@@ -105,8 +105,6 @@ class TestReplay:
             previous_nodes, previous_channels = set(snap.nodes), set(snap.channels)
 
     def test_prefix_equivalence(self):
-        from lntm.store import OrderedFeed
-
         records = [
             msggen.record(10, msggen.make_channel_announcement(S12, N1, N2)),
             msggen.record(20, msggen.make_channel_update(S12, 20)),
@@ -115,7 +113,7 @@ class TestReplay:
         ]
         feed = feed_of(*records)
         for t in (5, 10, 25, 35, 99):
-            trimmed = OrderedFeed(tuple(e for e in feed if e.effective_ts <= t))
+            trimmed = [e for e in feed if e.effective_ts <= t]
             full_on_prefix = replay(trimmed, 2**40)
             direct = replay(feed, t)
             assert snapshot_to_json(direct).replace(f'"as_of": {t}', "X") == \

@@ -16,7 +16,6 @@ from lntm.store import (
     CorruptFrameError,
     DecodeFailureError,
     JsonLinesError,
-    OrderedFeed,
     StoreRecord,
     deduplicate_and_order,
     feed_to_records,
@@ -297,7 +296,7 @@ class TestDeduplicateAndOrder:
             msggen.scid(1), msggen.node_id(1), msggen.node_id(2)
         )
         feed = deduplicate_and_order([msggen.record(77, ann)])
-        assert feed.entries[0].effective_ts == 77
+        assert feed[0].effective_ts == 77
 
     def test_duplicate_announcement_keeps_earliest_arrival(self):
         ann = msggen.make_channel_announcement(
@@ -305,7 +304,7 @@ class TestDeduplicateAndOrder:
         )
         feed = deduplicate_and_order([msggen.record(90, ann), msggen.record(40, ann)])
         assert len(feed) == 1
-        assert feed.entries[0].effective_ts == 40
+        assert feed[0].effective_ts == 40
 
     def test_exact_duplicate_node_announcements_collapse(self):
         ann = msggen.make_node_announcement(msggen.node_id(1), 100)
@@ -407,8 +406,11 @@ class TestDeduplicateAndOrder:
                     msggen.scid(3), msggen.node_id(1), msggen.node_id(2))),
             ]
         )
-        keys = [(e.effective_ts, e.type_code, e.payload) for e in feed]
+        # a payload starts with its u16 type code, so (effective_ts, payload)
+        # order is (effective_ts, type_code, payload) order
+        keys = [(e.effective_ts, e.payload) for e in feed]
         assert keys == sorted(keys)
+        assert [int.from_bytes(e.payload[:2], "big") for e in feed] == [256, 257, 258]
 
     def test_compaction_is_stable(self, tmp_path):
         rng = random.Random(10)
