@@ -130,26 +130,6 @@ ZERO_CLUSTER_PATH_BUDGET = 5_000_000
 Value = Union[int, float, Fraction]
 
 
-class CentralityError(ValueError):
-    """Base class for graph-metric failures."""
-
-
-class NegativeWeightError(CentralityError):
-    """An arc weight is negative (cannot happen for fee weights; guards imports)."""
-
-
-class FeeOverflowError(CentralityError):
-    """Computed fee exceeds the wire-representable range; the policy is corrupt."""
-
-
-class TooLargeError(CentralityError):
-    """Graph exceeds the brute-force enumeration bound."""
-
-
-class ZeroClusterError(CentralityError):
-    """A zero-fee cluster is too large to count simple routes exactly."""
-
-
 @dataclass(frozen=True)
 class WeightedDigraph:
     """Simple digraph with dense node indices and exact integer arc weights."""
@@ -199,7 +179,7 @@ def fee_weight(policy: ChannelPolicy, amount_msat: int) -> int:
         + amount_msat * policy.fee_proportional_millionths // PPM_DIVISOR
     )
     if weight > U64_MAX:
-        raise FeeOverflowError(
+        raise ValueError(
             f"fee {weight} msat exceeds u64 (base={policy.fee_base_msat}, "
             f"ppm={policy.fee_proportional_millionths}, amount={amount_msat})"
         )
@@ -325,7 +305,7 @@ def _cluster_bundles(
                 continue
             steps += len(path)
             if steps > budget:
-                raise ZeroClusterError(
+                raise ValueError(
                     f"zero-fee cluster of {len(members)} nodes exceeds "
                     f"{budget} route-enumeration steps"
                 )
@@ -594,8 +574,8 @@ def betweenness_reports(graphs: list[WeightedDigraph], processes: Optional[int] 
     """
     for graph in graphs:
         for _, _, weight in graph.arcs:
-            if weight < 0:
-                raise NegativeWeightError(f"negative arc weight {weight}")
+            if weight < 0:  # never a fee weight; arcs built by hand may be
+                raise ValueError(f"negative arc weight {weight}")
     pgs = [_prepare(graph) for graph in graphs]
     passes = max((len(pg.sources) for pg in pgs), default=0)
     workers = max(1, min(processes or 1, passes, _usable_cpus()))
@@ -639,10 +619,10 @@ def brute_force_betweenness(graph: WeightedDigraph) -> CentralityReport:
     blowup caps the graph at 12 nodes."""
     n = len(graph.node_ids)
     if n > BRUTE_FORCE_MAX_NODES:
-        raise TooLargeError(f"{n} nodes exceeds brute-force bound {BRUTE_FORCE_MAX_NODES}")
+        raise ValueError(f"{n} nodes exceeds brute-force bound {BRUTE_FORCE_MAX_NODES}")
     for _, _, weight in graph.arcs:
         if weight < 0:
-            raise NegativeWeightError(f"negative arc weight {weight}")
+            raise ValueError(f"negative arc weight {weight}")
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for src, dst, weight in graph.arcs:
         adj[src].append((dst, weight))
@@ -723,15 +703,12 @@ def report_to_json(report: CentralityReport) -> str:
     return dump_document(doc)
 
 
-class ReportFormatError(ValueError):
-    """Serialized centrality report is not in the expected format."""
-
-
 def report_from_json(text: str) -> CentralityReport:
     """Parse a report document. Node ids must be 66 lowercase hex digits
     starting with 02 or 03, and values finite, non-negative JSON numbers;
-    anything else, or a field of the wrong type, raises ReportFormatError."""
-    return load_document(text, REPORT_FORMAT, REPORT_VERSION, "report", ReportFormatError, _report_from_doc)
+    anything else, a field of the wrong type or a repeated key, raises
+    ValueError."""
+    return load_document(text, REPORT_FORMAT, REPORT_VERSION, "report", _report_from_doc)
 
 
 def _report_from_doc(doc: dict) -> CentralityReport:

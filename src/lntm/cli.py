@@ -102,8 +102,9 @@ def _emit(
 
 class _Pipeline(click.Group):
     """Exits 1 when an input cannot be read (OSError), or is an archive,
-    document or computation that cannot be used (ValueError, the base of
-    every lntm error). An OSError inside ``_emit`` has exited 2 by then."""
+    document or computation that cannot be used (ValueError, the one type
+    every lntm check raises). An OSError inside ``_emit`` has exited 2 by
+    then."""
 
     def invoke(self, ctx: click.Context):
         try:

@@ -22,16 +22,6 @@ from .centrality import CentralityReport, report_items
 from .manifest import dump_table
 
 
-class EmptyReportError(ValueError):
-    """Report has no nodes; inequality statistics are undefined."""
-
-
-class UnknownAnchorError(ValueError):
-    def __init__(self, anchor: str, labels: Sequence[str]):
-        super().__init__(f"anchor {anchor!r} not among labels {list(labels)}")
-        self.anchor = anchor
-
-
 @dataclass(frozen=True)
 class LorenzSeries:
     """Cumulative value share against cumulative population share.
@@ -61,7 +51,7 @@ def _running_sums(report: CentralityReport) -> list[Fraction]:
     """Exact running sums of the written values in ascending order, from 0:
     entry i sums the i smallest."""
     if not report.values:
-        raise EmptyReportError("no nodes in report")
+        raise ValueError("no nodes in report")
     return list(accumulate(map(Fraction, sorted(float(v) for v in report.values.values())), initial=Fraction(0)))
 
 
@@ -119,7 +109,7 @@ def rank_timelines(
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate snapshot labels in {labels}")
     if anchor not in labels:
-        raise UnknownAnchorError(anchor, labels)
+        raise ValueError(f"anchor {anchor!r} not among labels {labels}")
     ranks_by_label = {label: snapshot_ranks(report) for label, report in reports}
     # a snapshot's ranks are listed top first
     return [

@@ -39,22 +39,41 @@ def dump_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_document(text: str, marker: str, version: int, kind: str, error: type[ValueError], build: Callable[[dict], T]) -> T:
-    """Parse a versioned ``kind`` document and build its value. Bad JSON, a
-    ``format`` other than ``marker``, another ``version``, and a KeyError,
-    ValueError or TypeError from ``build`` raise ``error``."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The ``object_pairs_hook`` of every JSON input: an object that repeats
+    a key is a ValueError naming it, where ``json`` would keep the last."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
+def parse_json(text: str):
+    """``json.loads`` that rejects an object repeating a key."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def load_document(text: str, marker: str, version: int, kind: str, build: Callable[[dict], T]) -> T:
+    """Parse a versioned ``kind`` document and build its value. Bad JSON, an
+    object that repeats a key, a ``format`` other than ``marker``, another
+    ``version``, and a KeyError, ValueError or TypeError from ``build``
+    raise ValueError."""
     try:
-        doc = json.loads(text)
+        doc = parse_json(text)
     except (ValueError, RecursionError) as exc:
-        raise error(f"not valid JSON: {exc}") from exc
+        raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != marker:
-        raise error(f"missing {kind} format marker")
+        raise ValueError(f"missing {kind} format marker")
     if doc.get("version") != version:
-        raise error(f"unsupported {kind} version {doc.get('version')!r}")
+        raise ValueError(f"unsupported {kind} version {doc.get('version')!r}")
     try:
         return build(doc)
     except (KeyError, ValueError, TypeError) as exc:
-        raise error(f"malformed {kind} document: {exc}") from exc
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
 
 
 def typed(doc: dict, key: str, *types: type):

@@ -45,10 +45,6 @@ _LOWER_HEX = frozenset("0123456789abcdef")
 TWO_WEEKS_S = 1_209_600
 
 
-class SnapshotFormatError(ValueError):
-    """Serialized snapshot is not in the expected format/version."""
-
-
 @dataclass(frozen=True)
 class ChannelPolicy:
     fee_base_msat: int
@@ -305,18 +301,18 @@ def snapshot_to_json(snapshot: NetworkSnapshot) -> str:
 
 
 def snapshot_from_json(text: str) -> NetworkSnapshot:
-    """Parse a snapshot document. SnapshotFormatError is raised for text
-    that is not JSON; a missing or other format marker or version; a
-    missing field or one of the wrong JSON type; a policy integer outside
-    its wire field's range; a policy list that is not one entry per
-    direction; a node id or endpoint that is not 66 lowercase hex digits
-    starting with 02 or 03; an scid not in the "BxTxO" form ``str`` writes;
-    a channel whose ``node1`` is not below its ``node2``; a node id or
-    scid listed twice; a channel endpoint missing from ``nodes``; an ``rgb``
-    that is neither null nor 6 lowercase hex digits; a ``node_count`` other
-    than the number of ``nodes``; and a ``node_count_definition`` other than
-    ``NODE_COUNT_DEFINITION``."""
-    return load_document(text, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, "snapshot", SnapshotFormatError, _snapshot_from_doc)
+    """Parse a snapshot document. ValueError is raised for text that is not
+    JSON; an object that repeats a key; a missing or other format marker or
+    version; a missing field or one of the wrong JSON type; a policy
+    integer outside its wire field's range; a policy list that is not one
+    entry per direction; a node id or endpoint that is not 66 lowercase hex
+    digits starting with 02 or 03; an scid not in the "BxTxO" form ``str``
+    writes; a channel whose ``node1`` is not below its ``node2``; a node id
+    or scid listed twice; a channel endpoint missing from ``nodes``; an
+    ``rgb`` that is neither null nor 6 lowercase hex digits; a
+    ``node_count`` other than the number of ``nodes``; and a
+    ``node_count_definition`` other than ``NODE_COUNT_DEFINITION``."""
+    return load_document(text, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, "snapshot", _snapshot_from_doc)
 
 
 def _snapshot_from_doc(doc: dict) -> NetworkSnapshot:

@@ -6,8 +6,12 @@ message bytes start with the u16 gossip type code.
 
 A JSON-lines debug format is also read: one object per line with fields
 ``arrival_ts`` (a JSON integer in [0, 2^64), seconds) and ``hex``
-(hex-encoded message). Its fields are checked with the typed-field checks
-of the JSON layer in ``manifest``.
+(hex-encoded message). Each line is parsed and its fields are checked by
+the JSON layer in ``manifest``, so a line that repeats a key fails.
+
+Every read failure is a ValueError. Three name where it happened:
+CorruptFrameError its byte ``offset``, JsonLinesError its ``line_no`` and
+DecodeFailureError the ``index`` of the record that does not decode.
 
 Ordering model: compaction keeps *every* distinct message version, so the
 compacted archive still answers "state at time T" for any T. Only exact
@@ -31,7 +35,6 @@ payloads already merged are held, one per channel.
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import struct
 from itertools import islice
@@ -39,7 +42,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .codec import FLAG_DIRECTION, MSG_CHANNEL_ANNOUNCEMENT, MSG_CHANNEL_UPDATE, CodecError, peek_message
-from .manifest import atomic_write, typed, uint
+from .manifest import atomic_write, parse_json, typed, uint
 
 STORE_MAGIC = b"GSR1"
 
@@ -56,32 +59,22 @@ _WRITE_BATCH = 1 << 10
 _FRAME_HEADER = struct.Struct(">QI")
 
 
-class StoreError(ValueError):
-    """Base class for archive read failures, a ValueError like every lntm error."""
-
-
-class BadMagicError(StoreError):
-    def __init__(self, got: bytes):
-        super().__init__(f"not a gossip archive: magic {got!r} != {STORE_MAGIC!r}")
-
-
-class CorruptFrameError(StoreError):
+class CorruptFrameError(ValueError):
     def __init__(self, offset: int, detail: str):
         super().__init__(f"corrupt frame at byte offset {offset}: {detail}")
         self.offset = offset
 
 
-class JsonLinesError(StoreError):
+class JsonLinesError(ValueError):
     def __init__(self, line_no: int, detail: str):
         super().__init__(f"bad record on line {line_no}: {detail}")
         self.line_no = line_no
 
 
-class DecodeFailureError(StoreError):
+class DecodeFailureError(ValueError):
     def __init__(self, index: int, cause: CodecError):
         super().__init__(f"record {index} does not decode: {cause}")
         self.index = index
-        self.cause = cause
 
 
 class StoreRecord(NamedTuple):
@@ -101,7 +94,7 @@ def read_store(path: str | Path) -> Iterator[StoreRecord]:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != STORE_MAGIC:
-            raise BadMagicError(magic)
+            raise ValueError(f"not a gossip archive: magic {magic!r} != {STORE_MAGIC!r}")
         yield from _read_frames(fh)
 
 
@@ -160,16 +153,17 @@ def write_store(path: str | Path, records: Iterable[StoreRecord]) -> int:
 
 def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
     """Stream records from the JSON-lines debug format: UTF-8, one object
-    per line. A line that is not UTF-8 or not JSON, or whose fields fail the
-    JSON layer's checks (``arrival_ts`` a u64 integer, ``hex`` a string of
-    hex digits), is a JsonLinesError naming its line."""
+    per line. A line that is not UTF-8 or not JSON, that repeats a key, or
+    whose fields fail the JSON layer's checks (``arrival_ts`` a u64
+    integer, ``hex`` a string of hex digits), is a JsonLinesError naming
+    its line."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                obj = json.loads(line)  # RecursionError if nested too deeply
+                obj = parse_json(line)  # RecursionError if nested too deeply
                 arrival_ts = uint(obj, "arrival_ts", 64)
                 payload = bytes.fromhex(typed(obj, "hex", str))
             except (ValueError, KeyError, TypeError, RecursionError) as exc:

@@ -278,6 +278,56 @@ class TestAcceptance:
 
         check("7 pipeline byte-identical across LNTM_THREADS=1,2,8", run)
 
+    def test_9_planted_trend_through_the_cli(self, tmp_path):
+        # a two-year archive of a star whose hub gains leaves: with uniform
+        # fees the hub's betweenness is k(k-1), every leaf's 0, and the Gini
+        # of k zeros and one positive value is k/(k+1)
+        start, year = 1_546_300_800, 31_536_000
+        leaf_counts = (2, 3, 5, 8)
+        instants = [start + i * 2 * year // 3 for i in range(4)]
+        hub = msggen.node_id(1)
+        leaves = [msggen.node_id(i) for i in range(2, 10)]
+
+        def run():
+            records = []
+            for j, leaf in enumerate(leaves):
+                # leaf j joins a day before the first instant that counts it
+                joined = instants[next(i for i, k in enumerate(leaf_counts) if j < k)] - 86_400 + j
+                scid = msggen.scid(500_000 + j)
+                records.append(msggen.record(joined, msggen.make_channel_announcement(scid, hub, leaf)))
+                for direction in (0, 1):
+                    update = msggen.make_channel_update(
+                        scid, joined + direction, direction=direction, fee_base_msat=1000, fee_proportional_millionths=1
+                    )
+                    records.append(msggen.record(joined + direction, update))
+            store = tmp_path / "star.gsr"
+            write_store(store, records)
+            runner = CliRunner()
+            reports = []
+            for label, at, k in zip(("T1", "T2", "T3", "T4"), instants, leaf_counts):
+                snap = tmp_path / f"{label}.json"
+                result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", str(at), "--out", str(snap)])
+                assert result.exit_code == 0, result.output
+                result = runner.invoke(main, ["centrality", "--snapshot", str(snap), "--amount-msat", "1000000000", "--out", str(tmp_path / label)])
+                assert result.exit_code == 0, result.output
+                path = tmp_path / f"{label}-centrality-1000000000.json"
+                values = json.loads(path.read_text())["values"]
+                assert values == {hub.hex(): k * (k - 1), **{leaf.hex(): 0.0 for leaf in leaves[:k]}}
+                reports += ["--report", f"{label}={path}"]
+            result = runner.invoke(main, ["inequality", *reports, "--k", "1", "--out", str(tmp_path / "ineq")])
+            assert result.exit_code == 0, result.output
+            ginis = [repr(float(Fraction(k, k + 1))) for k in leaf_counts]
+            assert ginis == ["0.6666666666666666", "0.75", "0.8333333333333334", "0.8888888888888888"]
+            trend = (tmp_path / "ineq-gini-trend.csv").read_text().splitlines()
+            assert trend == ["label,gini"] + [f"T{i},{g}" for i, g in enumerate(ginis, 1)]
+            assert all(float(a) < float(b) for a, b in zip(ginis, ginis[1:]))
+            shares = (tmp_path / "ineq-top-share.csv").read_text().splitlines()
+            assert shares == ["label,fraction,share,degenerate"] + [f"T{i},0.1,1.0,0" for i in range(1, 5)]
+            timeline = (tmp_path / "ineq-rank-timeline.csv").read_text().splitlines()
+            assert timeline == ["node_id,T1,T2,T3,T4", f"{hub.hex()},1,1,1,1"]
+
+        check("9 planted star trend: snapshot -> centrality -> inequality closed forms", run)
+
     # Table of reference snapshots: (unix timestamp, published node count)
     REFERENCE_SNAPSHOTS = (
         ("T1", 1554112800, 1362),

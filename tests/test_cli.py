@@ -18,10 +18,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import lntm
 from lntm import store
-from lntm.centrality import CentralityReport, ReportFormatError, betweenness, build_graph, report_from_json, report_to_json
+from lntm.centrality import CentralityReport, betweenness, build_graph, report_from_json, report_to_json
 from lntm.cli import _histogram_csv, main
 from lntm.manifest import sha256_file
-from lntm.replay import SnapshotFormatError, replay, routing_view, snapshot_from_json, snapshot_to_json
+from lntm.replay import replay, routing_view, snapshot_from_json, snapshot_to_json
 from lntm.store import StoreRecord, write_store
 
 import msggen
@@ -944,6 +944,9 @@ BAD_DOCUMENTS = {
     "report-node-id-one-byte": _renamed("report", "AB"),
     "report-node-id-with-space": _renamed("report", "02 " + _NODE_3[2:]),
     "amount-over-u64": _report_edit(("amount_msat",), 2**64),
+    # raw text, as json.dumps never repeats a key; the first value would lose
+    "report-node-id-twice": ("report", json.dumps(REPORT_DOC).replace('"values": {', f'"values": {{"{msggen.node_id(2).hex()}": 0.0, ', 1).encode()),
+    "snapshot-as-of-twice": ("snapshot", ('{"as_of": 0, ' + json.dumps(SNAPSHOT_DOC)[1:]).encode()),
 }
 
 # stand-ins for a leaf: every JSON type, NaN and the infinities included
@@ -962,13 +965,15 @@ class TestBadDocuments:
     @pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
     def test_exits_1_without_traceback(self, tmp_path, name):
         kind, content = BAD_DOCUMENTS[name]
-        parse, error = (snapshot_from_json, SnapshotFormatError) if kind == "snapshot" else (report_from_json, ReportFormatError)
+        parse = snapshot_from_json if kind == "snapshot" else report_from_json
+        # the loader's four failures
+        message = rf"^(not valid JSON: |missing {kind} format marker$|unsupported {kind} version |malformed {kind} document: )"
         try:
             text = content.decode("utf-8")
         except UnicodeDecodeError:
             pass
         else:
-            with pytest.raises(error):
+            with pytest.raises(ValueError, match=message):
                 parse(text)
         assert run_on_document(kind, content, tmp_path).exit_code == 1
 
@@ -980,6 +985,10 @@ class TestBadDocuments:
             f"error: {tmp_path / 'doc.json'}: malformed snapshot document: "
             f"an endpoint of channel {scid} is not among the nodes\n"
         )
+
+    def test_repeated_key_is_named(self, tmp_path):
+        result = run_on_document(*BAD_DOCUMENTS["snapshot-as-of-twice"], tmp_path)
+        assert result.stderr == f"error: {tmp_path / 'doc.json'}: not valid JSON: repeated key 'as_of'\n"
 
     def test_valid_documents_pass(self, tmp_path):
         for kind, doc in (("snapshot", SNAPSHOT_DOC), ("report", REPORT_DOC)):

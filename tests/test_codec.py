@@ -48,10 +48,15 @@ class TestShortChannelId:
             ShortChannelId.parse(text)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^block 16777216 out of u24 range$"):
             ShortChannelId(1 << 24, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tx_index 16777216 out of u24 range$"):
+            ShortChannelId(0, 1 << 24, 0)
+        with pytest.raises(ValueError, match=r"^output_index 65536 out of u16 range$"):
             ShortChannelId(0, 0, 1 << 16)
+        with pytest.raises(FieldLengthError, match=r"^bad field short_channel_id: need 8 bytes, got 7$") as err:
+            ShortChannelId.unpack(bytes(7))
+        assert err.value.field_name == "short_channel_id"
 
 
 class TestChannelUpdateDecode:

@@ -9,8 +9,6 @@ import pytest
 
 from lntm.centrality import CentralityReport
 from lntm.inequality import (
-    EmptyReportError,
-    UnknownAnchorError,
     gini_trend,
     gini_trend_to_csv,
     lorenz,
@@ -73,7 +71,7 @@ class TestLorenz:
             assert y <= x + 1e-12
 
     def test_empty_report(self):
-        with pytest.raises(EmptyReportError):
+        with pytest.raises(ValueError, match=r"^no nodes in report$"):
             lorenz(report([]))
 
     def test_shares_and_gini_are_the_nearest_floats(self):
@@ -187,7 +185,7 @@ class TestTopShare:
             top_share(report([1]), 0.0)
         with pytest.raises(ValueError):
             top_share(report([1]), 1.5)
-        with pytest.raises(EmptyReportError):
+        with pytest.raises(ValueError, match=r"^no nodes in report$"):
             top_share(report([]), 0.5)
 
     def test_share_at_least_fraction(self):
@@ -230,8 +228,12 @@ class TestRankTimelines:
         assert [ranks[msggen.node_id(i)] for i in range(3)] == [1, 2, 3]
 
     def test_unknown_anchor(self):
-        with pytest.raises(UnknownAnchorError):
+        with pytest.raises(ValueError, match=r"^anchor 'T9' not among labels \['T1'\]$"):
             rank_timelines([("T1", report([1]))], k=1, anchor="T9")
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            rank_timelines([("T1", report([1]))], k=0, anchor="T1")
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
