@@ -689,8 +689,9 @@ def report_to_csv(report: CentralityReport) -> str:
     return dump_table(("node_id", "betweenness"), ((node_id.hex(), float(value)) for node_id, value in report_items(report)))
 
 
-def report_to_json(report: CentralityReport) -> str:
-    doc = {
+def report_document(report: CentralityReport) -> dict:
+    """The report as a JSON document, values written as floats."""
+    return {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
         "as_of": report.as_of,
@@ -700,7 +701,10 @@ def report_to_json(report: CentralityReport) -> str:
             node_id.hex(): float(value) for node_id, value in report.values.items()
         },
     }
-    return dump_document(doc)
+
+
+def report_to_json(report: CentralityReport) -> str:
+    return dump_document(report_document(report))
 
 
 def report_from_json(text: str) -> CentralityReport:

@@ -37,8 +37,8 @@ import click
 
 from . import __version__
 from .codec import U64_MAX
-from .manifest import atomic_write, dump_table, manifested
-from .replay import replay, routing_view, snapshot_from_json, snapshot_to_json
+from .manifest import atomic_write, dump_table, manifested, write_document
+from .replay import replay, routing_view, snapshot_document, snapshot_from_json
 from .store import open_store, write_compacted
 
 if TYPE_CHECKING:
@@ -81,19 +81,22 @@ def _emit(
     command: str,
     inputs: list[str],
     parameters: dict,
-    files: list[tuple[Path, str | Callable[[Path], object]]],
+    files: list[tuple[Path, str | dict | Callable[[Path], object]]],
 ) -> None:
     """Write every output, each atomically, then the manifest listing them,
     its input digests taken before the first output is written; an OSError
     exits 2. Files moved into place before a failure stay.
-    ``files`` pairs each path with its text or with a function that writes
-    the file at the path it is given."""
+    ``files`` pairs each path with its text, with a JSON document, streamed
+    in its canonical form, or with a function that writes the file at the
+    path it is given."""
     try:
         with manifested(manifest, command, inputs, parameters, [path for path, _ in files]):
             for path, content in files:
                 if isinstance(content, str):
                     with atomic_write(path) as fh:
                         fh.write(content)
+                elif isinstance(content, dict):
+                    write_document(path, content)
                 else:
                     content(path)
     except OSError as exc:
@@ -132,7 +135,7 @@ def snapshot(store_path: str, as_of: int, out_path: str):
         "snapshot",
         [store_path],
         {"as_of": as_of},
-        [(Path(out_path), snapshot_to_json(snap))],
+        [(Path(out_path), snapshot_document(snap))],
     )
     diag = snap.diagnostics
     click.echo(f"as_of {snap.as_of}: {len(snap.nodes)} nodes, {len(snap.channels)} channels, {snap.policy_count} policies")
@@ -189,7 +192,7 @@ def centrality(
     out_prefix: str,
 ):
     """Fee-weighted betweenness reports, one per transaction amount."""
-    from .centrality import betweenness_reports, build_graph, report_items, report_to_csv, report_to_json
+    from .centrality import betweenness_reports, build_graph, report_document, report_items, report_to_csv
 
     snap = _read_document(snapshot_path, snapshot_from_json)
     amounts = amounts or DEFAULT_AMOUNTS_MSAT
@@ -202,7 +205,7 @@ def centrality(
     for amount, report in zip(amounts, betweenness_reports(graphs, processes=processes)):
         files += [
             (Path(f"{out_prefix}-centrality-{amount}.csv"), report_to_csv(report)),
-            (Path(f"{out_prefix}-centrality-{amount}.json"), report_to_json(report)),
+            (Path(f"{out_prefix}-centrality-{amount}.json"), report_document(report)),
             (Path(f"{out_prefix}-histogram-{amount}.csv"), _histogram_csv(report)),
         ]
         top = report_items(report)[0] if report.values else None

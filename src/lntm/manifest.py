@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -21,11 +22,27 @@ TOOL_NAME = "lntm"
 
 T = TypeVar("T")
 
+# the canonical JSON form: keys sorted, two-space indent
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+# encoder chunks joined into one write
+_WRITE_CHUNKS = 1 << 10
+
 
 def dump_document(doc) -> str:
-    """The canonical JSON form: keys sorted, two-space indent, a final
-    newline, so equal documents are byte-identical (diffable and hashable)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The canonical JSON form with a final newline, so equal documents are
+    byte-identical (diffable and hashable)."""
+    return _ENCODER.encode(doc) + "\n"
+
+
+def write_document(path: str | Path, doc) -> None:
+    """Write ``dump_document(doc)`` atomically at ``path``, streamed: the
+    encoder's chunks are joined ``_WRITE_CHUNKS`` to a write, so the whole
+    text is never held."""
+    chunks = _ENCODER.iterencode(doc)
+    with atomic_write(path) as fh:
+        while batch := list(islice(chunks, _WRITE_CHUNKS)):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 def dump_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -140,8 +157,7 @@ def manifested(
     doc = {"tool": TOOL_NAME, "version": __version__, "command": command, "inputs": _digests(inputs), "parameters": parameters}
     yield
     doc["outputs"] = _digests(outputs)
-    with atomic_write(manifest_path) as fh:
-        fh.write(dump_document(doc))
+    write_document(manifest_path, doc)
 
 
 def write_manifest(

@@ -175,22 +175,24 @@ def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
         elif timestamp <= as_of:
             node_versions.setdefault(key, set()).add((timestamp, payload))
 
+    # each governing payload is popped as it is decoded, so the fold's state
+    # shrinks while the snapshot grows
     channels: dict[ShortChannelId, Channel] = {}
     node_set = set()
     for key in sorted(announcements):  # packed scids sort like ShortChannelId
-        ann = decode_message(announcements[key][1])
+        ann = decode_message(announcements.pop(key)[1])
         channels[ann.short_channel_id] = Channel(
             short_channel_id=ann.short_channel_id,
             node_1=ann.node_id_1,
             node_2=ann.node_id_2,
-            policies=(_policy(updates.get((key, 0))), _policy(updates.get((key, 1)))),
+            policies=(_policy(updates.pop((key, 0), None)), _policy(updates.pop((key, 1), None))),
         )
         node_set.add(ann.node_id_1)
         node_set.add(ann.node_id_2)
 
     nodes: dict[NodeId, NodeInfo] = {}
     for node_id in sorted(node_set):
-        versions = node_versions.get(node_id)
+        versions = node_versions.pop(node_id, None)
         if versions is None:
             nodes[node_id] = NodeInfo()
         else:
@@ -207,9 +209,8 @@ def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
         channels=channels,
         diagnostics=ReplayDiagnostics(
             updates_unknown_channel=sum(map(len, unannounced.values())),
-            orphan_node_announcements=sum(
-                len(versions) for node_id, versions in node_versions.items() if node_id not in node_set
-            ),
+            # the versions left are those of nodes no channel references
+            orphan_node_announcements=sum(map(len, node_versions.values())),
         ),
     )
 
@@ -267,11 +268,11 @@ def _policy_from_doc(doc: Optional[dict]) -> Optional[ChannelPolicy]:
     )
 
 
-def snapshot_to_json(snapshot: NetworkSnapshot) -> str:
-    """The snapshot as a canonical JSON document; lists are sorted, so equal
-    snapshots are byte-identical. Policy and diagnostics fields are written
-    under their attribute names."""
-    doc = {
+def snapshot_document(snapshot: NetworkSnapshot) -> dict:
+    """The snapshot as a JSON document; lists are sorted, so equal snapshots
+    are byte-identical in the canonical form. Policy and diagnostics fields
+    are written under their attribute names."""
+    return {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "as_of": snapshot.as_of,
@@ -297,7 +298,11 @@ def snapshot_to_json(snapshot: NetworkSnapshot) -> str:
             for scid, channel in sorted(snapshot.channels.items())
         ],
     }
-    return dump_document(doc)
+
+
+def snapshot_to_json(snapshot: NetworkSnapshot) -> str:
+    """The snapshot's canonical JSON text."""
+    return dump_document(snapshot_document(snapshot))
 
 
 def snapshot_from_json(text: str) -> NetworkSnapshot:

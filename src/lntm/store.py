@@ -172,12 +172,17 @@ def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
 
 
 def open_store(path: str | Path) -> Iterator[StoreRecord]:
-    """Read an archive, sniffing GSR1 vs JSON-lines by the leading magic."""
+    """Read an archive: JSON lines when its first byte other than ASCII
+    whitespace is ``{``, an empty archive when it holds only ASCII
+    whitespace, and otherwise GSR1, so that a file without the magic fails
+    as ``read_store`` does."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == STORE_MAGIC:
-        return read_store(path)
-    return read_store_jsonl(path)
+        first = b""
+        while not first and (block := fh.read(BLOCK_BYTES)):
+            first = block.lstrip()[:1]
+    if first in (b"{", b""):
+        return read_store_jsonl(path)
+    return read_store(path)
 
 
 def write_compacted(path: str | Path, records: Iterable[StoreRecord]) -> int:

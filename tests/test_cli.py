@@ -126,6 +126,13 @@ class TestSnapshotCommand:
         result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "1", "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 1
 
+    def test_archive_without_magic_names_it(self, runner, tmp_path):
+        store = tmp_path / "nope.gsr"
+        store.write_bytes(b"NOPE\x00\x01")
+        result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "1", "--out", str(tmp_path / "x.json")])
+        assert result.exit_code == 1
+        assert result.stderr == "error: not a gossip archive: magic b'NOPE' != b'GSR1'\n"
+
     def test_corrupt_frame_exits_1(self, runner, tmp_path):
         store = tmp_path / "cut.gsr"
         store.write_bytes(b"GSR1" + b"\x00" * 8 + b"\x00\x00\x10\x00" + b"\x01")

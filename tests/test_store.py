@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 import struct
 
 import pytest
@@ -277,6 +278,28 @@ class TestJsonLines:
         jsonl = tmp_path / "a.jsonl"
         jsonl.write_text(json.dumps({"arrival_ts": 7, "hex": rec.payload.hex()}) + "\n")
         assert list(open_store(gsr)) == list(open_store(jsonl)) == [rec]
+        # JSON lines are sniffed past leading whitespace and blank lines
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("\n \t\r\n" + jsonl.read_text())
+        assert list(open_store(padded)) == [rec]
+
+    @pytest.mark.parametrize("content", [b"", b" \n\t\r\n\x0b\x0c"], ids=["empty", "whitespace"])
+    def test_open_store_empty_or_blank_is_an_empty_archive(self, tmp_path, content):
+        path = tmp_path / "blank"
+        path.write_bytes(content)
+        assert list(open_store(path)) == []
+
+    @pytest.mark.parametrize("content, magic", [
+        (b"NOPE\x00\x01", "b'NOPE'"),
+        (b"GS", "b'GS'"),
+        (b"\n[1, 2]\n", "b'\\n[1,'"),
+        (b'"{}"', "b'\"{}\"'"),
+    ])
+    def test_open_store_fails_on_the_magic_unless_a_line_opens_an_object(self, tmp_path, content, magic):
+        path = tmp_path / "bad.gsr"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=rf"^not a gossip archive: magic {re.escape(magic)} != b'GSR1'$"):
+            list(open_store(path))
 
 
 class TestDeduplicateAndOrder:
