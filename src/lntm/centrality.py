@@ -90,10 +90,10 @@ serial or in a worker, computes the same values over fewer arcs. Sources run
 in order of out-degree, largest first (ties by index): hubs have the most
 arcs to drop, so the passes after theirs relax the fewest arcs.
 
-Fee-weighted graphs have few shortest-path ties, so ``L`` is mostly 1 and
-most values stay ints, which are much cheaper to add and to send between
-processes than ``Fraction``s. Values are written as floats only by the
-report writers, each the correctly rounded exact value.
+``L`` exceeds 1 in almost every pass, but only tens of distinct ``L`` occur
+per graph, and most values stay ints, much cheaper to add and to send
+between processes than ``Fraction``s. Values are written as floats only by
+the report writers, each the correctly rounded exact value.
 
 The per-source loop is embarrassingly parallel. Worker ``i`` of ``W`` runs
 the passes ``sources[i::W]`` of every graph, still hubs first, and prunes
@@ -223,7 +223,8 @@ def build_graph(
 
 
 def _strong_components(n: int, adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components (iterative Tarjan)."""
+    """Strongly connected components (iterative Tarjan), in reverse
+    topological order: every arc leaving a component enters an earlier one."""
     index_of = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)
@@ -233,42 +234,35 @@ def _strong_components(n: int, adj: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if index_of[root] >= 0:
             continue
-        frames = [[root, 0]]
+        frames = [(root, iter(adj[root]))]
         while frames:
-            frame = frames[-1]
-            v = frame[0]
-            if frame[1] == 0:
+            v, neighbours = frames[-1]
+            if index_of[v] < 0:
                 index_of[v] = low[v] = next_index
                 next_index += 1
                 comp_stack.append(v)
                 on_stack[v] = 1
-            descended = False
-            neighbors = adj[v]
-            while frame[1] < len(neighbors):
-                w = neighbors[frame[1]]
-                frame[1] += 1
+            for w in neighbours:
                 if index_of[w] < 0:
-                    frames.append([w, 0])
-                    descended = True
+                    frames.append((w, iter(adj[w])))
                     break
                 if on_stack[w] and index_of[w] < low[v]:
                     low[v] = index_of[w]
-            if descended:
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index_of[v]:
-                component = []
-                while True:
-                    w = comp_stack.pop()
-                    on_stack[w] = 0
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index_of[v]:
+                    component = []
+                    while True:
+                        w = comp_stack.pop()
+                        on_stack[w] = 0
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
     return components
 
 
@@ -348,7 +342,7 @@ class _PortGraph:
     out_edges: list[list[tuple[int, int, int, tuple[tuple[int, int], ...]]]]
     target: list[int]  # per port: 1 + k_in(u) on u's out port, 0 on an entry-only port
     node_of: list[int]  # per port: u on u's out port, -1 on an entry-only port
-    leaves: list[list[int]]  # per node: the leaves folded into it
+    leaves: list[int]  # per node: how many leaves fold into it
     leaf_targets: list[int]  # per node: its folded leaves it also has an arc to
     sources: list[int]  # nodes that get a source pass: all kept nodes, hubs first
 
@@ -373,6 +367,8 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
     n = len(graph.node_ids)
     zero_out: list[list[int]] = [[] for _ in range(n)]
     for src, dst, weight in graph.arcs:
+        if weight < 0:  # never a fee weight; arcs built by hand may be
+            raise ValueError(f"negative arc weight {weight}")
         if weight == 0:
             zero_out[src].append(dst)
     components = _strong_components(n, zero_out)
@@ -383,17 +379,18 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
             cluster_of[u] = ci
 
     stripped = _strip_leaves(n, graph.arcs, cluster_of)
-    leaves: list[list[int]] = [[] for _ in range(n)]
+    leaves = [0] * n
+    folded = [False] * n
     for src, dst, _ in graph.arcs:
         if stripped[src]:
-            leaves[dst].append(src)
-    folded = {leaf for group in leaves for leaf in group}
+            leaves[dst] += 1
+            folded[src] = True
     k_in = [0] * n
     leaf_targets = [0] * n
     for src, dst, _ in graph.arcs:
         if stripped[dst]:
             k_in[src] += 1
-            leaf_targets[src] += dst in folded
+            leaf_targets[src] += folded[dst]
 
     # Tarjan emits components in reverse topological order of the zero arcs;
     # inside a cluster every entry port precedes every exit port. A leaf is
@@ -452,6 +449,7 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
     on no shortest path (see the module docstring)."""
     ports = len(pg.out_edges)
     src = pg.h_in_of[s]
+    target = pg.target
     dist: list[Optional[int]] = [None] * ports
     sigma = [0] * ports
     dist[src] = 0
@@ -460,13 +458,20 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
     heap = [(0, src)]
     # keyed by (distance, port): a positive arc raises the distance and a
     # zero arc leads to a higher port, so every shortest-path predecessor
-    # settles first and the settle order is topological
+    # settles first: the settle order is topological and sigma is final as
+    # a port settles, when L and reached take it
+    L = 1
+    reached = -1  # the nodes other than s reached, stripped leaves included
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
         order.append(v)
         sv = sigma[v]
+        if target[v]:
+            reached += target[v]
+            if L % sv:
+                L = math.lcm(L, sv)
         for dst, weight, mult, _ in pg.out_edges[v]:
             dd = d + weight
             known = dist[dst]
@@ -485,11 +490,6 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
 
     # pull E over the shortest-path arcs, successors first, and the bundle
     # visits into C (see the module docstring)
-    target = pg.target
-    L = 1
-    for v in order:
-        if target[v] and L % sigma[v]:
-            L = math.lcm(L, sigma[v])
     E = [0] * ports
     C = [0] * len(pg.h_out_of)
     for v in reversed(order):
@@ -505,22 +505,19 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
         E[v] = e
 
     # each folded leaf repeats this pass one arc further out, so every
-    # credit counts 1 + k times; reached counts every node other than s
-    # reached, stripped leaves included
-    leaves = pg.leaves[s]
-    multiplier = 1 + len(leaves)
+    # credit counts 1 + k times
+    k = pg.leaves[s]
+    multiplier = 1 + k
     numerators = sums[L]
     node_of = pg.node_of
-    reached = -1
     for v in order:
         u = node_of[v]
         if u >= 0 and u != s:
             numerators[u] += multiplier * (C[u] + sigma[v] * E[v] - L)
-        reached += target[v]
     # s is interior to no pair of its own, only to every pair (leaf, t)
     # for t reached and not the leaf
-    if leaves:
-        sums[1][s] += len(leaves) * reached - pg.leaf_targets[s]
+    if k:
+        sums[1][s] += k * reached - pg.leaf_targets[s]
 
 
 def _credit(pg: _PortGraph, sources: list[int]) -> list[Value]:
@@ -572,10 +569,6 @@ def betweenness_reports(graphs: list[WeightedDigraph], processes: Optional[int] 
     passes and no more than the usable CPUs; each runs one strided share of
     every graph's passes, and the results are independent of ``processes``.
     """
-    for graph in graphs:
-        for _, _, weight in graph.arcs:
-            if weight < 0:  # never a fee weight; arcs built by hand may be
-                raise ValueError(f"negative arc weight {weight}")
     pgs = [_prepare(graph) for graph in graphs]
     passes = max((len(pg.sources) for pg in pgs), default=0)
     workers = max(1, min(processes or 1, passes, _usable_cpus()))

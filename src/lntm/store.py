@@ -94,7 +94,7 @@ def read_store(path: str | Path) -> Iterator[StoreRecord]:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != STORE_MAGIC:
-            raise ValueError(f"not a gossip archive: magic {magic!r} != {STORE_MAGIC!r}")
+            raise ValueError(f"{path}: not a gossip archive: magic {magic!r} != {STORE_MAGIC!r}")
         yield from _read_frames(fh)
 
 

@@ -18,7 +18,7 @@ from lntm.centrality import betweenness, brute_force_betweenness, build_graph, f
 from lntm.cli import main
 from lntm.codec import CodecError, decode_message, encode_message
 from lntm.inequality import gini_trend, lorenz
-from lntm.replay import replay, routing_view, snapshot_to_json
+from lntm.replay import replay, routing_view, snapshot_from_json, snapshot_to_json
 from lntm.store import deduplicate_and_order, open_store, write_store
 
 import msggen
@@ -327,6 +327,89 @@ class TestAcceptance:
             assert timeline == ["node_id,T1,T2,T3,T4", f"{hub.hex()},1,1,1,1"]
 
         check("9 planted star trend: snapshot -> centrality -> inequality closed forms", run)
+
+    def test_10_planted_trend_with_a_zero_fee_pair_and_htlc_bounds(self, tmp_path):
+        # test 9's star, with its leaves a and b joined by zero-fee arcs both
+        # ways and the hub's arc h->a capped at 5 * 10^9 msat. Of k leaves, m
+        # = k - 2 stay plain. At every amount h is interior to the m(m-1)
+        # pairs of plain leaves and to the 4m pairs of a plain leaf and a or
+        # b, so h scores m(m+3). While h->a is kept, each of (a,h), (h,a),
+        # (a,l) and (l,a) has two shortest paths, one through b, so b scores
+        # (m+1)/2 + (m+1)/2 = m+1, and a alike. At 10^10 msat h->a is gone:
+        # every path into a then runs through b, so b scores (m+1)/2 + (m+1)
+        # and a, on the paths out of b only, (m+1)/2. The total m^2+5m+2 does
+        # not move. The Gini is the sum of |x - y| over unordered node pairs,
+        # m^3+7m^2+6m-2, or m+1 more (|a-b|) without h->a, over n = m+3 times
+        # the total.
+        start, year = 1_546_300_800, 31_536_000
+        leaf_counts = (3, 4, 6, 8)
+        instants = [start + i * 2 * year // 3 for i in range(4)]
+        amounts = (10_000_000, 1_000_000_000, 10_000_000_000)
+        hub = msggen.node_id(1)
+        leaves = [msggen.node_id(i) for i in range(2, 10)]
+        a, b = leaves[:2]
+
+        def expected(m, amount):
+            pair = (Fraction(m + 1), Fraction(m + 1)) if amount < 5 * 10**9 else (Fraction(m + 1, 2), Fraction(3 * (m + 1), 2))
+            return {hub: Fraction(m * (m + 3)), a: pair[0], b: pair[1], **{leaf: Fraction(0) for leaf in leaves[2 : m + 2]}}
+
+        def gini(m, amount):
+            spread = m**3 + 7 * m**2 + 6 * m - 2 + (m + 1) * (amount > 5 * 10**9)
+            return Fraction(spread, (m + 3) * (m**2 + 5 * m + 2))
+
+        def run():
+            assert [gini(k - 2, 10**9) for k in leaf_counts] == [Fraction(3, 8), Fraction(23, 40), Fraction(99, 133), Fraction(251, 306)]
+            assert [gini(k - 2, 10**10) for k in leaf_counts] == [Fraction(7, 16), Fraction(49, 80), Fraction(29, 38), Fraction(509, 612)]
+            records = []
+            for j, leaf in enumerate(leaves):
+                joined = instants[next(i for i, k in enumerate(leaf_counts) if j < k)] - 86_400 + j
+                scid = msggen.scid(500_000 + j)
+                records.append(msggen.record(joined, msggen.make_channel_announcement(scid, hub, leaf)))
+                for direction in (0, 1):
+                    # direction 0 runs from the hub, the lower node id
+                    update = msggen.make_channel_update(
+                        scid, joined + direction, direction=direction, fee_base_msat=1000, fee_proportional_millionths=1,
+                        htlc_maximum_msat=5 * 10**9 if leaf == a and direction == 0 else None,
+                    )
+                    records.append(msggen.record(joined + direction, update))
+            pair_scid = msggen.scid(600_000)
+            records.append(msggen.record(instants[0] - 3600, msggen.make_channel_announcement(pair_scid, a, b)))
+            for direction in (0, 1):
+                update = msggen.make_channel_update(pair_scid, instants[0] - 3600 + direction, direction=direction, fee_base_msat=0, fee_proportional_millionths=0)
+                records.append(msggen.record(instants[0] - 3600 + direction, update))
+            store = tmp_path / "pair.gsr"
+            write_store(store, records)
+            runner = CliRunner()
+            labels = ("T1", "T2", "T3", "T4")
+            for label, at, k in zip(labels, instants, leaf_counts):
+                snap = tmp_path / f"{label}.json"
+                result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", str(at), "--out", str(snap)])
+                assert result.exit_code == 0, result.output
+                result = runner.invoke(main, ["centrality", "--snapshot", str(snap), "--enforce-htlc-bounds", "--out", str(tmp_path / label)])
+                assert result.exit_code == 0, result.output
+                view = routing_view(snapshot_from_json(snap.read_text()))
+                for amount in amounts:
+                    want = expected(k - 2, amount)
+                    assert brute_force_betweenness(build_graph(view, amount, enforce_htlc_bounds=True)).values == want
+                    values = json.loads((tmp_path / f"{label}-centrality-{amount}.json").read_text())["values"]
+                    assert values == {node.hex(): float(value) for node, value in want.items()}
+            for amount in amounts:
+                reports = [arg for label in labels for arg in ("--report", f"{label}={tmp_path / label}-centrality-{amount}.json")]
+                result = runner.invoke(main, ["inequality", *reports, "--k", "3", "--out", str(tmp_path / f"ineq-{amount}")])
+                assert result.exit_code == 0, result.output
+                ginis = [gini(k - 2, amount) for k in leaf_counts]
+                trend = (tmp_path / f"ineq-{amount}-gini-trend.csv").read_text().splitlines()
+                assert trend == ["label,gini"] + [f"{label},{float(g)!r}" for label, g in zip(labels, ginis)]
+                assert ginis == sorted(set(ginis))
+                shares = (tmp_path / f"ineq-{amount}-top-share.csv").read_text().splitlines()
+                top = [float(Fraction(m * (m + 3), m**2 + 5 * m + 2)) for m in (k - 2 for k in leaf_counts)]
+                assert shares == ["label,fraction,share,degenerate"] + [f"{label},0.1,{t!r},0" for label, t in zip(labels, top)]
+                # ties rank by node id: a before b while they score alike
+                ranked = (hub, a, b) if amount < 5 * 10**9 else (hub, b, a)
+                timeline = (tmp_path / f"ineq-{amount}-rank-timeline.csv").read_text().splitlines()
+                assert timeline == ["node_id,T1,T2,T3,T4"] + [f"{node.hex()},{r},{r},{r},{r}" for r, node in enumerate(ranked, 1)]
+
+        check("10 planted trend with a zero-fee pair and htlc bounds: closed forms at 3 amounts", run)
 
     # Table of reference snapshots: (unix timestamp, published node count)
     REFERENCE_SNAPSHOTS = (

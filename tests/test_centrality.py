@@ -13,6 +13,7 @@ from lntm.centrality import (
     WeightedDigraph,
     _credit,
     _prepare,
+    _strong_components,
     betweenness,
     betweenness_reports,
     brute_force_betweenness,
@@ -256,6 +257,44 @@ class TestExactValues:
         values = by_label(betweenness(graph), ids)
         assert values["a"] == values["b"] == Fraction(1, 2)
         assert type(values["a"]) is Fraction
+
+
+class TestStrongComponents:
+    """``_prepare`` numbers ports in the order ``_strong_components`` emits
+    its components, so that order is part of the contract."""
+
+    @staticmethod
+    def check(n, adj):
+        """The components equal networkx's, and every arc that leaves a
+        component enters one emitted earlier."""
+        import networkx as nx  # test-only oracle
+
+        components = _strong_components(n, adj)
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(range(n))
+        digraph.add_edges_from((u, v) for u in range(n) for v in adj[u])
+        assert sorted(map(sorted, components)) == sorted(map(sorted, nx.strongly_connected_components(digraph)))
+        position = {u: i for i, component in enumerate(components) for u in component}
+        for u in range(n):
+            for v in adj[u]:
+                assert position[v] <= position[u]
+
+    def test_random_digraphs_match_networkx_in_reverse_topological_order(self):
+        rng = random.Random(21)
+        for _ in range(400):
+            n = rng.randrange(0, 40)
+            density = rng.choice([0.02, 0.05, 0.1, 0.3])
+            adj = [[v for v in range(n) if v != u and rng.random() < density] for u in range(n)]
+            for row in adj:
+                rng.shuffle(row)
+            self.check(n, adj)
+
+    def test_long_cycle_and_chain_do_not_recurse(self):
+        n = 100_000
+        cycle = _strong_components(n, [[(u + 1) % n] for u in range(n)])
+        assert len(cycle) == 1 and sorted(cycle[0]) == list(range(n))
+        chain = _strong_components(n, [[u + 1] for u in range(n - 1)] + [[]])
+        assert chain == [[u] for u in reversed(range(n))]
 
 
 class TestZeroWeights:

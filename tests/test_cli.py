@@ -131,7 +131,7 @@ class TestSnapshotCommand:
         store.write_bytes(b"NOPE\x00\x01")
         result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "1", "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 1
-        assert result.stderr == "error: not a gossip archive: magic b'NOPE' != b'GSR1'\n"
+        assert result.stderr == f"error: {store}: not a gossip archive: magic b'NOPE' != b'GSR1'\n"
 
     def test_corrupt_frame_exits_1(self, runner, tmp_path):
         store = tmp_path / "cut.gsr"
