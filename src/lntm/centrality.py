@@ -109,9 +109,8 @@ import math
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .codec import U64_MAX, NodeId, parse_node_id
 from .manifest import dump_document, dump_table, load_document, typed, uint
@@ -130,8 +129,7 @@ ZERO_CLUSTER_PATH_BUDGET = 5_000_000
 Value = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
+class WeightedDigraph(NamedTuple):
     """Simple digraph with dense node indices and exact integer arc weights."""
 
     node_ids: tuple[NodeId, ...]
@@ -157,8 +155,7 @@ class WeightedDigraph:
         return cls(tuple(node_ids), collapsed, amount_msat, as_of)
 
 
-@dataclass(frozen=True)
-class CentralityReport:
+class CentralityReport(NamedTuple):
     as_of: int
     amount_msat: int
     values: dict[NodeId, Value]
@@ -319,8 +316,7 @@ def _cluster_bundles(
     ]
 
 
-@dataclass(frozen=True)
-class _PortGraph:
+class _PortGraph(NamedTuple):
     """Source-independent search structure with zero-fee clusters contracted
     and leaves stripped.
 

@@ -23,7 +23,9 @@ the start of the message, i.e. they include the leading u16 type code.
         [htlc_maximum_msat:u64 iff message_flags bit 0 is set]
 
 ``_LAYOUTS`` is the one statement of these layouts in the code: decode,
-peek and encode all walk it.
+peek, encode and ``field_reader`` all walk it. The message dataclasses
+serve decode/encode round trips; replay reads its records' fields with
+``field_reader`` and builds none.
 
 Any bytes past the defined fields are preserved verbatim as an opaque
 ``extension`` blob so that decode/encode round-trips are byte-identical.
@@ -35,7 +37,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Union
+from operator import itemgetter
+from typing import Callable, Union
 
 MSG_CHANNEL_ANNOUNCEMENT = 256
 MSG_NODE_ANNOUNCEMENT = 257
@@ -355,6 +358,16 @@ def _read(data: bytes) -> tuple[int, list, int]:
                 values.append(value)
                 pos += size
     return type_code, values, pos
+
+
+def field_reader(type_code: int, *names: str) -> Callable[[bytes], tuple]:
+    """A reader of two or more named fields of a valid ``type_code``
+    message: it walks the message's layout once and returns the raw values
+    of ``names`` in the order named, with no dataclass and no
+    ShortChannelId built."""
+    order = [name for name, _ in _LAYOUTS[type_code]]
+    pick = itemgetter(*map(order.index, names))
+    return lambda data: pick(_read(data)[1])
 
 
 def decode_message(data: bytes) -> GossipMessage:

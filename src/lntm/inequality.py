@@ -12,18 +12,16 @@ share are the floats nearest their exact values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .codec import NodeId
 from .centrality import CentralityReport, report_items
 from .manifest import dump_table
 
 
-@dataclass(frozen=True)
-class LorenzSeries:
+class LorenzSeries(NamedTuple):
     """Cumulative value share against cumulative population share.
 
     ``points`` runs from (0, 0) to (1, 1) over all nodes sorted ascending
@@ -34,15 +32,13 @@ class LorenzSeries:
     gini: float
 
 
-@dataclass(frozen=True)
-class TopShare:
+class TopShare(NamedTuple):
     fraction: float
     share: float
     degenerate: bool = False  # total was zero; share reported as 1.0
 
 
-@dataclass(frozen=True)
-class RankTimeline:
+class RankTimeline(NamedTuple):
     node: NodeId
     ranks: dict[str, int]  # snapshot label -> rank (1 = top); absent if missing
 

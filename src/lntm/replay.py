@@ -10,25 +10,29 @@ ones per (channel, direction). The optional staleness window on the routing
 view approximates liveness (two weeks, 1209600 s, is the conventional
 cutoff).
 
+Each governing payload is read by ``codec.field_reader``, the walk of the
+codec's ``_LAYOUTS`` that decode also takes, straight into the records
+below; the message dataclasses serve decode/encode round trips only.
+
 Snapshots are written and read as JSON documents through the JSON layer in
 ``manifest``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .codec import (
     FLAG_DIRECTION,
+    FLAG_DISABLED,
     MSG_CHANNEL_ANNOUNCEMENT,
     MSG_CHANNEL_UPDATE,
-    ChannelUpdate,
+    MSG_NODE_ANNOUNCEMENT,
     CodecError,
     NodeId,
     ShortChannelId,
     alias_text,
-    decode_message,
+    field_reader,
     parse_node_id,
     peek_message,
 )
@@ -45,8 +49,7 @@ _LOWER_HEX = frozenset("0123456789abcdef")
 TWO_WEEKS_S = 1_209_600
 
 
-@dataclass(frozen=True)
-class ChannelPolicy:
+class ChannelPolicy(NamedTuple):
     fee_base_msat: int
     fee_proportional_millionths: int
     cltv_expiry_delta: int
@@ -55,28 +58,14 @@ class ChannelPolicy:
     disabled: bool
     last_update_ts: int
 
-    @classmethod
-    def from_update(cls, upd: ChannelUpdate) -> "ChannelPolicy":
-        return cls(
-            fee_base_msat=upd.fee_base_msat,
-            fee_proportional_millionths=upd.fee_proportional_millionths,
-            cltv_expiry_delta=upd.cltv_expiry_delta,
-            htlc_minimum_msat=upd.htlc_minimum_msat,
-            htlc_maximum_msat=upd.htlc_maximum_msat,
-            disabled=upd.disabled,
-            last_update_ts=upd.timestamp,
-        )
 
-
-@dataclass(frozen=True)
-class NodeInfo:
+class NodeInfo(NamedTuple):
     alias: Optional[str] = None  # lossy text form
     rgb_color: Optional[str] = None  # hex, e.g. "ff8800"
     last_seen: Optional[int] = None  # timestamp of the governing node_announcement
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     short_channel_id: ShortChannelId
     node_1: NodeId
     node_2: NodeId
@@ -84,20 +73,18 @@ class Channel:
     policies: tuple[Optional[ChannelPolicy], Optional[ChannelPolicy]]
 
 
-@dataclass(frozen=True)
-class ReplayDiagnostics:
+class ReplayDiagnostics(NamedTuple):
     updates_unknown_channel: int = 0
     orphan_node_announcements: int = 0
 
 
-@dataclass(frozen=True)
-class NetworkSnapshot:
+class NetworkSnapshot(NamedTuple):
     """Immutable network state as of one instant. Do not mutate the dicts."""
 
     as_of: int
     nodes: dict[NodeId, NodeInfo]
     channels: dict[ShortChannelId, Channel]
-    diagnostics: ReplayDiagnostics = field(default=ReplayDiagnostics())
+    diagnostics: ReplayDiagnostics = ReplayDiagnostics()
 
     @property
     def policy_count(self) -> int:
@@ -107,8 +94,7 @@ class NetworkSnapshot:
         )
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     short_channel_id: ShortChannelId
     direction: int
     source: NodeId
@@ -116,13 +102,19 @@ class Arc:
     policy: ChannelPolicy
 
 
-@dataclass(frozen=True)
-class RoutingView:
+class RoutingView(NamedTuple):
     """Arcs usable for routing: one per (channel, direction) with a live policy."""
 
     as_of: int
     nodes: tuple[NodeId, ...]  # all snapshot nodes, sorted
     arcs: tuple[Arc, ...]
+
+
+# the governing fields, each read with one walk of its message's layout; a
+# policy's first five fields are named as their channel_update fields
+_ENDPOINTS = field_reader(MSG_CHANNEL_ANNOUNCEMENT, "node_id_1", "node_id_2")
+_POLICY_FIELDS = field_reader(MSG_CHANNEL_UPDATE, "channel_flags", *ChannelPolicy._fields[:5])
+_NODE_FIELDS = field_reader(MSG_NODE_ANNOUNCEMENT, "alias", "rgb_color")
 
 
 def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
@@ -137,7 +129,7 @@ def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
 
     Every record is validated, those after as_of too: the first that does
     not decode raises DecodeFailureError with its index in ``records``.
-    Only the payloads that govern the snapshot are decoded in full.
+    Only the payloads that govern the snapshot are read past their peek.
     """
     # per scid the least (arrival, payload) announcement: endpoints never
     # change, so snapshots stay monotone even if a conflicting
@@ -175,20 +167,17 @@ def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
         elif timestamp <= as_of:
             node_versions.setdefault(key, set()).add((timestamp, payload))
 
-    # each governing payload is popped as it is decoded, so the fold's state
+    # each governing payload is popped as it is read, so the fold's state
     # shrinks while the snapshot grows
     channels: dict[ShortChannelId, Channel] = {}
     node_set = set()
     for key in sorted(announcements):  # packed scids sort like ShortChannelId
-        ann = decode_message(announcements.pop(key)[1])
-        channels[ann.short_channel_id] = Channel(
-            short_channel_id=ann.short_channel_id,
-            node_1=ann.node_id_1,
-            node_2=ann.node_id_2,
-            policies=(_policy(updates.pop((key, 0), None)), _policy(updates.pop((key, 1), None))),
-        )
-        node_set.add(ann.node_id_1)
-        node_set.add(ann.node_id_2)
+        node_1, node_2 = _ENDPOINTS(announcements.pop(key)[1])
+        scid = ShortChannelId.unpack(key)
+        policies = (_policy(updates.pop((key, 0), None)), _policy(updates.pop((key, 1), None)))
+        channels[scid] = Channel(scid, node_1, node_2, policies)
+        node_set.add(node_1)
+        node_set.add(node_2)
 
     nodes: dict[NodeId, NodeInfo] = {}
     for node_id in sorted(node_set):
@@ -196,12 +185,9 @@ def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
         if versions is None:
             nodes[node_id] = NodeInfo()
         else:
-            ann = decode_message(max(versions)[1])
-            nodes[node_id] = NodeInfo(
-                alias=alias_text(ann.alias),
-                rgb_color=ann.rgb_color.hex(),
-                last_seen=ann.timestamp,
-            )
+            timestamp, payload = max(versions)
+            alias, rgb_color = _NODE_FIELDS(payload)
+            nodes[node_id] = NodeInfo(alias_text(alias), rgb_color.hex(), timestamp)
 
     return NetworkSnapshot(
         as_of=as_of,
@@ -216,7 +202,11 @@ def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
 
 
 def _policy(best: Optional[tuple[int, bytes]]) -> Optional[ChannelPolicy]:
-    return None if best is None else ChannelPolicy.from_update(decode_message(best[1]))
+    if best is None:
+        return None
+    timestamp, payload = best
+    flags, *fees = _POLICY_FIELDS(payload)
+    return ChannelPolicy(*fees, bool(flags & FLAG_DISABLED), timestamp)
 
 
 def routing_view(
@@ -278,7 +268,7 @@ def snapshot_document(snapshot: NetworkSnapshot) -> dict:
         "as_of": snapshot.as_of,
         "node_count": len(snapshot.nodes),
         "node_count_definition": NODE_COUNT_DEFINITION,
-        "diagnostics": vars(snapshot.diagnostics),
+        "diagnostics": snapshot.diagnostics._asdict(),
         "nodes": [
             {
                 "id": node_id.hex(),
@@ -293,7 +283,7 @@ def snapshot_document(snapshot: NetworkSnapshot) -> dict:
                 "scid": str(scid),
                 "node1": channel.node_1.hex(),
                 "node2": channel.node_2.hex(),
-                "policies": [None if policy is None else vars(policy) for policy in channel.policies],
+                "policies": [None if policy is None else policy._asdict() for policy in channel.policies],
             }
             for scid, channel in sorted(snapshot.channels.items())
         ],

@@ -11,7 +11,8 @@ the JSON layer in ``manifest``, so a line that repeats a key fails.
 
 Every read failure is a ValueError. Three name where it happened:
 CorruptFrameError its byte ``offset``, JsonLinesError its ``line_no`` and
-DecodeFailureError the ``index`` of the record that does not decode.
+DecodeFailureError the ``index`` of the record that does not decode; the
+first two, like a missing magic, start with the archive's path.
 
 Ordering model: compaction keeps *every* distinct message version, so the
 compacted archive still answers "state at time T" for any T. Only exact
@@ -60,14 +61,14 @@ _FRAME_HEADER = struct.Struct(">QI")
 
 
 class CorruptFrameError(ValueError):
-    def __init__(self, offset: int, detail: str):
-        super().__init__(f"corrupt frame at byte offset {offset}: {detail}")
+    def __init__(self, path: str | Path, offset: int, detail: str):
+        super().__init__(f"{path}: corrupt frame at byte offset {offset}: {detail}")
         self.offset = offset
 
 
 class JsonLinesError(ValueError):
-    def __init__(self, line_no: int, detail: str):
-        super().__init__(f"bad record on line {line_no}: {detail}")
+    def __init__(self, path: str | Path, line_no: int, detail: str):
+        super().__init__(f"{path}: bad record on line {line_no}: {detail}")
         self.line_no = line_no
 
 
@@ -95,14 +96,15 @@ def read_store(path: str | Path) -> Iterator[StoreRecord]:
         magic = fh.read(4)
         if magic != STORE_MAGIC:
             raise ValueError(f"{path}: not a gossip archive: magic {magic!r} != {STORE_MAGIC!r}")
-        yield from _read_frames(fh)
+        yield from _read_frames(fh, path)
 
 
-def _read_frames(fh: IO[bytes]) -> Iterator[StoreRecord]:
+def _read_frames(fh: IO[bytes], path: str | Path) -> Iterator[StoreRecord]:
     """Cut frames out of blocks of ``BLOCK_BYTES``; the bytes of a frame that
     does not end in its block are carried into the next read, which is made
     as long as the frame needs. A frame is checked against the file's size
-    before it is read, so a corrupt length never sets the size of a read."""
+    before it is read, so a corrupt length never sets the size of a read.
+    ``path`` names the file in a CorruptFrameError."""
     header = _FRAME_HEADER.size
     unpack_from = _FRAME_HEADER.unpack_from
     new = tuple.__new__  # a StoreRecord without the Python frame of its constructor
@@ -118,7 +120,7 @@ def _read_frames(fh: IO[bytes]) -> Iterator[StoreRecord]:
             end = pos + header + msg_len
             if end > size:
                 if base + end > file_size:
-                    raise CorruptFrameError(base + pos, f"length field {msg_len} exceeds remaining bytes")
+                    raise CorruptFrameError(path, base + pos, f"length field {msg_len} exceeds remaining bytes")
                 missing = end - size
                 break
             yield new(StoreRecord, (arrival_ts, block[pos + header : end]))
@@ -126,7 +128,7 @@ def _read_frames(fh: IO[bytes]) -> Iterator[StoreRecord]:
         more = fh.read(max(missing, BLOCK_BYTES))
         if not more:
             if pos < size:
-                raise CorruptFrameError(base + pos, "frame header truncated")
+                raise CorruptFrameError(path, base + pos, "frame header truncated")
             return
         block, pos, base = block[pos:] + more, 0, base + pos
 
@@ -156,7 +158,7 @@ def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
     per line. A line that is not UTF-8 or not JSON, that repeats a key, or
     whose fields fail the JSON layer's checks (``arrival_ts`` a u64
     integer, ``hex`` a string of hex digits), is a JsonLinesError naming
-    its line."""
+    the file and the line."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -167,7 +169,7 @@ def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
                 arrival_ts = uint(obj, "arrival_ts", 64)
                 payload = bytes.fromhex(typed(obj, "hex", str))
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise JsonLinesError(line_no, str(exc)) from exc
+                raise JsonLinesError(path, line_no, str(exc)) from exc
             yield StoreRecord(arrival_ts, payload)
 
 

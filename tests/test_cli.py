@@ -138,13 +138,14 @@ class TestSnapshotCommand:
         store.write_bytes(b"GSR1" + b"\x00" * 8 + b"\x00\x00\x10\x00" + b"\x01")
         result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "1", "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 1
+        assert result.stderr == f"error: {store}: corrupt frame at byte offset 4: length field 4096 exceeds remaining bytes\n"
 
     def test_non_utf8_jsonl_exits_1(self, runner, tmp_path):
         store = tmp_path / "bad.jsonl"
         store.write_bytes(b'{"arrival_ts": 1, "hex": "0102", "note": "\xff"}\n')
         result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "1", "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 1
-        assert result.stderr.startswith("error: bad record on line 1:")
+        assert result.stderr.startswith(f"error: {store}: bad record on line 1:")
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("arrival_ts", ["-5", "18446744073709551616", "true", "1.5"])
@@ -155,7 +156,7 @@ class TestSnapshotCommand:
         out = tmp_path / "out.gsr"
         result = runner.invoke(main, ["compact", "--store", str(store), "--out", str(out)])
         assert result.exit_code == 1
-        assert result.stderr.startswith("error: bad record on line 1: arrival_ts")
+        assert result.stderr.startswith(f"error: {store}: bad record on line 1: arrival_ts")
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 

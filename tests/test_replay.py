@@ -1,17 +1,30 @@
 """Snapshot replay and routing-view tests."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lntm.replay import (
     TWO_WEEKS_S,
+    Channel,
+    ChannelPolicy,
+    NodeInfo,
     replay,
     routing_view,
     snapshot_from_json,
     snapshot_to_json,
 )
-from lntm.codec import encode_message
+from lntm.codec import (
+    ChannelAnnouncement,
+    ChannelUpdate,
+    NodeAnnouncement,
+    ShortChannelId,
+    alias_text,
+    decode_message,
+    encode_message,
+)
 from lntm.store import DecodeFailureError, StoreRecord, deduplicate_and_order
 
 import msggen
@@ -243,6 +256,93 @@ class TestFold:
         assert diagnosed > 4
 
 
+def _policy_by_decode(payload: bytes) -> ChannelPolicy:
+    """A governing update's policy as replay built it by decoding the whole
+    message; the reference for replay's field reads."""
+    upd = decode_message(payload)
+    return ChannelPolicy(
+        fee_base_msat=upd.fee_base_msat,
+        fee_proportional_millionths=upd.fee_proportional_millionths,
+        cltv_expiry_delta=upd.cltv_expiry_delta,
+        htlc_minimum_msat=upd.htlc_minimum_msat,
+        htlc_maximum_msat=upd.htlc_maximum_msat,
+        disabled=upd.disabled,
+        last_update_ts=upd.timestamp,
+    )
+
+
+_u32 = st.integers(0, 2**32 - 1)
+_u64 = st.integers(0, 2**64 - 1)
+_node_ids = st.builds(
+    lambda prefix, rest: bytes([prefix]) + rest, st.sampled_from((0x02, 0x03)), st.binary(min_size=32, max_size=32)
+)
+_scids = st.builds(ShortChannelId, st.integers(0, 2**24 - 1), st.integers(0, 2**24 - 1), st.integers(0, 2**16 - 1))
+
+
+@st.composite
+def _updates(draw, scid: ShortChannelId, direction: int) -> ChannelUpdate:
+    htlc_maximum_msat = draw(st.none() | _u64)
+    return ChannelUpdate(
+        signature=draw(st.binary(min_size=64, max_size=64)),
+        chain_hash=draw(st.binary(min_size=32, max_size=32)),
+        short_channel_id=scid,
+        timestamp=draw(_u32),
+        # every bit but the one that says whether htlc_maximum_msat follows
+        message_flags=draw(st.integers(0, 255)) & ~1 | (htlc_maximum_msat is not None),
+        channel_flags=draw(st.integers(0, 255)) & ~1 | direction,
+        cltv_expiry_delta=draw(st.integers(0, 2**16 - 1)),
+        htlc_minimum_msat=draw(_u64),
+        fee_base_msat=draw(_u32),
+        fee_proportional_millionths=draw(_u32),
+        htlc_maximum_msat=htlc_maximum_msat,
+        extension=draw(st.binary(max_size=24)),
+    )
+
+
+class TestGoverningReads:
+    """replay reads the governing fields straight from the wire; each
+    record must equal the one built from the decoded message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_records_equal_the_decoded_messages(self, data):
+        node_1, node_2 = sorted(data.draw(st.lists(_node_ids, min_size=2, max_size=2, unique=True)))
+        ann = ChannelAnnouncement(
+            *data.draw(st.lists(st.binary(min_size=64, max_size=64), min_size=4, max_size=4)),
+            features=data.draw(st.binary(max_size=300)),
+            chain_hash=data.draw(st.binary(min_size=32, max_size=32)),
+            short_channel_id=data.draw(_scids),
+            node_id_1=node_1,
+            node_id_2=node_2,
+            bitcoin_key_1=data.draw(st.binary(min_size=33, max_size=33)),
+            bitcoin_key_2=data.draw(st.binary(min_size=33, max_size=33)),
+            extension=data.draw(st.binary(max_size=24)),
+        )
+        updates = [data.draw(st.none() | _updates(ann.short_channel_id, d)) for d in (0, 1)]
+        node = NodeAnnouncement(
+            signature=data.draw(st.binary(min_size=64, max_size=64)),
+            features=data.draw(st.binary(max_size=300)),
+            timestamp=data.draw(_u32),
+            node_id=data.draw(st.sampled_from((node_1, node_2))),
+            rgb_color=data.draw(st.binary(min_size=3, max_size=3)),
+            alias=data.draw(st.binary(min_size=32, max_size=32)),
+            addresses=data.draw(st.binary(max_size=60)),
+            extension=data.draw(st.binary(max_size=24)),
+        )
+        payloads = [encode_message(m) for m in (ann, node, *updates) if m is not None]
+        snap = replay([StoreRecord(0, payload) for payload in payloads], 2**32 - 1)
+
+        ann_decoded = decode_message(payloads[0])
+        policies = tuple(None if u is None else _policy_by_decode(encode_message(u)) for u in updates)
+        want = Channel(ann_decoded.short_channel_id, ann_decoded.node_id_1, ann_decoded.node_id_2, policies)
+        node_decoded = decode_message(payloads[1])
+        info = NodeInfo(alias_text(node_decoded.alias), node_decoded.rgb_color.hex(), node_decoded.timestamp)
+        # reprs, so that an int where a bool belongs also fails
+        assert repr(snap.channels) == repr({want.short_channel_id: want})
+        other = node_2 if node.node_id == node_1 else node_1
+        assert repr(snap.nodes) == repr(dict(sorted({node.node_id: info, other: NodeInfo()}.items())))
+
+
 class TestRoutingView:
     def _snapshot(self, *updates, as_of=1000):
         records = [msggen.record(1, msggen.make_channel_announcement(S12, N1, N2))]
@@ -297,6 +397,29 @@ class TestSnapshotSerialization:
         again = snapshot_from_json(text)
         assert again == snap
         assert snapshot_to_json(again) == text
+
+    def test_document_field_names(self):
+        snap = replay(
+            [
+                msggen.record(10, msggen.make_channel_announcement(S12, N1, N2)),
+                msggen.record(20, msggen.make_channel_update(S12, 20, htlc_maximum_msat=10**6)),
+                msggen.record(30, msggen.make_channel_update(S12, 30, direction=1, disabled=True)),
+            ],
+            100,
+        )
+        doc = json.loads(snapshot_to_json(snap))
+        assert sorted(doc["diagnostics"]) == ["orphan_node_announcements", "updates_unknown_channel"]
+        (channel,) = doc["channels"]
+        for policy in channel["policies"]:
+            assert sorted(policy) == [
+                "cltv_expiry_delta",
+                "disabled",
+                "fee_base_msat",
+                "fee_proportional_millionths",
+                "htlc_maximum_msat",
+                "htlc_minimum_msat",
+                "last_update_ts",
+            ]
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError, match=r"^missing snapshot format marker$"):

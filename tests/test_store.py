@@ -98,11 +98,11 @@ def reference_frames(blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | 
 def read_blocks(fh: io.BytesIO) -> tuple[list[StoreRecord], tuple[int, str] | None]:
     """What the block reader yields on a GSR1 file's bytes before it stops,
     and the offset and message of the CorruptFrameError it stops with, if
-    any."""
+    any; the file is named ``blob.gsr``."""
     assert fh.read(4) == b"GSR1"
     records = []
     try:
-        for rec in store._read_frames(fh):
+        for rec in store._read_frames(fh, "blob.gsr"):
             records.append(rec)
     except CorruptFrameError as exc:
         return records, (exc.offset, str(exc))
@@ -129,7 +129,7 @@ class TestBlockReader:
             for cut in [len(blob), *range(last, len(blob) - len(tail))]:
                 records, error = reference_frames(blob[:cut])
                 if error is not None:
-                    error = (error[0], f"corrupt frame at byte offset {error[0]}: {error[1]}")
+                    error = (error[0], f"blob.gsr: corrupt frame at byte offset {error[0]}: {error[1]}")
                 assert read_blocks(io.BytesIO(blob[:cut])) == (records, error)
 
     @pytest.mark.parametrize("block", [16, store.BLOCK_BYTES])
@@ -148,7 +148,7 @@ class TestBlockReader:
         monkeypatch.setattr(store, "BLOCK_BYTES", block)
         records, error = reference_frames(blob)
         assert error[1] == "length field 4294967295 exceeds remaining bytes"
-        assert read_blocks(Reads(blob)) == (records, (error[0], f"corrupt frame at byte offset {error[0]}: {error[1]}"))
+        assert read_blocks(Reads(blob)) == (records, (error[0], f"blob.gsr: corrupt frame at byte offset {error[0]}: {error[1]}"))
         assert max(overreach[1:]) <= block  # the first read is the magic
 
     def test_a_frame_longer_than_a_block(self, tmp_path, monkeypatch):
@@ -224,6 +224,7 @@ class TestJsonLines:
         with pytest.raises(JsonLinesError) as err:
             list(read_store_jsonl(path))
         assert err.value.line_no == 2
+        assert str(err.value).startswith(f"{path}: bad record on line 2: ")
 
     def test_deeply_nested_line_reports_number(self, tmp_path):
         path = tmp_path / "debug.jsonl"
