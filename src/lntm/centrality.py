@@ -97,9 +97,15 @@ the report writers, each the correctly rounded exact value.
 
 The per-source loop is embarrassingly parallel. Worker ``i`` of ``W`` runs
 the passes ``sources[i::W]`` of every graph, still hubs first, and prunes
-its own copy of the port graphs; a serial run is share ``0`` of ``1``.
-Exact sums do not depend on their order, so the worker count never changes
-the output, nor does which worker ran which pass and so dropped which arcs.
+its own copy of the port graphs. The calling process is worker ``0``, and
+each other worker is a child forked once the graphs are prepared, which
+sends back its credits through a pipe; a serial run is share ``0`` of ``1``
+and forks nothing. A child that raises has its exception raised again in
+the parent, and one that dies (a signal, a non-zero exit, a result cut
+short) raises ``ChildProcessError``; either way the other children are
+killed and reaped first, so a call never waits on a dead worker. Exact sums
+do not depend on their order, so the worker count never changes the
+output, nor does which worker ran which pass and so dropped which arcs.
 """
 
 from __future__ import annotations
@@ -107,6 +113,8 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import pickle
+import signal
 import sys
 from collections import defaultdict
 from fractions import Fraction
@@ -322,20 +330,23 @@ class _PortGraph(NamedTuple):
 
     Cluster members get an entry and an exit port, joined by the cluster's
     bundle arcs; other kept nodes have one port that serves as both, and a
-    leaf has none (port -1). Every arc is (dst_port, weight, multiplicity,
-    visits): a plain arc has multiplicity 1 and no visits, a bundle arc its
-    route count and visit counts from ``_cluster_bundles``.
+    leaf has none (port -1). Plain arcs leave out ports only, as
+    (dst_port, weight) pairs; bundles leave cluster entry ports only, as
+    (exit_port, route_count, visits) from ``_cluster_bundles``, with weight
+    0. So a port has plain arcs or bundles, never both.
 
     Ports are numbered in a topological order of the zero-weight arcs: every
     zero arc, bundle or not, leads from a lower port to a higher one.
 
     Source passes drop the dominated arcs of their source's out port from
-    ``out_edges`` (see the module docstring).
+    ``plain`` (see the module docstring).
     """
 
     h_in_of: list[int]
     h_out_of: list[int]
-    out_edges: list[list[tuple[int, int, int, tuple[tuple[int, int], ...]]]]
+    plain: list[list[tuple[int, int]]]
+    bundles: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]]
+    far: int  # exceeds every path cost: the distance of an unreached port
     target: list[int]  # per port: 1 + k_in(u) on u's out port, 0 on an entry-only port
     node_of: list[int]  # per port: u on u's out port, -1 on an entry-only port
     leaves: list[int]  # per node: how many leaves fold into it
@@ -404,7 +415,8 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
                 h_out_of[u] = h_count
                 h_count += 1
 
-    out_edges: list[list] = [[] for _ in range(h_count)]
+    plain: list[list[tuple[int, int]]] = [[] for _ in range(h_count)]
+    far = 1
     for src, dst, weight in graph.arcs:
         if stripped[src] or stripped[dst]:
             continue
@@ -412,10 +424,12 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
             # zero arcs are absorbed into bundles; a positive arc inside a
             # cluster is never on a shortest path (a zero route exists)
             continue
-        out_edges[h_out_of[src]].append((h_in_of[dst], weight, 1, ()))
+        plain[h_out_of[src]].append((h_in_of[dst], weight))
+        far += weight
+    bundles: list[list] = [[] for _ in range(h_count)]
     for members in clusters:
         for x, y, mult, visits in _cluster_bundles(members, zero_out, ZERO_CLUSTER_PATH_BUDGET):
-            out_edges[h_in_of[x]].append((h_out_of[y], 0, mult, visits))
+            bundles[h_in_of[x]].append((h_out_of[y], mult, visits))
 
     target = [0] * h_count
     node_of = [-1] * h_count
@@ -424,12 +438,14 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
             target[port] = 1 + k_in[u]
             node_of[port] = u
     # hubs first, ties in index order: they drop the most arcs
-    sources = sorted((s for s in range(n) if not stripped[s]), key=lambda s: -len(out_edges[h_out_of[s]]))
+    sources = sorted((s for s in range(n) if not stripped[s]), key=lambda s: -len(plain[h_out_of[s]]))
 
     return _PortGraph(
         h_in_of=h_in_of,
         h_out_of=h_out_of,
-        out_edges=out_edges,
+        plain=plain,
+        bundles=bundles,
+        far=far,
         target=target,
         node_of=node_of,
         leaves=leaves,
@@ -443,73 +459,98 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
     it: adds each reached node's credit numerator over the pass's
     denominator ``L`` to ``sums[L]``. Drops the source's out arcs that are
     on no shortest path (see the module docstring)."""
-    ports = len(pg.out_edges)
+    plain, bundles, target = pg.plain, pg.bundles, pg.target
+    heappop, heappush = heapq.heappop, heapq.heappush
+    ports = len(plain)
+    shift = ports.bit_length()
+    mask = (1 << shift) - 1
     src = pg.h_in_of[s]
-    target = pg.target
-    dist: list[Optional[int]] = [None] * ports
+    dist = [pg.far] * ports
     sigma = [0] * ports
     dist[src] = 0
     sigma[src] = 1
     order = []
-    heap = [(0, src)]
-    # keyed by (distance, port): a positive arc raises the distance and a
-    # zero arc leads to a higher port, so every shortest-path predecessor
-    # settles first: the settle order is topological and sigma is final as
-    # a port settles, when L and reached take it
+    heap = [src]
+    # keyed by (distance << shift) | port, which orders as (distance, port):
+    # a positive arc raises the distance and a zero arc leads to a higher
+    # port, so every shortest-path predecessor settles first: the settle
+    # order is topological and sigma is final as a port settles, when L and
+    # reached take it
     L = 1
     reached = -1  # the nodes other than s reached, stripped leaves included
     while heap:
-        d, v = heapq.heappop(heap)
+        key = heappop(heap)
+        v = key & mask
+        d = key >> shift
         if d > dist[v]:
             continue
         order.append(v)
         sv = sigma[v]
-        if target[v]:
-            reached += target[v]
+        t = target[v]
+        if t:  # an out port, with plain arcs only
+            reached += t
             if L % sv:
                 L = math.lcm(L, sv)
-        for dst, weight, mult, _ in pg.out_edges[v]:
-            dd = d + weight
-            known = dist[dst]
-            if known is None or dd < known:
-                dist[dst] = dd
-                sigma[dst] = sv * mult
-                heapq.heappush(heap, (dd, dst))
-            elif dd == known:
-                sigma[dst] += sv * mult
+            for dst, weight in plain[v]:
+                dd = d + weight
+                known = dist[dst]
+                if dd < known:
+                    dist[dst] = dd
+                    sigma[dst] = sv
+                    heappush(heap, (dd << shift) | dst)
+                elif dd == known:
+                    sigma[dst] += sv
+        else:  # a cluster entry, with bundles only
+            for dst, mult, _ in bundles[v]:
+                known = dist[dst]
+                if d < known:
+                    dist[dst] = d
+                    sigma[dst] = sv * mult
+                    heappush(heap, (d << shift) | dst)
+                elif d == known:
+                    sigma[dst] += sv * mult
 
     # keep only the tight arcs out of s: the others are on no shortest path
     # from any source, so no later pass needs them
     home = pg.h_out_of[s]
     base = dist[home]
-    pg.out_edges[home] = [arc for arc in pg.out_edges[home] if base + arc[1] == dist[arc[0]]]
+    plain[home] = [arc for arc in plain[home] if base + arc[1] == dist[arc[0]]]
 
-    # pull E over the shortest-path arcs, successors first, and the bundle
-    # visits into C (see the module docstring)
-    E = [0] * ports
-    C = [0] * len(pg.h_out_of)
-    for v in reversed(order):
-        d, sv = dist[v], sigma[v]
-        e = target[v] * L // sv
-        for w, weight, mult, visits in pg.out_edges[v]:
-            if d + weight != dist[w]:
-                continue
-            ew = E[w]
-            e += mult * ew
-            for u, count in visits:
-                C[u] += sv * count * ew
-        E[v] = e
-
-    # each folded leaf repeats this pass one arc further out, so every
-    # credit counts 1 + k times
+    # pull E over the shortest-path arcs, successors first (see the module
+    # docstring). An out port's E is final once pulled, so its node is
+    # credited then; each folded leaf repeats this pass one arc further
+    # out, so every credit counts 1 + k times. An entry port's bundles add
+    # their visits to C, credited after the sweep.
     k = pg.leaves[s]
     multiplier = 1 + k
     numerators = sums[L]
     node_of = pg.node_of
-    for v in order:
-        u = node_of[v]
-        if u >= 0 and u != s:
-            numerators[u] += multiplier * (C[u] + sigma[v] * E[v] - L)
+    E = [0] * ports
+    C: dict[int, int] = {}
+    for v in reversed(order):
+        d, sv = dist[v], sigma[v]
+        t = target[v]
+        if t:
+            e = t * L // sv
+            for w, weight in plain[v]:
+                if d + weight == dist[w]:
+                    e += E[w]
+            E[v] = e
+            u = node_of[v]
+            if u != s:
+                numerators[u] += multiplier * (sv * e - L)
+        else:
+            e = 0
+            for w, mult, visits in bundles[v]:
+                if d == dist[w]:
+                    ew = E[w]
+                    e += mult * ew
+                    for member, count in visits:
+                        C[member] = C.get(member, 0) + sv * count * ew
+            E[v] = e
+    for member, visited in C.items():
+        if member != s:
+            numerators[member] += multiplier * visited
     # s is interior to no pair of its own, only to every pair (leaf, t)
     # for t reached and not the leaf
     if k:
@@ -538,16 +579,70 @@ def _share_credits(pgs: list[_PortGraph], share: int, workers: int) -> list[list
     return [_credit(pg, pg.sources[share::workers]) for pg in pgs]
 
 
-_POOL_GRAPHS: list[_PortGraph] = []
+class _ForkedShare:
+    """One share of the passes, run in a forked child.
 
+    The child starts with the parent's port graphs, shared page by page
+    until either side writes to them, so nothing is sent to it. It pickles
+    its credits, or the exception its share raised, into a pipe and leaves
+    by ``os._exit``: it never returns into the parent's code, so nothing
+    the parent buffered is flushed twice. The CLI starts no threads, so the
+    fork copies no lock held by another thread.
+    """
 
-def _pool_init(pgs: list[_PortGraph]) -> None:
-    global _POOL_GRAPHS
-    _POOL_GRAPHS = pgs
+    def __init__(self, pgs: list[_PortGraph], share: int, workers: int):
+        self.share = share
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                try:
+                    outcome = _share_credits(pgs, share, workers)
+                except Exception as exc:
+                    outcome = exc
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        self.pipe = open(read_end, "rb")
 
+    def result(self) -> list[list[Value]]:
+        """The child's credits, read to the end of the pipe once the child
+        has exited and been reaped. Its exception is raised again; a child
+        that died, by a signal, a non-zero exit or before its result was
+        whole, raises ChildProcessError."""
+        with self.pipe:
+            data = self.pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = 0
+        if status < 0:
+            raise ChildProcessError(f"betweenness worker {self.share} was killed by signal {-status}")
+        if status > 0:
+            raise ChildProcessError(f"betweenness worker {self.share} exited with status {status}")
+        try:
+            outcome = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"betweenness worker {self.share} exited without its result") from None
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
-def _pool_share(share: int, workers: int) -> list[list[Value]]:
-    return _share_credits(_POOL_GRAPHS, share, workers)
+    def kill(self) -> None:
+        """Kill and reap the child unless it has been reaped."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        self.pipe.close()
 
 
 def _usable_cpus() -> int:
@@ -558,24 +653,29 @@ def _usable_cpus() -> int:
 
 
 def betweenness_reports(graphs: list[WeightedDigraph], processes: Optional[int] = None) -> list[CentralityReport]:
-    """``betweenness`` of each graph, with one worker pool for all of them.
+    """``betweenness`` of each graph, with one set of workers for all of them.
 
     Every graph is checked and prepared before a worker starts. At most
     ``processes`` workers run, no more than the largest graph has source
     passes and no more than the usable CPUs; each runs one strided share of
-    every graph's passes, and the results are independent of ``processes``.
+    every graph's passes, share 0 in this process and each other share in a
+    forked child, and the results are independent of ``processes``. A
+    child's exception is raised again, and a child that died raises
+    ChildProcessError; on any failure the other children are killed and
+    reaped first.
     """
     pgs = [_prepare(graph) for graph in graphs]
     passes = max((len(pg.sources) for pg in pgs), default=0)
     workers = max(1, min(processes or 1, passes, _usable_cpus()))
-    if workers == 1:
-        shares = [_share_credits(pgs, 0, 1)]
-    else:
-        import multiprocessing  # only when a pool forks: a third of this module's import time
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_pool_init, initargs=(pgs,)) as pool:
-            shares = pool.starmap(_pool_share, [(share, workers) for share in range(workers)])
+    children: list[_ForkedShare] = []
+    try:
+        for share in range(1, workers):
+            children.append(_ForkedShare(pgs, share, workers))
+        shares = [_share_credits(pgs, 0, workers)]
+        shares += [child.result() for child in children]
+    finally:
+        for child in children:
+            child.kill()
     return [
         CentralityReport(graph.as_of, graph.amount_msat, dict(zip(graph.node_ids, map(sum, zip(*credits)))))
         for graph, credits in zip(graphs, zip(*shares))

@@ -1,8 +1,12 @@
 """Centrality kernel tests: fee weighting, hand fixtures, oracle equivalence."""
 
 import json
-import multiprocessing
+import os
+import pickle
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -24,6 +28,7 @@ from lntm.centrality import (
     report_to_csv,
     report_to_json,
 )
+from lntm.codec import U64_MAX
 from lntm.replay import Arc, ChannelPolicy, RoutingView
 
 import msggen
@@ -259,6 +264,28 @@ class TestExactValues:
         assert type(values["a"]) is Fraction
 
 
+class TestHugeCosts:
+    def test_fees_near_u64_max_match_brute_force(self):
+        # the heap key (distance << shift) | port and an unreached port's
+        # bound are plain ints: a path of several arcs near U64_MAX costs
+        # far beyond 64 bits, and its ties (two arcs of U64_MAX // 2 against
+        # one of U64_MAX - 1) and zero-fee clusters must still count exactly
+        rng = random.Random(64)
+        weights = (0, 0, U64_MAX, U64_MAX - 1, U64_MAX // 2)
+        clustered = tied = 0
+        for _ in range(200):
+            n = rng.randrange(3, 10)
+            arcs = [(u, v, rng.choice(weights)) for u in range(n) for v in range(n) if u != v and rng.random() < 0.35]
+            graph = WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(n)), arcs)
+            pg = _prepare(graph)
+            clustered += pg.h_in_of != pg.h_out_of
+            values = betweenness(graph).values
+            assert values == brute_force_betweenness(graph).values
+            tied += any(isinstance(v, Fraction) for v in values.values())
+        assert clustered > 20
+        assert tied > 20
+
+
 class TestStrongComponents:
     """``_prepare`` numbers ports in the order ``_strong_components`` emits
     its components, so that order is part of the contract."""
@@ -385,9 +412,13 @@ class TestZeroWeights:
                 if u != v and rng.random() < 0.3
             ]
             pg = _prepare(WeightedDigraph.from_arcs(node_ids, arcs))
-            for port, edges in enumerate(pg.out_edges):
-                for dst, weight, _, _ in edges:
+            for port, (plain, bundles) in enumerate(zip(pg.plain, pg.bundles)):
+                # plain arcs leave out ports, bundles cluster entry ports
+                assert not (plain and bundles)
+                for dst, weight in plain:
                     assert weight > 0 or dst > port
+                for exit_port, _, _ in bundles:
+                    assert exit_port > port
 
 
 def random_graph(rng, max_nodes=10, edge_prob=0.3, zero_prob=0.08, max_weight=1000):
@@ -529,7 +560,7 @@ class TestLeafFolding:
             kept = set(pg.sources)
             stripped = set(range(len(graph.node_ids))) - kept
             owned = sorted({pg.h_in_of[u] for u in kept} | {pg.h_out_of[u] for u in kept})
-            assert owned == list(range(len(pg.out_edges)))
+            assert owned == list(range(len(pg.plain)))
             assert all(pg.h_in_of[u] == pg.h_out_of[u] == -1 for u in stripped)
             # each out port stands for its node and the stripped leaves it has an arc to
             targets = kept | {dst for _, dst, _ in graph.arcs if dst in stripped}
@@ -560,12 +591,13 @@ def out_targets(pg, graph, ids, label):
     """Labels of the nodes that LABEL's out port still has an arc to."""
     label_of = {nid: x for x, nid in ids.items()}
     entry = {pg.h_in_of[u]: label_of[nid] for u, nid in enumerate(graph.node_ids)}
-    return {entry[dst] for dst, _, _, _ in pg.out_edges[pg.h_out_of[graph.node_ids.index(ids[label])]]}
+    return {entry[dst] for dst, _ in pg.plain[pg.h_out_of[graph.node_ids.index(ids[label])]]}
 
 
 def port_arcs(pg, weight=None):
-    """Arcs left in the port graph, or those of one weight."""
-    return sum(1 for edges in pg.out_edges for _, w, _, _ in edges if weight is None or w == weight)
+    """Arcs left in the port graph, or those of one weight; bundles weigh 0."""
+    weights = [w for arcs in pg.plain for _, w in arcs] + [0 for bundles in pg.bundles for _ in bundles]
+    return sum(1 for w in weights if weight is None or w == weight)
 
 
 class TestArcPruning:
@@ -636,7 +668,7 @@ class TestArcPruning:
         copies = [_prepare(graph) for _ in range(2)]
         for share, copy in enumerate(copies):
             _credit(copy, copy.sources[share::2])
-        assert copies[0].out_edges != copies[1].out_edges
+        assert copies[0].plain != copies[1].plain
         arcs = port_arcs(pg)
         serial = _credit(pg, pg.sources)
         assert arcs - port_arcs(pg) > 300
@@ -763,43 +795,34 @@ class TestDeterminismAcrossProcesses:
         assert len(outputs) == 1
 
 
-class _SerialContext:
-    """Stands in for a multiprocessing context: records each pool's size
-    and each map's tasks, and runs the map in this process."""
+class _SerialForks:
+    """Stands in for the forked shares: records the (share, workers) of each
+    share a call forks, and runs it in this process when the parent reads
+    its result, the credits passed through pickle as through the pipe."""
 
     def __init__(self):
-        self.pools: list[int] = []
-        self.tasks: list[list[tuple[int, int]]] = []
+        self.forked: list[tuple[int, int]] = []
 
-    def __call__(self, method):
-        assert method == "fork"
-        return self
+    def __call__(self, pgs, share, workers):
+        self.forked.append((share, workers))
+        return _SerialShare(pgs, share, workers)
 
-    def Pool(self, processes, initializer, initargs):
-        context = self
-        context.pools.append(processes)
 
-        class Pool:
-            def __enter__(self):
-                initializer(*initargs)
-                return self
+class _SerialShare:
+    def __init__(self, pgs, share, workers):
+        self.args = pgs, share, workers
 
-            def __exit__(self, *exc):
-                return False
+    def result(self):
+        return pickle.loads(pickle.dumps(centrality._share_credits(*self.args)))
 
-            def starmap(self, fn, items):
-                context.tasks.append(list(items))
-                return [fn(*item) for item in context.tasks[-1]]
-
-        return Pool()
+    def kill(self):
+        pass
 
 
 @pytest.fixture
-def context(monkeypatch):
-    fake = _SerialContext()
-    monkeypatch.setattr(multiprocessing, "get_context", fake)
-    # the fake pool's initializer runs here; restore what it sets
-    monkeypatch.setattr(centrality, "_POOL_GRAPHS", [])
+def forks(monkeypatch):
+    fake = _SerialForks()
+    monkeypatch.setattr(centrality, "_ForkedShare", fake)
     cpus(monkeypatch, 64)
     return fake
 
@@ -808,9 +831,10 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(centrality.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def shares(workers):
-    """The tasks of one pool of WORKERS: one strided share each."""
-    return [(share, workers) for share in range(workers)]
+def forked(workers):
+    """The shares one call with WORKERS workers forks: one strided share
+    each, all but share 0, which the calling process runs."""
+    return [(share, workers) for share in range(1, workers)]
 
 
 def pass_count(graph):
@@ -824,56 +848,53 @@ def many_pass_graph():
 
 
 class TestWorkerCap:
-    def test_workers_never_exceed_passes(self, context):
+    def test_workers_never_exceed_passes(self, forks):
         # a graph with few passes still forks, one worker per pass
         graph = leafy_graph(random.Random(59), core=6, leaves=3, zero_prob=0.1)
         passes = pass_count(graph)
         assert 1 < passes < 64
         serial = betweenness(graph)
         report = betweenness(graph, processes=10**9)
-        assert context.pools == [passes]
-        assert context.tasks == [shares(passes)]
+        assert forks.forked == forked(passes)
         assert report.values == serial.values
 
-    def test_fewer_processes_than_passes_are_kept(self, context):
+    def test_fewer_processes_than_passes_are_kept(self, forks):
         graph = many_pass_graph()
         betweenness(graph, processes=3)
-        assert context.pools == [3]
-        assert context.tasks == [shares(3)]
+        assert forks.forked == forked(3)
 
-    def test_workers_never_exceed_usable_cpus(self, context, monkeypatch):
+    def test_workers_never_exceed_usable_cpus(self, forks, monkeypatch):
         graph = many_pass_graph()
         cpus(monkeypatch, 2)
         betweenness(graph, processes=10**9)
-        assert context.pools == [2]
+        assert forks.forked == forked(2)
 
-    def test_cpu_count_without_affinity(self, context, monkeypatch):
+    def test_cpu_count_without_affinity(self, forks, monkeypatch):
         graph = many_pass_graph()
         monkeypatch.delattr(centrality.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(centrality.os, "cpu_count", lambda: 2)
         betweenness(graph, processes=10**9)
         monkeypatch.setattr(centrality.os, "cpu_count", lambda: None)
         betweenness(graph, processes=10**9)
-        assert context.pools == [2]
+        assert forks.forked == forked(2)
 
-    def test_one_pass_or_one_process_starts_no_pool(self, context):
+    def test_one_pass_or_one_process_forks_no_child(self, forks):
         graph, _ = make_graph("ab", [("a", "b", 1)])
         assert pass_count(graph) == 1
         betweenness(graph, processes=8)
         assert betweenness_reports([], processes=8) == []
         assert betweenness(WeightedDigraph((), ()), processes=8).values == {}
         betweenness(many_pass_graph(), processes=1)
-        assert context.pools == []
+        assert forks.forked == []
 
-    def test_three_amounts_open_one_pool(self, context):
+    def test_three_amounts_fork_once(self, forks):
         graphs = [leafy_graph(random.Random(seed), core=30, leaves=10, zero_prob=0.1) for seed in (60, 61, 62)]
         assert all(pass_count(graph) > 3 for graph in graphs)
         reports = betweenness_reports(graphs, processes=3)
-        assert context.pools == [3]
-        assert context.tasks == [shares(3)]
+        assert forks.forked == forked(3)
         assert [r.values for r in reports] == [betweenness(graph).values for graph in graphs]
 
-    def test_bad_graph_raises_before_a_pool_starts(self, context, monkeypatch):
+    def test_bad_graph_raises_before_a_fork(self, forks, monkeypatch):
         good = many_pass_graph()
         negative, _ = make_graph("ab", [("a", "b", -1)])
         with pytest.raises(ValueError, match=r"^negative arc weight -1$"):
@@ -883,27 +904,27 @@ class TestWorkerCap:
         monkeypatch.setattr(centrality, "ZERO_CLUSTER_PATH_BUDGET", 5)
         with pytest.raises(ValueError, match=r"^zero-fee cluster of 4 nodes exceeds 5 route-enumeration steps$"):
             betweenness_reports([good, cluster, good], processes=3)
-        assert context.pools == []
+        assert forks.forked == []
 
 
 class TestSourceShares:
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
-    def test_exact_totals_do_not_depend_on_the_share_count(self, context, workers):
+    def test_exact_totals_do_not_depend_on_the_share_count(self, forks, workers):
         # the fixture's 64 CPUs allow more shares than this host has; the
-        # fake pool runs them in this process
+        # fake children run them in this process
         rng = random.Random(64)
         graphs = [leafy_graph(rng, core=5, leaves=4) for _ in range(20)]
         graphs += [random_graph(rng, max_nodes=12, zero_prob=0.2) for _ in range(20)]
         wide = leafy_graph(rng, core=30, leaves=30, zero_prob=0.1)
         want = betweenness(wide).values
         assert betweenness(wide, processes=workers).values == want
-        assert context.pools == ([workers] if workers > 1 else [])
+        assert forks.forked == forked(workers)
         for graph in graphs:
             assert len(graph.node_ids) <= 12
             assert betweenness(graph, processes=workers).values == brute_force_betweenness(graph).values
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_every_source_runs_exactly_once(self, context, monkeypatch, workers):
+    def test_every_source_runs_exactly_once(self, forks, monkeypatch, workers):
         # the middle graph has fewer passes than there are shares
         graphs = [
             leafy_graph(random.Random(66), core=30, leaves=10, zero_prob=0.1),
@@ -922,14 +943,15 @@ class TestSourceShares:
 
         monkeypatch.setattr(centrality, "_source_pass", counting_pass)
         betweenness_reports(graphs, processes=workers)
-        assert context.tasks == ([shares(workers)] if workers > 1 else [])
+        assert forks.forked == forked(workers)
         sources = [(len(g.node_ids), _prepare(g).sources) for g in graphs]
         assert sorted(calls) == sorted((n, s) for n, order in sources for s in order)
-        # the fake pool runs the shares in turn: each takes every
-        # workers-th source of each graph, hubs first
+        # the parent runs share 0, then each fake child runs its share as
+        # its result is read: each takes every workers-th source of each
+        # graph, hubs first
         assert calls == [(n, s) for share in range(workers) for n, order in sources for s in order[share::workers]]
 
-    def test_reports_match_single_calls_with_real_pools(self):
+    def test_reports_match_single_calls_with_real_forks(self):
         rng = random.Random(65)
         graphs = [leafy_graph(rng, core=30, leaves=20, zero_prob=0.1) for _ in range(3)]
         assert all(pass_count(graph) > 3 for graph in graphs)
@@ -937,6 +959,105 @@ class TestSourceShares:
         for processes in (1, 2, 3):
             reports = betweenness_reports(graphs, processes=processes)
             assert [report_to_json(r) for r in reports] == want
+
+
+needs_two_cpus = pytest.mark.skipif(centrality._usable_cpus() < 2, reason="forks a child beside the parent")
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """The pids of the children forked; when the test ends, each must have
+    been reaped, so none is left running. One that was not is killed and
+    reaped here."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(centrality.os, "fork", fork)
+    yield pids
+    unreaped = []
+    for pid in pids:
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            unreaped.append(pid)
+        except ChildProcessError:
+            pass
+    assert unreaped == []
+
+
+@contextmanager
+def within(seconds):
+    """Raise TimeoutError in this process if the block runs longer than
+    SECONDS; a forked child inherits no alarm."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_two_cpus
+class TestForkedShares:
+    @pytest.mark.parametrize(
+        "fail, message",
+        [
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL.value}"),
+            (lambda: os._exit(3), "exited with status 3"),
+            (lambda: os._exit(0), "exited without its result"),
+        ],
+    )
+    def test_a_child_that_dies_raises(self, monkeypatch, children, fail, message):
+        real = centrality._share_credits
+
+        def share_credits(pgs, share, workers):
+            if share:
+                fail()
+            return real(pgs, share, workers)
+
+        monkeypatch.setattr(centrality, "_share_credits", share_credits)
+        with within(10), pytest.raises(ChildProcessError, match=rf"^betweenness worker 1 {message}$"):
+            betweenness_reports([many_pass_graph()], processes=2)
+        assert len(children) == 1
+
+    def test_a_childs_exception_is_the_serial_runs(self, monkeypatch, children):
+        graph = many_pass_graph()
+        failing = _prepare(graph).sources[1]  # the first pass of share 1 of 2
+        real_pass = centrality._source_pass
+
+        def bad_pass(pg, s, sums):
+            if s == failing:
+                raise ValueError(f"pass of source {s} failed")
+            return real_pass(pg, s, sums)
+
+        monkeypatch.setattr(centrality, "_source_pass", bad_pass)
+        for processes in (1, 2):
+            with within(10), pytest.raises(ValueError, match=rf"^pass of source {failing} failed$"):
+                betweenness_reports([graph], processes=processes)
+        assert len(children) == 1
+
+    def test_a_failing_parent_kills_its_children(self, monkeypatch, children):
+        def share_credits(pgs, share, workers):
+            if share:
+                time.sleep(600)  # the child would run for ten minutes
+            raise ValueError("share 0 failed")
+
+        monkeypatch.setattr(centrality, "_share_credits", share_credits)
+        with within(10), pytest.raises(ValueError, match=r"^share 0 failed$"):
+            betweenness_reports([many_pass_graph()], processes=2)
+        assert len(children) == 1
 
 
 class TestReportSerialization:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from lntm.replay import replay, routing_view, snapshot_from_json, snapshot_to_js
 from lntm.store import StoreRecord, write_store
 
 import msggen
+from test_centrality import within
 
 
 @pytest.fixture
@@ -219,7 +221,7 @@ class TestCentralityCommand:
             calls.append([graph.amount_msat for graph in graphs])
             return real(graphs, processes)
 
-        # every amount goes to one call, so one worker pool serves them all
+        # every amount goes to one call, so one set of workers serves them all
         monkeypatch.setattr("lntm.centrality.betweenness_reports", recorded)
         result = runner.invoke(
             main,
@@ -365,6 +367,62 @@ class TestCentralityCommand:
         assert result.stderr.startswith(f"error: bad.json: {message}"), result.stderr
         assert isinstance(result.exception, SystemExit)
         assert not list(tmp_path.glob("r-*"))
+
+
+def ring_snapshot(runner, tmp_path, size=6):
+    """A snapshot of SIZE nodes in a ring, every channel open both ways:
+    no node is a leaf, so each gets a source pass."""
+    records = []
+    for i in range(size):
+        a, b, channel = msggen.node_id(i + 1), msggen.node_id((i + 1) % size + 1), msggen.scid(100 + i)
+        records.append(msggen.record(100, msggen.make_channel_announcement(channel, a, b)))
+        for direction in (0, 1):
+            records.append(msggen.record(110, msggen.make_channel_update(channel, 110, direction=direction)))
+    store = tmp_path / "ring.gsr"
+    write_store(store, records)
+    snap = tmp_path / "ring.json"
+    result = runner.invoke(main, ["snapshot", "--store", str(store), "--at", "999", "--out", str(snap)])
+    assert result.exit_code == 0, result.output
+    return snap
+
+
+@pytest.mark.skipif(lntm.centrality._usable_cpus() < 2, reason="forks a child beside the parent")
+class TestForkedShares:
+    def test_a_killed_child_exits_1_and_writes_nothing(self, runner, tmp_path, monkeypatch):
+        snap = ring_snapshot(runner, tmp_path)
+        real = lntm.centrality._share_credits
+
+        def share_credits(pgs, share, workers):
+            if share:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(pgs, share, workers)
+
+        monkeypatch.setattr(lntm.centrality, "_share_credits", share_credits)
+        with within(10):
+            result = runner.invoke(
+                main, ["centrality", "--snapshot", str(snap), "--out", str(tmp_path / "r")], env={"LNTM_THREADS": "2"}
+            )
+        assert result.exit_code == 1, result.output
+        assert result.stderr == f"error: betweenness worker 1 was killed by signal {signal.SIGKILL.value}\n"
+        assert isinstance(result.exception, SystemExit)
+        assert not list(tmp_path.glob("r-*"))
+
+    def test_each_line_is_written_once(self, runner, tmp_path):
+        # a child leaves by os._exit: it never runs the rest of the command,
+        # so the parent alone writes each line and file
+        snap = ring_snapshot(runner, tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(lntm.__file__).parents[1]))
+        outputs = []
+        for threads in ("1", "2"):
+            argv = [sys.executable, "-m", "lntm.cli", "centrality", "--snapshot", str(snap), "--out", str(tmp_path / f"t{threads}")]
+            result = subprocess.run(argv, env=dict(env, LNTM_THREADS=threads), capture_output=True, text=True, check=True)
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("amount ") == 3
+        for amount in (10000000, 1000000000, 10000000000):
+            for kind in ("centrality", "histogram"):
+                name = f"{kind}-{amount}.csv"
+                assert (tmp_path / f"t1-{name}").read_bytes() == (tmp_path / f"t2-{name}").read_bytes()
 
 
 def _histogram(values):
@@ -795,7 +853,7 @@ def _modules_loaded_by(module: str, names: set[str]) -> list[str]:
 
 def test_importing_the_cli_leaves_out_the_compute_modules():
     assert _modules_loaded_by("lntm.cli", {"lntm.centrality", "lntm.inequality", "multiprocessing"}) == []
-    # multiprocessing is imported only when a pool forks
+    # the betweenness workers are bare forks: nothing imports multiprocessing
     assert _modules_loaded_by("lntm.centrality", {"lntm.centrality", "multiprocessing"}) == ["lntm.centrality"]
 
 
