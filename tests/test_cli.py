@@ -26,7 +26,7 @@ from lntm.replay import replay, routing_view, snapshot_from_json, snapshot_to_js
 from lntm.store import StoreRecord, write_store
 
 import msggen
-from test_centrality import within
+from test_centrality import needs_two_cpus, within
 
 
 @pytest.fixture
@@ -386,7 +386,7 @@ def ring_snapshot(runner, tmp_path, size=6):
     return snap
 
 
-@pytest.mark.skipif(lntm.centrality._usable_cpus() < 2, reason="forks a child beside the parent")
+@needs_two_cpus
 class TestForkedShares:
     def test_a_killed_child_exits_1_and_writes_nothing(self, runner, tmp_path, monkeypatch):
         snap = ring_snapshot(runner, tmp_path)
@@ -415,7 +415,9 @@ class TestForkedShares:
         outputs = []
         for threads in ("1", "2"):
             argv = [sys.executable, "-m", "lntm.cli", "centrality", "--snapshot", str(snap), "--out", str(tmp_path / f"t{threads}")]
-            result = subprocess.run(argv, env=dict(env, LNTM_THREADS=threads), capture_output=True, text=True, check=True)
+            result = subprocess.run(
+                argv, env=dict(env, LNTM_THREADS=threads), capture_output=True, text=True, check=True, timeout=120
+            )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("amount ") == 3
