@@ -2,7 +2,8 @@
 
 Archive framing ("GSR1", bit-exact): 4-byte magic ``GSR1`` followed by zero
 or more frames of ``arrival_ts:u64 BE | msg_len:u32 BE | msg bytes``. The
-message bytes start with the u16 gossip type code.
+message bytes start with the u16 gossip type code. ``read_store`` reads an
+archive through a file buffered in blocks of ``BLOCK_BYTES``.
 
 A JSON-lines debug format is also read: one object per line with fields
 ``arrival_ts`` (a JSON integer in [0, 2^64), seconds) and ``hex``
@@ -49,10 +50,10 @@ STORE_MAGIC = b"GSR1"
 
 # records held before they are spilled as a sorted run
 RUN_RECORDS = 1 << 14
-# runs read at once, each through one block; beyond that the oldest are
-# first merged into one run
+# runs read at once, each through one BLOCK_BYTES buffer (4 MiB in all);
+# beyond that the oldest are first merged into one run
 FAN_IN = 64
-# bytes an archive is read in
+# bytes a file of frames is buffered in
 BLOCK_BYTES = 1 << 16
 # frames joined into one write
 _WRITE_BATCH = 1 << 10
@@ -91,46 +92,28 @@ class FeedEntry(NamedTuple):
 
 
 def read_store(path: str | Path) -> Iterator[StoreRecord]:
-    """Stream records from a GSR1 archive in file order."""
-    with open(path, "rb") as fh:
+    """Stream records from a GSR1 archive in file order, through a file
+    buffered in blocks of ``BLOCK_BYTES``. Each frame's end is checked
+    against the file's size before its message is read, so a corrupt length
+    never sets the size of a read."""
+    header = _FRAME_HEADER.size
+    unpack = _FRAME_HEADER.unpack
+    new = tuple.__new__  # a StoreRecord without the Python frame of its constructor
+    with open(path, "rb", buffering=BLOCK_BYTES) as fh:
         magic = fh.read(4)
         if magic != STORE_MAGIC:
             raise ValueError(f"{path}: not a gossip archive: magic {magic!r} != {STORE_MAGIC!r}")
-        yield from _read_frames(fh, path)
-
-
-def _read_frames(fh: IO[bytes], path: str | Path) -> Iterator[StoreRecord]:
-    """Cut frames out of blocks of ``BLOCK_BYTES``; the bytes of a frame that
-    does not end in its block are carried into the next read, which is made
-    as long as the frame needs. A frame is checked against the file's size
-    before it is read, so a corrupt length never sets the size of a read.
-    ``path`` names the file in a CorruptFrameError."""
-    header = _FRAME_HEADER.size
-    unpack_from = _FRAME_HEADER.unpack_from
-    new = tuple.__new__  # a StoreRecord without the Python frame of its constructor
-    base = fh.tell()  # the file offset of block[0]
-    file_size = fh.seek(0, os.SEEK_END)
-    fh.seek(base)
-    block, pos = b"", 0
-    while True:
-        size = len(block)
-        missing = 0
-        while pos + header <= size:
-            arrival_ts, msg_len = unpack_from(block, pos)
+        file_size = os.fstat(fh.fileno()).st_size
+        pos = len(magic)
+        while head := fh.read(header):
+            if len(head) < header:
+                raise CorruptFrameError(path, pos, "frame header truncated")
+            arrival_ts, msg_len = unpack(head)
             end = pos + header + msg_len
-            if end > size:
-                if base + end > file_size:
-                    raise CorruptFrameError(path, base + pos, f"length field {msg_len} exceeds remaining bytes")
-                missing = end - size
-                break
-            yield new(StoreRecord, (arrival_ts, block[pos + header : end]))
+            if end > file_size:
+                raise CorruptFrameError(path, pos, f"length field {msg_len} exceeds remaining bytes")
+            yield new(StoreRecord, (arrival_ts, fh.read(msg_len)))
             pos = end
-        more = fh.read(max(missing, BLOCK_BYTES))
-        if not more:
-            if pos < size:
-                raise CorruptFrameError(path, base + pos, "frame header truncated")
-            return
-        block, pos, base = block[pos:] + more, 0, base + pos
 
 
 def _write_frames(fh: IO[bytes], records: Iterable[StoreRecord]) -> int:

@@ -743,10 +743,12 @@ class TestCompactRuns:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
 
     def test_archive_read_failing_partway_exits_2(self, runner, tmp_path, monkeypatch, runs):
-        # the archive opens and its first block is read, six runs spill,
-        # then the next read fails: compact has started writing by then
+        # the archive opens and its first 13 records are read, six runs
+        # spill, then the read of the 14th frame fails: compact has started
+        # writing by then
         archive = tmp_path / "corpus.gsr"
-        spill_corpus(archive)
+        records = spill_corpus(archive)
+        failing = len(store.STORE_MAGIC) + sum(12 + len(rec.payload) for rec in records[:13])
 
         class Partway:
             def __init__(self, fh):
@@ -762,7 +764,7 @@ class TestCompactRuns:
                 return getattr(self.fh, name)
 
             def read(self, size=-1):
-                if self.fh.tell() > len(store.STORE_MAGIC):
+                if self.fh.tell() >= failing:
                     raise OSError(errno.EIO, "Input/output error")
                 return self.fh.read(size)
 

@@ -1,6 +1,5 @@
 """Archive framing and compaction tests."""
 
-import io
 import json
 import random
 import re
@@ -95,18 +94,25 @@ def reference_frames(blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | 
     return records, None
 
 
-def read_blocks(fh: io.BytesIO) -> tuple[list[StoreRecord], tuple[int, str] | None]:
-    """What the block reader yields on a GSR1 file's bytes before it stops,
-    and the offset and message of the CorruptFrameError it stops with, if
-    any; the file is named ``blob.gsr``."""
-    assert fh.read(4) == b"GSR1"
+def read_frames(path) -> tuple[list[StoreRecord], tuple[int, str] | None]:
+    """What ``read_store`` yields on a GSR1 file before it stops, and the
+    offset and message of the CorruptFrameError it stops with, if any."""
     records = []
     try:
-        for rec in store._read_frames(fh, "blob.gsr"):
+        for rec in read_store(path):
             records.append(rec)
     except CorruptFrameError as exc:
         return records, (exc.offset, str(exc))
     return records, None
+
+
+def expected_frames(path, blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | None]:
+    """``reference_frames`` with its error as ``read_store`` words it for
+    ``path``."""
+    records, error = reference_frames(blob)
+    if error is not None:
+        error = (error[0], f"{path}: corrupt frame at byte offset {error[0]}: {error[1]}")
+    return records, error
 
 
 class TestBlockReader:
@@ -115,48 +121,78 @@ class TestBlockReader:
         frames=st.lists(
             st.tuples(st.integers(0, 2**64 - 1), st.binary(max_size=90)), max_size=12
         ),
-        block=st.integers(1, 64),
         tail=st.binary(max_size=16),
     )
-    def test_matches_a_field_by_field_reader(self, frames, block, tail):
-        # blocks of 1..64 bytes: frames straddle blocks, many are longer than
-        # one, and empty payloads are drawn often
+    def test_matches_a_field_by_field_reader(self, tmp_path_factory, frames, tail):
+        # empty payloads are drawn often
+        path = tmp_path_factory.mktemp("frames") / "blob.gsr"
         blob = b"GSR1" + b"".join(struct.pack(">QI", ts, len(p)) + p for ts, p in frames) + tail
         last = len(blob) - len(tail) - (12 + len(frames[-1][1]) if frames else 0)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(store, "BLOCK_BYTES", block)
-            # the whole file, then a cut at every byte of the last frame
-            for cut in [len(blob), *range(last, len(blob) - len(tail))]:
-                records, error = reference_frames(blob[:cut])
-                if error is not None:
-                    error = (error[0], f"blob.gsr: corrupt frame at byte offset {error[0]}: {error[1]}")
-                assert read_blocks(io.BytesIO(blob[:cut])) == (records, error)
+        # the whole file, then a cut at every byte of the last frame
+        for cut in [len(blob), *range(last, len(blob) - len(tail))]:
+            path.write_bytes(blob[:cut])
+            assert read_frames(path) == expected_frames(path, blob[:cut])
 
-    @pytest.mark.parametrize("block", [16, store.BLOCK_BYTES])
-    @pytest.mark.parametrize("frames", [0, 3])
-    def test_a_corrupt_length_never_sets_the_size_of_a_read(self, monkeypatch, block, frames):
+    # at 2048 good frames the last one's message crosses the first buffer's
+    # end, and the bad frame is read from the second
+    @pytest.mark.parametrize("frames", [0, 3, 2048])
+    def test_a_corrupt_length_never_sets_the_size_of_a_read(self, tmp_path, monkeypatch, frames):
         good = b"".join(struct.pack(">QI", i, 20) + bytes(range(20)) for i in range(frames))
         blob = b"GSR1" + good + struct.pack(">QI", 7, 0xFFFFFFFF) + bytes(10)
+        path = tmp_path / "blob.gsr"
+        path.write_bytes(blob)
 
         overreach = []  # how far past the end of the file each read asks
 
-        class Reads(io.BytesIO):
-            def read(self, n=-1):
-                overreach.append(n - (len(blob) - self.tell()))
-                return super().read(n)
+        class Reads:
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(store, "BLOCK_BYTES", block)
-        records, error = reference_frames(blob)
-        assert error[1] == "length field 4294967295 exceeds remaining bytes"
-        assert read_blocks(Reads(blob)) == (records, (error[0], f"blob.gsr: corrupt frame at byte offset {error[0]}: {error[1]}"))
-        assert max(overreach[1:]) <= block  # the first read is the magic
+            def __enter__(self):
+                return self
 
-    def test_a_frame_longer_than_a_block(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(store, "BLOCK_BYTES", 16)
-        recs = [StoreRecord(1, bytes(range(100))), StoreRecord(2, b""), StoreRecord(3, b"\x01\x02")]
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def read(self, size=-1):
+                overreach.append(size - (len(blob) - self.fh.tell()))
+                return self.fh.read(size)
+
+        monkeypatch.setattr("lntm.store.open", lambda *args, **kwargs: Reads(open(*args, **kwargs)), raising=False)
+        records, error = expected_frames(path, blob)
+        assert error[1].endswith("length field 4294967295 exceeds remaining bytes")
+        assert read_frames(path) == (records, error)
+        assert len(overreach) == 2 + 2 * frames  # the magic, each good frame's header and message, the bad header
+        assert max(overreach) <= 12
+
+    def test_frames_across_a_block_boundary(self, tmp_path):
+        rng = random.Random(4)
+        frames, size = [], 4
+        while size < store.BLOCK_BYTES + 100:
+            payload = rng.randbytes(rng.choice([0, 1, 11, 12, 13, rng.randrange(40)]))
+            frames.append(struct.pack(">QI", rng.getrandbits(64), len(payload)) + payload)
+            size += len(frames[-1])
+        blob = b"GSR1" + b"".join(frames)
+        path = tmp_path / "boundary.gsr"
+        # the whole file, then a cut at every byte near the first block's end
+        for cut in [len(blob), *range(store.BLOCK_BYTES - 60, store.BLOCK_BYTES + 60)]:
+            path.write_bytes(blob[:cut])
+            assert read_frames(path) == expected_frames(path, blob[:cut])
+
+    def test_a_frame_longer_than_a_block(self, tmp_path):
+        rng = random.Random(5)
+        long = rng.randbytes(2 * store.BLOCK_BYTES + 77)
+        recs = [StoreRecord(1, b"\x01" * 30), StoreRecord(2, long), StoreRecord(3, b""), StoreRecord(4, long[:5])]
         path = tmp_path / "long.gsr"
         write_store(path, recs)
         assert list(read_store(path)) == recs
+        # cut inside the long frame's message: the length is checked first
+        blob = path.read_bytes()
+        path.write_bytes(blob[: 4 + (12 + 30) + 12 + store.BLOCK_BYTES])
+        assert read_frames(path) == expected_frames(path, path.read_bytes())
 
 
 class TestAtomicWrite:
