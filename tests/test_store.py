@@ -133,16 +133,19 @@ class TestBlockReader:
             path.write_bytes(blob[:cut])
             assert read_frames(path) == expected_frames(path, blob[:cut])
 
-    # at 2048 good frames the last one's message crosses the first buffer's
-    # end, and the bad frame is read from the second
+    # the file is buffered in blocks of ``block`` bytes; at the module's
+    # BLOCK_BYTES and 2048 good frames the last one's message crosses the
+    # first buffer's end, and the bad frame is read from the second
+    @pytest.mark.parametrize("block", [16, store.BLOCK_BYTES])
     @pytest.mark.parametrize("frames", [0, 3, 2048])
-    def test_a_corrupt_length_never_sets_the_size_of_a_read(self, tmp_path, monkeypatch, frames):
+    def test_a_corrupt_length_never_sets_the_size_of_a_read(self, tmp_path, monkeypatch, block, frames):
         good = b"".join(struct.pack(">QI", i, 20) + bytes(range(20)) for i in range(frames))
         blob = b"GSR1" + good + struct.pack(">QI", 7, 0xFFFFFFFF) + bytes(10)
         path = tmp_path / "blob.gsr"
         path.write_bytes(blob)
 
         overreach = []  # how far past the end of the file each read asks
+        buffering = []  # the buffer size each open asks for
 
         class Reads:
             def __init__(self, fh):
@@ -161,12 +164,18 @@ class TestBlockReader:
                 overreach.append(size - (len(blob) - self.fh.tell()))
                 return self.fh.read(size)
 
-        monkeypatch.setattr("lntm.store.open", lambda *args, **kwargs: Reads(open(*args, **kwargs)), raising=False)
+        def opens(*args, **kwargs):
+            buffering.append(kwargs.get("buffering"))
+            return Reads(open(*args, **kwargs))
+
+        monkeypatch.setattr(store, "BLOCK_BYTES", block)
+        monkeypatch.setattr("lntm.store.open", opens, raising=False)
         records, error = expected_frames(path, blob)
         assert error[1].endswith("length field 4294967295 exceeds remaining bytes")
         assert read_frames(path) == (records, error)
         assert len(overreach) == 2 + 2 * frames  # the magic, each good frame's header and message, the bad header
         assert max(overreach) <= 12
+        assert buffering == [block]
 
     def test_frames_across_a_block_boundary(self, tmp_path):
         rng = random.Random(4)
