@@ -35,20 +35,21 @@ ports with ``t > 0``, ``E(v) = L * D(v)`` is an integer::
     E(v) = L * t(v) // sigma(v) + sum(mult * E(w))
 
 and each port pulls it over its shortest-path arcs in reverse settle order
-(Brandes's successor form). A bundle arc ``v->w`` carries ``sigma(v) *
-count * D(w)`` paths past each member ``u`` its routes visit ``count``
-times before their exit, so ``C[u] += sigma(v) * count * E(w)``. A reached
+(Brandes's successor form), crediting nodes as it goes. A bundle arc
+``v->w`` carries ``sigma(v) * count * D(w)`` paths past each member ``u``
+its routes visit ``count`` times before their exit, so pulling it credits
+each such member ``u != s`` with ``sigma(v) * count * E(w) / L``. A reached
 node ``u`` with out port ``p`` is interior to ``delta(p) + t(p) - 1`` pairs
-through ``p`` (those ending at its stripped leaves included, see below):
-its credit is ``(C[u] + sigma(p) * E(p)) / L - 1``. For a cluster member
-that covers every exit role, the enter-and-leave bundle included: the
-bundles into an exit port split that port's paths, so ``delta(p)`` is
-exactly the member's credit as the last member of a segment that continues
-past it. The source gets no credit, as a source is never interior to its
-own pairs. A pass credits only the out ports in its settle order, adding
-each numerator to its share's sum for that ``L``; a share of passes divides
-once per denominator and node, an int when ``L`` divides and a
-``Fraction`` otherwise.
+through ``p`` (those ending at its stripped leaves included, see below),
+so pulling ``p`` credits ``u != s`` with ``sigma(p) * E(p) / L - 1``. For a
+cluster member the two credits cover every exit role, the enter-and-leave
+bundle included: the bundles into an exit port split that port's paths, so
+``delta(p)`` is exactly the member's credit as the last member of a
+segment that continues past it. The source ``s`` gets no credit, as a
+source is never interior to its own pairs. A pass credits only the ports in
+its settle order, adding each numerator over ``L`` to its share's sum for
+that ``L``; a share of passes divides once per denominator and node, an
+int when ``L`` divides and a ``Fraction`` otherwise.
 
 Degree-1 nodes leave the port graph (Baglioni et al., ASONAM 2012; Sariyuce
 et al., SDM 2013). A node ``l`` outside any zero-fee cluster whose only
@@ -58,10 +59,10 @@ path, so it matters only as an endpoint, and it gets no port:
 
 - as a target: a leaf with an arc ``u->l`` is reached only through ``u``,
   so every shortest ``s->l`` path is a shortest ``s->u`` path and that arc.
-  ``u``'s out port stands for ``u`` and those leaves, ``t = 1 + k_in(u)``
-  with ``k_in(u)`` the leaves ``u`` has an arc to, and ``u`` is interior to
-  the ``k_in(u)`` pairs ``(s, l)`` of every source ``s`` other than ``u``
-  that reaches it: ``credit[u] += delta + k_in(u)``;
+  ``u``'s out port stands for ``u`` and those leaves, ``t = 1 + a(u)``
+  with ``a(u)`` the leaves ``u`` has an arc to, and ``u`` is interior to
+  the ``a(u)`` pairs ``(s, l)`` of every source ``s`` other than ``u``
+  that reaches it: ``credit[u] += delta + a(u)``;
 - as a source: a leaf with an arc ``l->u`` folds into ``u``. Its only way
   out is ``l->u``, so every shortest ``l->t`` path is that arc followed by
   a shortest ``u->t`` path: ``l``'s pass is ``u``'s pass one arc further
@@ -338,6 +339,12 @@ class _PortGraph(NamedTuple):
     Ports are numbered in a topological order of the zero-weight arcs: every
     zero arc, bundle or not, leads from a lower port to a higher one.
 
+    ``_prepare`` reads the arcs twice. The first read gives the zero-fee
+    clusters and the leaves; numbering the ports fills ``h_in_of``,
+    ``h_out_of`` and ``node_of`` and sets ``target`` to 1 per out port; the
+    second read fills ``plain``, ``far``, ``leaves`` and ``leaf_targets``,
+    and adds 1 to a hub's ``target`` per leaf it has an arc to.
+
     Source passes drop the dominated arcs of their source's out port from
     ``plain`` (see the module docstring).
     """
@@ -347,96 +354,83 @@ class _PortGraph(NamedTuple):
     plain: list[list[tuple[int, int]]]
     bundles: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]]
     far: int  # exceeds every path cost: the distance of an unreached port
-    target: list[int]  # per port: 1 + k_in(u) on u's out port, 0 on an entry-only port
+    target: list[int]  # per port: 1 + the leaves u has an arc to on u's out port, 0 on an entry-only port
     node_of: list[int]  # per port: u on u's out port, -1 on an entry-only port
     leaves: list[int]  # per node: how many leaves fold into it
     leaf_targets: list[int]  # per node: its folded leaves it also has an arc to
     sources: list[int]  # nodes that get a source pass: all kept nodes, hubs first
 
 
-def _strip_leaves(n: int, arcs, cluster_of: list[int]) -> list[bool]:
-    """Per node, whether it is a leaf that leaves the port graph: outside
-    any zero-fee cluster, with one neighbour; of a two-node component only
-    the higher index."""
-    neighbour = [-1] * n  # the only neighbour: -1 while none, -2 once several
-    for src, dst, _ in arcs:
-        for x, y in ((src, dst), (dst, src)):
-            if neighbour[x] == -1:
-                neighbour[x] = y
-            elif neighbour[x] != y:
-                neighbour[x] = -2
-    hub_of = [hub if cluster_of[leaf] < 0 else -1 for leaf, hub in enumerate(neighbour)]
-    # a leaf's hub can only be a leaf itself in a two-node component
-    return [hub >= 0 and (hub_of[hub] < 0 or leaf > hub) for leaf, hub in enumerate(hub_of)]
-
-
 def _prepare(graph: WeightedDigraph) -> _PortGraph:
     n = len(graph.node_ids)
+    # first read: the zero arcs, and each node's only neighbour (-1 while
+    # none, -2 once several)
     zero_out: list[list[int]] = [[] for _ in range(n)]
+    neighbour = [-1] * n
     for src, dst, weight in graph.arcs:
         if weight < 0:  # never a fee weight; arcs built by hand may be
             raise ValueError(f"negative arc weight {weight}")
         if weight == 0:
             zero_out[src].append(dst)
+        neighbour[src] = dst if neighbour[src] in (-1, dst) else -2
+        neighbour[dst] = src if neighbour[dst] in (-1, src) else -2
     components = _strong_components(n, zero_out)
-    clusters = sorted(sorted(comp) for comp in components if len(comp) >= 2)
+    clusters = [comp for comp in components if len(comp) >= 2]
     cluster_of = [-1] * n
     for ci, members in enumerate(clusters):
         for u in members:
             cluster_of[u] = ci
 
-    stripped = _strip_leaves(n, graph.arcs, cluster_of)
-    leaves = [0] * n
-    folded = [False] * n
-    for src, dst, _ in graph.arcs:
-        if stripped[src]:
-            leaves[dst] += 1
-            folded[src] = True
-    k_in = [0] * n
-    leaf_targets = [0] * n
-    for src, dst, _ in graph.arcs:
-        if stripped[dst]:
-            k_in[src] += 1
-            leaf_targets[src] += folded[dst]
+    # a leaf leaves the port graph: outside any zero-fee cluster, with one
+    # neighbour; of a two-node component only the higher index (a leaf's hub
+    # can only be a leaf itself there)
+    hub_of = [hub if cluster < 0 else -1 for hub, cluster in zip(neighbour, cluster_of)]
+    stripped = [hub >= 0 and (hub_of[hub] < 0 or leaf > hub) for leaf, hub in enumerate(hub_of)]
 
     # Tarjan emits components in reverse topological order of the zero arcs;
     # inside a cluster every entry port precedes every exit port. A leaf is
     # its own component and gets no port.
     h_in_of = [-1] * n
     h_out_of = [-1] * n
-    h_count = 0
+    node_of: list[int] = []
     for comp in reversed(components):
         for u in comp:
             if not stripped[u]:
-                h_in_of[u] = h_out_of[u] = h_count
-                h_count += 1
+                h_in_of[u] = h_out_of[u] = len(node_of)
+                node_of.append(u if len(comp) == 1 else -1)
         if len(comp) >= 2:
             for u in comp:
-                h_out_of[u] = h_count
-                h_count += 1
+                h_out_of[u] = len(node_of)
+                node_of.append(u)
+    target = [int(u >= 0) for u in node_of]
 
-    plain: list[list[tuple[int, int]]] = [[] for _ in range(h_count)]
+    # second read: plain arcs between kept nodes, a leaf's arcs in its hub's
+    # counts; a hub's leaf_targets count a leaf once both its arcs are seen
+    plain: list[list[tuple[int, int]]] = [[] for _ in node_of]
     far = 1
+    leaves = [0] * n
+    leaf_targets = [0] * n
+    to_hub = bytearray(n)  # per leaf: its arc to its hub was seen
+    from_hub = bytearray(n)  # per leaf: its hub's arc to it was seen
     for src, dst, weight in graph.arcs:
-        if stripped[src] or stripped[dst]:
-            continue
-        if cluster_of[src] >= 0 and cluster_of[src] == cluster_of[dst]:
-            # zero arcs are absorbed into bundles; a positive arc inside a
-            # cluster is never on a shortest path (a zero route exists)
-            continue
-        plain[h_out_of[src]].append((h_in_of[dst], weight))
-        far += weight
-    bundles: list[list] = [[] for _ in range(h_count)]
+        if stripped[src]:
+            leaves[dst] += 1
+            leaf_targets[dst] += from_hub[src]
+            to_hub[src] = 1
+        elif stripped[dst]:
+            target[h_out_of[src]] += 1
+            leaf_targets[src] += to_hub[dst]
+            from_hub[dst] = 1
+        elif cluster_of[src] < 0 or cluster_of[src] != cluster_of[dst]:
+            # not inside a cluster: a zero arc there is in the bundles, and
+            # a positive one is on no shortest path (a zero route exists)
+            plain[h_out_of[src]].append((h_in_of[dst], weight))
+            far += weight
+    bundles: list[list] = [[] for _ in node_of]
     for members in clusters:
         for x, y, mult, visits in _cluster_bundles(members, zero_out, ZERO_CLUSTER_PATH_BUDGET):
             bundles[h_in_of[x]].append((h_out_of[y], mult, visits))
 
-    target = [0] * h_count
-    node_of = [-1] * h_count
-    for u, port in enumerate(h_out_of):
-        if port >= 0:
-            target[port] = 1 + k_in[u]
-            node_of[port] = u
     # hubs first, ties in index order: they drop the most arcs
     sources = sorted((s for s in range(n) if not stripped[s]), key=lambda s: -len(plain[h_out_of[s]]))
 
@@ -518,15 +512,14 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
 
     # pull E over the shortest-path arcs, successors first (see the module
     # docstring). An out port's E is final once pulled, so its node is
-    # credited then; each folded leaf repeats this pass one arc further
-    # out, so every credit counts 1 + k times. An entry port's bundles add
-    # their visits to C, credited after the sweep.
+    # credited then, and a bundle credits the members it visits as it is
+    # pulled; each folded leaf repeats this pass one arc further out, so
+    # every credit counts 1 + k times.
     k = pg.leaves[s]
     multiplier = 1 + k
     numerators = sums[L]
     node_of = pg.node_of
     E = [0] * ports
-    C: dict[int, int] = {}
     for v in reversed(order):
         d, sv = dist[v], sigma[v]
         t = target[v]
@@ -545,12 +538,11 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
                 if d == dist[w]:
                     ew = E[w]
                     e += mult * ew
+                    credit = multiplier * sv * ew
                     for member, count in visits:
-                        C[member] = C.get(member, 0) + sv * count * ew
+                        if member != s:
+                            numerators[member] += credit * count
             E[v] = e
-    for member, visited in C.items():
-        if member != s:
-            numerators[member] += multiplier * visited
     # s is interior to no pair of its own, only to every pair (leaf, t)
     # for t reached and not the leaf
     if k:

@@ -552,6 +552,29 @@ class TestLeafFolding:
         assert sorted(_prepare(graph).sources) == list(range(core))
         assert_float_matches_networkx(graph)
 
+    def test_prepare_leaf_and_port_bookkeeping_on_a_hand_built_graph(self):
+        # hub 2 has leaves on both sides of its index, so a two-way leaf's
+        # arcs come in either order: 0 and 4 two-way, 1 only 1->2, 3 only
+        # 2->3. 5->7->6->5 is a zero-fee cluster that Tarjan emits as
+        # [6, 7, 5], and 8 is a leaf of its member 6 by a zero arc. 9-10 is
+        # a two-node component (10 folds into 9); 11 is isolated.
+        arcs = [(0, 2, 1), (2, 0, 2), (1, 2, 3), (2, 3, 4), (2, 4, 5), (4, 2, 6)]
+        arcs += [(5, 7, 0), (7, 6, 0), (6, 5, 0), (5, 6, 9), (2, 5, 3), (6, 2, 4), (7, 2, 2)]
+        arcs += [(8, 6, 0), (6, 8, 1), (9, 10, 1), (10, 9, 1)]
+        graph = WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(12)), arcs)
+        pg = _prepare(graph)
+        # ports in reverse Tarjan order: 11, 9, the cluster's entries then
+        # exits (in the order 6, 7, 5), then the hub 2
+        assert pg.node_of == [11, 9, -1, -1, -1, 6, 7, 5, 2]
+        assert pg.h_in_of == [-1, -1, 8, -1, -1, 4, 2, 3, -1, 1, -1, 0]
+        assert pg.h_out_of == [-1, -1, 8, -1, -1, 7, 5, 6, -1, 1, -1, 0]
+        assert pg.target == [1, 2, 0, 0, 0, 2, 1, 1, 4]
+        assert pg.leaves == [0, 0, 3, 0, 0, 0, 1, 0, 0, 1, 0, 0]
+        assert pg.leaf_targets == [0, 0, 2, 0, 0, 0, 1, 0, 0, 1, 0, 0]
+        assert pg.sources == [2, 6, 7, 5, 9, 11]
+        assert pg.plain == [[], [], [], [], [], [(8, 4)], [(8, 2)], [], [(4, 3)]]
+        assert betweenness(graph).values == brute_force_betweenness(graph).values
+
     def test_stripped_leaves_own_no_port_and_are_never_reached(self):
         rng = random.Random(1013)
         for _ in range(100):
