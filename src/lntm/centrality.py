@@ -273,9 +273,9 @@ def _strong_components(n: int, adj: list[list[int]]) -> list[list[int]]:
 
 
 def _cluster_bundles(
-    members: list[int], zero_out: list[list[int]], budget: int
+    graph: WeightedDigraph, members: list[int], zero_out: list[list[int]], budget: int
 ) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
-    """Exact simple-route table for one zero-fee cluster.
+    """Exact simple-route table for one zero-fee cluster of ``graph``.
 
     Returns bundles (entry, exit, route_count, visits), sorted by (entry,
     exit), for every ordered member pair connected by zero arcs, plus the
@@ -283,7 +283,8 @@ def _cluster_bundles(
     member, the routes that pass it before their exit: the entry member on
     every route, each interior member on the routes through it. The
     enter-and-leave bundle has no visits; the exit port's delta credits its
-    member.
+    member. Past ``budget`` steps the error names the graph's amount, the
+    cluster's size and its three lowest-indexed node ids.
     """
     member_set = set(members)
     local = {u: [v for v in zero_out[u] if v in member_set] for u in members}
@@ -305,9 +306,10 @@ def _cluster_bundles(
                 continue
             steps += len(path)
             if steps > budget:
+                ids = ", ".join(f"{graph.node_ids[u].hex()[:16]}…" for u in sorted(members)[:3])
                 raise ValueError(
-                    f"zero-fee cluster of {len(members)} nodes exceeds "
-                    f"{budget} route-enumeration steps"
+                    f"at {graph.amount_msat} msat: zero-fee cluster of {len(members)} nodes "
+                    f"({ids}) exceeds {budget} route-enumeration steps"
                 )
             key = (start, nxt)
             counts[key] = counts.get(key, 0) + 1
@@ -428,7 +430,7 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
             far += weight
     bundles: list[list] = [[] for _ in node_of]
     for members in clusters:
-        for x, y, mult, visits in _cluster_bundles(members, zero_out, ZERO_CLUSTER_PATH_BUDGET):
+        for x, y, mult, visits in _cluster_bundles(graph, members, zero_out, ZERO_CLUSTER_PATH_BUDGET):
             bundles[h_in_of[x]].append((h_out_of[y], mult, visits))
 
     # hubs first, ties in index order: they drop the most arcs

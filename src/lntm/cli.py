@@ -3,7 +3,8 @@
 All commands are non-interactive and file-based, emit plot-ready data (never
 images), and write a reproducibility manifest next to their outputs. The
 LNTM_THREADS environment variable caps worker processes; output bytes do
-not depend on it.
+not depend on it. The command line is parsed with the standard library's
+argparse, so lntm has no runtime dependency.
 
 Each command reads its inputs and computes every result before it writes
 anything; then ``_emit`` writes all outputs and the manifest. Every file
@@ -13,32 +14,34 @@ reads the archive, spills sorted runs beside the output, merges them into
 it and removes them however it exits.
 
 Exit codes: 1 when an input cannot be read, parsed or used, a computation
-it makes fail included (``_Pipeline``); the message of a document that does
-not parse starts with its path. 2 for any OSError inside ``_emit``: an
-output that cannot be written, and for ``compact`` a run or an archive
-read that fails once writing has started; and for usage errors, such as
-an ``--amount-msat`` outside the u64 range or given twice, or a report
-label that cannot name a file or a CSV cell.
+it makes fail included (the one ``try`` in ``main``); the message of a
+document that does not parse starts with its path. 2 for any OSError inside
+``_emit``: an output that cannot be written, and for ``compact`` a run or an
+archive read that fails once writing has started; and for usage errors,
+which print the command's ``usage:`` line: a missing option, a ``--store``
+or ``--snapshot`` that is not a readable file, an ``--out`` of ``snapshot``
+or ``compact`` that is a directory, an ``--amount-msat`` outside the u64
+range or given twice, a bad LNTM_THREADS, or a report label that cannot
+name a file or a CSV cell.
 
-The centrality and inequality modules are imported only by the commands
-that use them, which keeps them out of every other call's startup.
+The replay, centrality and inequality modules are imported only by the
+commands that use them, which keeps them out of every other call's
+startup: ``compact`` and ``--version`` load none of them.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, TypeVar
-
-import click
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from . import __version__
 from .codec import U64_MAX
 from .manifest import atomic_write, dump_table, manifested, write_document
-from .replay import replay, routing_view, snapshot_document, snapshot_from_json
 from .store import open_store, write_compacted
 
 if TYPE_CHECKING:
@@ -55,11 +58,13 @@ T = TypeVar("T")
 
 
 def _thread_count() -> int:
+    """LNTM_THREADS, at least 1; one that is not an integer is a usage
+    error."""
     raw = os.environ.get("LNTM_THREADS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
-        raise click.UsageError(f"LNTM_THREADS={raw!r} is not an integer")
+        raise argparse.ArgumentError(None, f"LNTM_THREADS={raw!r} is not an integer")
 
 
 def _read_document(path: str, parse: Callable[[str], T]) -> T:
@@ -72,7 +77,7 @@ def _read_document(path: str, parse: Callable[[str], T]) -> T:
 
 
 def _fail(exc: Exception, code: int):
-    click.echo(f"error: {exc}", err=True)
+    print(f"error: {exc}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -103,44 +108,21 @@ def _emit(
         _fail(exc, 2)
 
 
-class _Pipeline(click.Group):
-    """Exits 1 when an input cannot be read (OSError), or is an archive,
-    document or computation that cannot be used (ValueError, the one type
-    every lntm check raises), and when a betweenness worker dies
-    (ChildProcessError, an OSError). An OSError inside ``_emit`` has exited
-    2 by then."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (OSError, ValueError) as exc:
-            _fail(exc, 1)
-
-
-@click.group(cls=_Pipeline)
-@click.version_option(version=__version__, prog_name="lntm")
-def main():
-    """Reconstruct past payment-channel-network states from archived gossip
-    and measure routing centralization."""
-
-
-@main.command()
-@click.option("--store", "store_path", required=True, type=click.Path(exists=True, dir_okay=False), help="GSR1 archive or JSON-lines debug file.")
-@click.option("--at", "as_of", required=True, type=int, help="Query instant (Unix seconds, inclusive).")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Snapshot JSON output path.")
-def snapshot(store_path: str, as_of: int, out_path: str):
+def snapshot(args: argparse.Namespace):
     """Replay an archive up to an instant and write the network snapshot."""
-    snap = replay(open_store(store_path), as_of)
+    from .replay import replay, snapshot_document
+
+    snap = replay(open_store(args.store), args.at)
     _emit(
-        Path(f"{out_path}.manifest.json"),
+        Path(f"{args.out}.manifest.json"),
         "snapshot",
-        [store_path],
-        {"as_of": as_of},
-        [(Path(out_path), snapshot_document(snap))],
+        [args.store],
+        {"as_of": args.at},
+        [(Path(args.out), snapshot_document(snap))],
     )
     diag = snap.diagnostics
-    click.echo(f"as_of {snap.as_of}: {len(snap.nodes)} nodes, {len(snap.channels)} channels, {snap.policy_count} policies")
-    click.echo(
+    print(f"as_of {snap.as_of}: {len(snap.nodes)} nodes, {len(snap.channels)} channels, {snap.policy_count} policies")
+    print(
         f"dropped: {diag.updates_unknown_channel} updates for unknown channels, "
         f"{diag.orphan_node_announcements} orphan node announcements"
     )
@@ -167,149 +149,201 @@ def _histogram_csv(report: CentralityReport) -> str:
     return dump_table(("bin_low", "bin_high", "count"), rows)
 
 
-def _distinct_amounts(ctx, param, amounts: tuple[int, ...]) -> tuple[int, ...]:
-    """An amount names its three output files, so it may be given once."""
-    for i, amount in enumerate(amounts):
-        if amount in amounts[:i]:
-            raise click.BadParameter(f"amount {amount} is given more than once")
-    return amounts
-
-
-@main.command()
-@click.option("--snapshot", "snapshot_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Snapshot JSON produced by the snapshot command.")
-@click.option("--amount-msat", "amounts", multiple=True, type=click.IntRange(0, U64_MAX), callback=_distinct_amounts, help="Transaction size in msat (repeatable). Defaults to 10^7, 10^9, 10^10.")
-@click.option("--enforce-htlc-bounds", is_flag=True, help="Drop arcs whose htlc_minimum/htlc_maximum exclude the amount.")
-@click.option("--prune-stale-after", type=click.IntRange(min=0), default=None, help="Drop arcs whose policy is older than as_of minus this many seconds.")
-@click.option("--include-disabled", is_flag=True, help="Keep arcs whose policy is flagged disabled.")
-# a no-op: values are always exact; the benchmark still passes it, until ROADMAP item 1
-@click.option("--exact", is_flag=True, hidden=True, expose_value=False)
-@click.option("--out", "out_prefix", required=True, type=click.Path(), help="Prefix for report files.")
-def centrality(
-    snapshot_path: str,
-    amounts: tuple[int, ...],
-    enforce_htlc_bounds: bool,
-    prune_stale_after: int | None,
-    include_disabled: bool,
-    out_prefix: str,
-):
+def centrality(args: argparse.Namespace):
     """Fee-weighted betweenness reports, one per transaction amount."""
     from .centrality import betweenness_reports, build_graph, report_document, report_items, report_to_csv
+    from .replay import routing_view, snapshot_from_json
 
-    snap = _read_document(snapshot_path, snapshot_from_json)
-    amounts = amounts or DEFAULT_AMOUNTS_MSAT
+    # an amount names its three output files, so it may be given once
+    amounts = args.amount_msat or DEFAULT_AMOUNTS_MSAT
+    for i, amount in enumerate(amounts):
+        if amount in amounts[:i]:
+            raise argparse.ArgumentError(None, f"argument --amount-msat: amount {amount} is given more than once")
+    snap = _read_document(args.snapshot, snapshot_from_json)
     processes = _thread_count()
     view = routing_view(
-        snap, prune_stale_after=prune_stale_after, include_disabled=include_disabled
+        snap, prune_stale_after=args.prune_stale_after, include_disabled=args.include_disabled
     )
-    graphs = [build_graph(view, amount, enforce_htlc_bounds=enforce_htlc_bounds) for amount in amounts]
+    graphs = [build_graph(view, amount, enforce_htlc_bounds=args.enforce_htlc_bounds) for amount in amounts]
     files = []
     for amount, report in zip(amounts, betweenness_reports(graphs, processes=processes)):
         files += [
-            (Path(f"{out_prefix}-centrality-{amount}.csv"), report_to_csv(report)),
-            (Path(f"{out_prefix}-centrality-{amount}.json"), report_document(report)),
-            (Path(f"{out_prefix}-histogram-{amount}.csv"), _histogram_csv(report)),
+            (Path(f"{args.out}-centrality-{amount}.csv"), report_to_csv(report)),
+            (Path(f"{args.out}-centrality-{amount}.json"), report_document(report)),
+            (Path(f"{args.out}-histogram-{amount}.csv"), _histogram_csv(report)),
         ]
         top = report_items(report)[0] if report.values else None
         top_note = f", top {top[0].hex()[:16]}… = {float(top[1])!r}" if top else ""
-        click.echo(
+        print(
             f"amount {amount} msat: {len(report.values)} nodes, "
             f"{report.leaf_count} zero-valued nodes{top_note}"
         )
     _emit(
-        Path(f"{out_prefix}-manifest.json"),
+        Path(f"{args.out}-manifest.json"),
         "centrality",
-        [snapshot_path],
+        [args.snapshot],
         {
             "amounts_msat": list(amounts),
-            "enforce_htlc_bounds": enforce_htlc_bounds,
-            "prune_stale_after": prune_stale_after,
-            "include_disabled": include_disabled,
+            "enforce_htlc_bounds": args.enforce_htlc_bounds,
+            "prune_stale_after": args.prune_stale_after,
+            "include_disabled": args.include_disabled,
         },
         files,
     )
 
 
-def _labeled_reports(ctx, param, entries: tuple[str, ...]) -> list[tuple[str, str]]:
-    """Report arguments are PATH or LABEL=PATH; unlabeled ones get T1..Tn.
-    A label names output files and CSV cells, so it must be non-empty and
-    free of ',', '/', '"' and line breaks."""
-    labeled = []
-    for i, raw in enumerate(entries, start=1):
-        if "=" in raw:
-            label, _, path = raw.partition("=")
-        else:
-            label, path = f"T{i}", raw
-        if not label or any(ch in label for ch in ',/"\r\n'):
-            raise click.BadParameter(f"label {label!r} is empty or contains ',', '/', '\"' or a line break")
-        labeled.append((label, path))
-    return labeled
-
-
-@main.command()
-@click.option("--report", "labeled_paths", multiple=True, required=True, callback=_labeled_reports, help="Centrality report JSON, as PATH or LABEL=PATH (repeatable, in time order).")
-@click.option("--k", "k", type=click.IntRange(min=1), default=10, show_default=True, help="Number of anchor-snapshot top nodes to trace.")
-@click.option("--anchor", type=str, default=None, help="Label of the snapshot whose top-k nodes are traced (default: last).")
-@click.option("--rank-cap", type=click.IntRange(min=1), default=None, help="Cap displayed ranks in the timeline matrix (presentation only).")
-@click.option("--out", "out_prefix", required=True, type=click.Path(), help="Prefix for inequality files.")
-def inequality(
-    labeled_paths: list[tuple[str, str]],
-    k: int,
-    anchor: str | None,
-    rank_cap: int | None,
-    out_prefix: str,
-):
+def inequality(args: argparse.Namespace):
     """Lorenz curves, Gini trend, top-10% shares and rank timelines."""
     from .centrality import report_from_json
-    from .inequality import gini_trend, gini_trend_to_csv, lorenz, lorenz_to_csv, rank_timelines, timelines_to_csv, top_share, top_shares_to_csv
+    from .inequality import concentration, gini_trend_to_csv, lorenz_to_csv, rank_timelines, timelines_to_csv, top_shares_to_csv
 
+    # an unlabeled report is T<its position>
+    labeled_paths = [(label or f"T{i}", path) for i, (label, path) in enumerate(args.report, start=1)]
     labels = [label for label, _ in labeled_paths]
     reports = [(label, _read_document(path, report_from_json)) for label, path in labeled_paths]
-    anchor = anchor if anchor is not None else labels[-1]
-    trend = gini_trend(reports)
-    shares = [(label, top_share(report, TOP_SHARE_FRACTION)) for label, report in reports]
-    timelines = rank_timelines(reports, k=k, anchor=anchor)
-    files = [
-        (Path(f"{out_prefix}-lorenz-{label}.csv"), lorenz_to_csv(lorenz(report)))
-        for label, report in reports
-    ]
+    anchor = args.anchor if args.anchor is not None else labels[-1]
+    stats = [(label, concentration(report, TOP_SHARE_FRACTION)) for label, report in reports]
+    trend = [(label, series.gini) for label, (series, _) in stats]
+    timelines = rank_timelines(reports, k=args.k, anchor=anchor)
+    files = [(Path(f"{args.out}-lorenz-{label}.csv"), lorenz_to_csv(series)) for label, (series, _) in stats]
     files += [
-        (Path(f"{out_prefix}-gini-trend.csv"), gini_trend_to_csv(trend)),
-        (Path(f"{out_prefix}-top-share.csv"), top_shares_to_csv(shares)),
-        (Path(f"{out_prefix}-rank-timeline.csv"), timelines_to_csv(timelines, labels, rank_cap=rank_cap)),
+        (Path(f"{args.out}-gini-trend.csv"), gini_trend_to_csv(trend)),
+        (Path(f"{args.out}-top-share.csv"), top_shares_to_csv([(label, share) for label, (_, share) in stats])),
+        (Path(f"{args.out}-rank-timeline.csv"), timelines_to_csv(timelines, labels, rank_cap=args.rank_cap)),
     ]
     _emit(
-        Path(f"{out_prefix}-manifest.json"),
+        Path(f"{args.out}-manifest.json"),
         "inequality",
         [path for _, path in labeled_paths],
         {
             "labels": labels,
-            "k": k,
+            "k": args.k,
             "anchor": anchor,
-            "rank_cap": rank_cap,
+            "rank_cap": args.rank_cap,
             "top_share_fraction": TOP_SHARE_FRACTION,
         },
         files,
     )
     for label, gini in trend:
-        click.echo(f"{label}: gini {gini!r}")
+        print(f"{label}: gini {gini!r}")
 
 
-@main.command()
-@click.option("--store", "store_path", required=True, type=click.Path(exists=True, dir_okay=False), help="GSR1 archive or JSON-lines debug file.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Compacted GSR1 output path.")
-def compact(store_path: str, out_path: str):
+def compact(args: argparse.Namespace):
     """Rewrite an archive as its deduplicated, time-ordered equivalent, in
     bounded memory: sorted runs are spilled beside the output and merged."""
-    records = open_store(store_path)
+    records = open_store(args.store)
     written = []
     _emit(
-        Path(f"{out_path}.manifest.json"),
+        Path(f"{args.out}.manifest.json"),
         "compact",
-        [store_path],
+        [args.store],
         {},
-        [(Path(out_path), lambda path: written.append(write_compacted(path, records)))],
+        [(Path(args.out), lambda path: written.append(write_compacted(path, records)))],
     )
-    click.echo(f"wrote {written[0]} records")
+    print(f"wrote {written[0]} records")
+
+
+def _file_path(path: str) -> str:
+    """A file path, output or input: not a directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
+def _input_file(path: str) -> str:
+    """An input document or archive: a readable file that exists."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"{path!r} does not exist")
+    if not os.access(_file_path(path), os.R_OK):
+        raise argparse.ArgumentTypeError(f"{path!r} is not readable")
+    return path
+
+
+def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An integer option that must lie in [low, high]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{value} is above {high}")
+        return value
+
+    return parse
+
+
+def _labeled_report(raw: str) -> tuple[Optional[str], str]:
+    """A --report, PATH or LABEL=PATH. A label names output files and CSV
+    cells, so it must be non-empty and free of ',', '/', '"' and line
+    breaks."""
+    if "=" not in raw:
+        return None, raw
+    label, _, path = raw.partition("=")
+    if not label or any(ch in label for ch in ',/"\r\n'):
+        raise argparse.ArgumentTypeError(f"label {label!r} is empty or contains ',', '/', '\"' or a line break")
+    return label, path
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lntm",
+        description="Reconstruct past payment-channel-network states from archived gossip and measure routing centralization.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run: Callable[[argparse.Namespace], None]) -> argparse.ArgumentParser:
+        # argparse %-formats help, not descriptions
+        sub = commands.add_parser(run.__name__, help=run.__doc__.replace("%", "%%"), description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    sub = command(snapshot)
+    sub.add_argument("--store", required=True, type=_input_file, metavar="PATH", help="GSR1 archive or JSON-lines debug file.")
+    sub.add_argument("--at", required=True, type=int, metavar="SECONDS", help="Query instant (Unix seconds, inclusive).")
+    sub.add_argument("--out", required=True, type=_file_path, metavar="PATH", help="Snapshot JSON output path.")
+
+    sub = command(centrality)
+    sub.add_argument("--snapshot", required=True, type=_input_file, metavar="PATH", help="Snapshot JSON produced by the snapshot command.")
+    sub.add_argument("--amount-msat", action="append", type=_int_in(0, U64_MAX), metavar="MSAT", help="Transaction size in msat (repeatable). Defaults to 10^7, 10^9, 10^10.")
+    sub.add_argument("--enforce-htlc-bounds", action="store_true", help="Drop arcs whose htlc_minimum/htlc_maximum exclude the amount.")
+    sub.add_argument("--prune-stale-after", type=_int_in(0), metavar="SECONDS", help="Drop arcs whose policy is older than as_of minus this many seconds.")
+    sub.add_argument("--include-disabled", action="store_true", help="Keep arcs whose policy is flagged disabled.")
+    # a no-op: values are always exact; the benchmark still passes it, until ROADMAP item 1
+    sub.add_argument("--exact", action="store_true", help=argparse.SUPPRESS)
+    sub.add_argument("--out", required=True, metavar="PREFIX", help="Prefix for report files.")
+
+    sub = command(inequality)
+    sub.add_argument("--report", action="append", required=True, type=_labeled_report, metavar="[LABEL=]PATH", help="Centrality report JSON (repeatable, in time order); unlabeled ones are T1..Tn.")
+    sub.add_argument("--k", type=_int_in(1), default=10, help="Number of anchor-snapshot top nodes to trace (default: %(default)s).")
+    sub.add_argument("--anchor", metavar="LABEL", help="Label of the snapshot whose top-k nodes are traced (default: last).")
+    sub.add_argument("--rank-cap", type=_int_in(1), metavar="RANK", help="Cap displayed ranks in the timeline matrix (presentation only).")
+    sub.add_argument("--out", required=True, metavar="PREFIX", help="Prefix for inequality files.")
+
+    sub = command(compact)
+    sub.add_argument("--store", required=True, type=_input_file, metavar="PATH", help="GSR1 archive or JSON-lines debug file.")
+    sub.add_argument("--out", required=True, type=_file_path, metavar="PATH", help="Compacted GSR1 output path.")
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> None:
+    """Run one command. An input that cannot be read (OSError), or is an
+    archive, document or computation that cannot be used (ValueError, the
+    one type every lntm check raises), exits 1, as does a betweenness worker
+    that dies (ChildProcessError, an OSError); an OSError inside ``_emit``
+    has exited 2 by then. Usage errors exit 2."""
+    args = _parser().parse_args(argv)
+    try:
+        args.run(args)
+    except argparse.ArgumentError as exc:
+        args.parser.error(str(exc))
+    except (OSError, ValueError) as exc:
+        _fail(exc, 1)
 
 
 if __name__ == "__main__":

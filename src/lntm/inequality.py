@@ -43,36 +43,35 @@ class RankTimeline(NamedTuple):
     ranks: dict[str, int]  # snapshot label -> rank (1 = top); absent if missing
 
 
-def _running_sums(report: CentralityReport) -> list[Fraction]:
-    """Exact running sums of the written values in ascending order, from 0:
-    entry i sums the i smallest."""
+def _running_sums(report: CentralityReport) -> list[int]:
+    """Exact running sums of the written values in ascending order, from 0,
+    all scaled by the values' largest denominator (a power of two): entry i
+    sums the i smallest. Every statistic is a ratio of these sums, so the
+    scale cancels."""
     if not report.values:
         raise ValueError("no nodes in report")
-    return list(accumulate(map(Fraction, sorted(float(v) for v in report.values.values())), initial=Fraction(0)))
+    ratios = [v.as_integer_ratio() for v in sorted(float(v) for v in report.values.values())]
+    scale = max(den for _, den in ratios)
+    return list(accumulate((num * (scale // den) for num, den in ratios), initial=0))
 
 
-def lorenz(report: CentralityReport) -> LorenzSeries:
-    """Lorenz curve and Gini coefficient over every node of the report."""
-    running = _running_sums(report)
+def _lorenz(running: list[int]) -> LorenzSeries:
     n, total = len(running) - 1, running[-1]
     if total == 0:
         points = tuple((i / n, i / n) for i in range(n + 1))
         return LorenzSeries(points=points, gini=0.0)
-    # each share is the float nearest its exact value, so the curve ends at
-    # (1, 1)
-    points = tuple((i / n, float(r / total)) for i, r in enumerate(running))
+    # each share is the float nearest its exact value (an int / int true
+    # division rounds correctly), so the curve ends at (1, 1)
+    points = tuple((i / n, r / total) for i, r in enumerate(running))
     # the trapezoids under the exact curve sum to (2 * sum(running) - total)
     # / (n * total), so the Gini is the float nearest one minus that
-    gini = 1 - (2 * sum(running) - total) / (n * total)
-    return LorenzSeries(points=points, gini=float(gini))
+    gini = (n * total - 2 * sum(running) + total) / (n * total)
+    return LorenzSeries(points=points, gini=gini)
 
 
-def top_share(report: CentralityReport, fraction: float) -> TopShare:
-    """Share of total value held by the top ceil(fraction * n) nodes: the
-    float nearest the exact share of their written values."""
+def _top_share(running: list[int], fraction: float) -> TopShare:
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction {fraction} outside (0, 1]")
-    running = _running_sums(report)
     n, total = len(running) - 1, running[-1]
     # exact ceil: 0.07 * 100 must select 7 nodes, not 8
     k = math.ceil(Fraction(fraction).limit_denominator(10**9) * n)
@@ -80,7 +79,25 @@ def top_share(report: CentralityReport, fraction: float) -> TopShare:
     if total == 0:
         return TopShare(fraction=fraction, share=1.0, degenerate=True)
     # the top k hold the total less the n - k smallest
-    return TopShare(fraction=fraction, share=float((total - running[n - k]) / total))
+    return TopShare(fraction=fraction, share=(total - running[n - k]) / total)
+
+
+def lorenz(report: CentralityReport) -> LorenzSeries:
+    """Lorenz curve and Gini coefficient over every node of the report."""
+    return _lorenz(_running_sums(report))
+
+
+def top_share(report: CentralityReport, fraction: float) -> TopShare:
+    """Share of total value held by the top ceil(fraction * n) nodes: the
+    float nearest the exact share of their written values."""
+    return _top_share(_running_sums(report), fraction)
+
+
+def concentration(report: CentralityReport, fraction: float) -> tuple[LorenzSeries, TopShare]:
+    """``lorenz(report)`` and ``top_share(report, fraction)`` from one sort
+    of the report's values."""
+    running = _running_sums(report)
+    return _lorenz(running), _top_share(running, fraction)
 
 
 def snapshot_ranks(report: CentralityReport) -> dict[NodeId, int]:

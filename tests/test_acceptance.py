@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from lntm.centrality import betweenness, brute_force_betweenness, build_graph, fee_weight
 from lntm.cli import main
@@ -21,6 +20,7 @@ from lntm.inequality import gini_trend, lorenz
 from lntm.replay import replay, routing_view, snapshot_from_json, snapshot_to_json
 from lntm.store import deduplicate_and_order, open_store, write_store
 
+from cli_runner import CliRunner
 import msggen
 from test_centrality import make_view, policy, random_graph
 from test_cli import build_corpus

@@ -395,10 +395,24 @@ class TestZeroWeights:
         # 132 visit counts; the budget bounds the visit work
         cluster, _ = make_graph("abcd", [(a, b, 0) for a in "abcd" for b in "abcd" if a != b])
         monkeypatch.setattr(centrality, "ZERO_CLUSTER_PATH_BUDGET", 100)
-        with pytest.raises(ValueError, match=r"^zero-fee cluster of 4 nodes exceeds 100 route-enumeration steps$"):
+        with pytest.raises(ValueError, match=r"^at 0 msat: zero-fee cluster of 4 nodes \(0200000000000000…, 0200000000000000…, 0200000000000000…\) exceeds 100 route-enumeration steps$"):
             _prepare(cluster)
         monkeypatch.setattr(centrality, "ZERO_CLUSTER_PATH_BUDGET", 132)
         assert betweenness(cluster).values == brute_force_betweenness(cluster).values
+
+    def test_budget_error_names_the_amount_the_size_and_three_ids(self, monkeypatch):
+        # a 9-node zero-fee clique is over the budget; a small one keeps the
+        # test fast. Node i's id starts 02 0i, so the ids' first 16 hex
+        # digits differ
+        node_ids = [bytes([0x02, i]) + bytes(31) for i in range(1, 10)]
+        clique = WeightedDigraph.from_arcs(node_ids, [(u, v, 0) for u in range(9) for v in range(9) if u != v], 10**9)
+        monkeypatch.setattr(centrality, "ZERO_CLUSTER_PATH_BUDGET", 1000)
+        with pytest.raises(ValueError) as raised:
+            betweenness_reports([clique])
+        assert str(raised.value) == (
+            "at 1000000000 msat: zero-fee cluster of 9 nodes "
+            "(0201000000000000…, 0202000000000000…, 0203000000000000…) exceeds 1000 route-enumeration steps"
+        )
 
     def test_ports_numbered_topologically(self):
         rng = random.Random(99)
@@ -925,7 +939,7 @@ class TestWorkerCap:
         # four mutually zero-fee nodes need more route steps than allowed
         cluster, _ = make_graph("abcd", [(a, b, 0) for a in "abcd" for b in "abcd" if a != b])
         monkeypatch.setattr(centrality, "ZERO_CLUSTER_PATH_BUDGET", 5)
-        with pytest.raises(ValueError, match=r"^zero-fee cluster of 4 nodes exceeds 5 route-enumeration steps$"):
+        with pytest.raises(ValueError, match=r"^at 0 msat: zero-fee cluster of 4 nodes \(0200000000000000…, 0200000000000000…, 0200000000000000…\) exceeds 5 route-enumeration steps$"):
             betweenness_reports([good, cluster, good], processes=3)
         assert forks.forked == []
 

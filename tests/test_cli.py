@@ -14,7 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import lntm
@@ -25,6 +24,7 @@ from lntm.manifest import sha256_file
 from lntm.replay import replay, routing_view, snapshot_from_json, snapshot_to_json
 from lntm.store import StoreRecord, write_store
 
+from cli_runner import CliRunner
 import msggen
 from test_centrality import needs_two_cpus, within
 
@@ -315,12 +315,12 @@ class TestCentralityCommand:
         assert "--prune-stale-after" in result.stderr
         assert not list(tmp_path.glob("r-*"))
 
-    def test_non_integer_thread_count_is_a_usage_error(self, runner, tmp_path):
+    def test_non_integer_thread_count_is_a_usage_error(self, runner, tmp_path, monkeypatch):
         snap = make_snapshot(runner, tmp_path)
+        monkeypatch.setenv("LNTM_THREADS", "abc")
         result = runner.invoke(
             main,
             ["centrality", "--snapshot", str(snap), "--amount-msat", "10000000", "--out", str(tmp_path / "r")],
-            env={"LNTM_THREADS": "abc"},
         )
         assert result.exit_code == 2, result.output
         assert "LNTM_THREADS='abc' is not an integer" in result.stderr
@@ -344,6 +344,35 @@ class TestCentralityCommand:
         assert result.stderr.startswith("error: fee ")
         assert "exceeds u64" in result.stderr
         assert isinstance(result.exception, SystemExit)
+        assert not list(tmp_path.glob("r-*"))
+
+    def test_zero_fee_cluster_over_the_budget_exits_1_and_names_it(self, runner, tmp_path, monkeypatch):
+        # a 9-node zero-fee clique; a small budget keeps the test fast
+        ids = [bytes([0x02, i]) + bytes(31) for i in range(1, 10)]
+        records = []
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids[i + 1:], start=i + 1):
+                channel = msggen.scid(100 + 10 * i + j)
+                records.append(msggen.record(100, msggen.make_channel_announcement(channel, a, b)))
+                for direction in (0, 1):
+                    update = msggen.make_channel_update(
+                        channel, 110, direction=direction, fee_base_msat=0, fee_proportional_millionths=0
+                    )
+                    records.append(msggen.record(110, update))
+        write_store(tmp_path / "clique.gsr", records)
+        snap = tmp_path / "clique.json"
+        result = runner.invoke(main, ["snapshot", "--store", str(tmp_path / "clique.gsr"), "--at", "999", "--out", str(snap)])
+        assert result.exit_code == 0, result.output
+        monkeypatch.setattr(lntm.centrality, "ZERO_CLUSTER_PATH_BUDGET", 1000)
+        result = runner.invoke(
+            main, ["centrality", "--snapshot", str(snap), "--amount-msat", "1000000000", "--out", str(tmp_path / "r")]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "error: at 1000000000 msat: zero-fee cluster of 9 nodes "
+            "(0201000000000000…, 0202000000000000…, 0203000000000000…) exceeds 1000 route-enumeration steps\n"
+        )
+        assert result.stdout == ""
         assert not list(tmp_path.glob("r-*"))
 
     def test_parse_failure_exits_1(self, runner, tmp_path):
@@ -398,10 +427,9 @@ class TestForkedShares:
             return real(pgs, share, workers)
 
         monkeypatch.setattr(lntm.centrality, "_share_credits", share_credits)
+        monkeypatch.setenv("LNTM_THREADS", "2")
         with within(10):
-            result = runner.invoke(
-                main, ["centrality", "--snapshot", str(snap), "--out", str(tmp_path / "r")], env={"LNTM_THREADS": "2"}
-            )
+            result = runner.invoke(main, ["centrality", "--snapshot", str(snap), "--out", str(tmp_path / "r")])
         assert result.exit_code == 1, result.output
         assert result.stderr == f"error: betweenness worker 1 was killed by signal {signal.SIGKILL.value}\n"
         assert isinstance(result.exception, SystemExit)
@@ -856,9 +884,81 @@ def _modules_loaded_by(module: str, names: set[str]) -> list[str]:
 
 
 def test_importing_the_cli_leaves_out_the_compute_modules():
-    assert _modules_loaded_by("lntm.cli", {"lntm.centrality", "lntm.inequality", "multiprocessing"}) == []
+    # the command line is parsed with argparse: click is never imported
+    compute = {"lntm.replay", "lntm.centrality", "lntm.inequality", "multiprocessing", "click"}
+    assert _modules_loaded_by("lntm.cli", compute) == []
     # the betweenness workers are bare forks: nothing imports multiprocessing
     assert _modules_loaded_by("lntm.centrality", {"lntm.centrality", "multiprocessing"}) == ["lntm.centrality"]
+
+
+# each command's required options, with a valid value; "{file}" is an
+# existing file
+REQUIRED_OPTIONS = {
+    "snapshot": [("--store", "{file}"), ("--at", "1"), ("--out", "out")],
+    "centrality": [("--snapshot", "{file}"), ("--out", "out")],
+    "inequality": [("--report", "{file}"), ("--out", "out")],
+    "compact": [("--store", "{file}"), ("--out", "out")],
+}
+
+
+class TestUsageErrors:
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "lntm, version 0.1.0\n", "")
+
+    @pytest.mark.parametrize(
+        "command, missing", [(command, i) for command, options in REQUIRED_OPTIONS.items() for i in range(len(options))]
+    )
+    def test_a_missing_required_option_exits_2(self, runner, tmp_path, monkeypatch, command, missing):
+        monkeypatch.chdir(tmp_path)
+        Path("input").write_bytes(b"")
+        options = REQUIRED_OPTIONS[command]
+        argv = [command]
+        for i, (option, value) in enumerate(options):
+            if i != missing:
+                argv += [option, value.format(file="input")]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"usage: lntm {command} ")
+        assert options[missing][0] in result.stderr.splitlines()[-1]
+        assert "Traceback" not in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert os.listdir() == ["input"]
+
+    @pytest.mark.parametrize("command", ["snapshot", "centrality", "compact"])
+    def test_an_input_that_does_not_exist_exits_2(self, runner, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv = [command]
+        for option, value in REQUIRED_OPTIONS[command]:
+            argv += [option, value.format(file="absent")]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == (
+            f"lntm {command}: error: argument {REQUIRED_OPTIONS[command][0][0]}: 'absent' does not exist"
+        )
+        assert os.listdir() == []
+
+    @pytest.mark.parametrize("command", ["snapshot", "compact"])
+    def test_an_output_that_is_a_directory_exits_2(self, runner, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        build_corpus(tmp_path / "input")
+        (tmp_path / "out").mkdir()
+        argv = [command]
+        for option, value in REQUIRED_OPTIONS[command]:
+            argv += [option, value.format(file="input")]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == f"lntm {command}: error: argument --out: 'out' is a directory"
+        assert sorted(os.listdir()) == ["input", "out"] and os.listdir("out") == []
+
+    def test_an_abbreviated_option_exits_2(self, runner, tmp_path):
+        store = tmp_path / "corpus.gsr"
+        build_corpus(store)
+        result = runner.invoke(main, ["snapshot", "--sto", str(store), "--at", "999", "--out", str(tmp_path / "x.json")])
+        assert result.exit_code == 2
+        # --sto is not taken for --store
+        assert result.stderr.endswith("error: the following arguments are required: --store\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
 
 
 class TestManifestWriteFailure:

@@ -6,9 +6,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lntm.centrality import CentralityReport
 from lntm.inequality import (
+    LorenzSeries,
+    TopShare,
+    concentration,
     gini_trend,
     gini_trend_to_csv,
     lorenz,
@@ -197,6 +201,47 @@ class TestTopShare:
             fraction = rng.choice((0.1, 0.25, 0.5, 0.9))
             ts = top_share(report(values), fraction)
             assert ts.share >= fraction
+
+
+def fraction_lorenz(values):
+    """The Lorenz curve and Gini in exact rationals, rounded once: the
+    reference for ``lorenz``."""
+    running = list(accumulate(map(Fraction, sorted(values)), initial=Fraction(0)))
+    n, total = len(running) - 1, running[-1]
+    if total == 0:
+        return LorenzSeries(points=tuple((i / n, i / n) for i in range(n + 1)), gini=0.0)
+    points = tuple((i / n, float(r / total)) for i, r in enumerate(running))
+    gini = 1 - (2 * sum(running) - total) / (n * total)
+    return LorenzSeries(points=points, gini=float(gini))
+
+
+def fraction_top_share(values, fraction):
+    """The top share in exact rationals, rounded once: the reference for
+    ``top_share``."""
+    running = list(accumulate(map(Fraction, sorted(values)), initial=Fraction(0)))
+    n, total = len(running) - 1, running[-1]
+    k = min(max(math.ceil(Fraction(fraction).limit_denominator(10**9) * n), 1), n)
+    if total == 0:
+        return TopShare(fraction=fraction, share=1.0, degenerate=True)
+    return TopShare(fraction=fraction, share=float((total - running[n - k]) / total))
+
+
+# written values: zeros, subnormals and magnitudes up to the float maximum
+written_values = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True)),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestAgainstFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(written_values, st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_integer_sums_give_the_fraction_results(self, values, fraction):
+        r = report(values)
+        assert lorenz(r) == fraction_lorenz(values)
+        assert top_share(r, fraction) == fraction_top_share(values, fraction)
+        assert concentration(r, fraction) == (lorenz(r), top_share(r, fraction))
 
 
 class TestRankTimelines:
