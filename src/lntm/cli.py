@@ -14,12 +14,13 @@ reads the archive, spills sorted runs beside the output, merges them into
 it and removes them however it exits.
 
 Exit codes: 1 when an input cannot be read, parsed or used, a computation
-it makes fail included (the one ``try`` in ``main``); the message of a
-document that does not parse starts with its path. 2 for any OSError inside
-``_emit``: an output that cannot be written, and for ``compact`` a run or an
-archive read that fails once writing has started; and for usage errors,
-which print the command's ``usage:`` line: a missing option, a ``--store``
-or ``--snapshot`` that is not a readable file, an ``--out`` of ``snapshot``
+it makes fail included (the one ``try`` in ``main``): a ``--store``,
+``--snapshot`` or ``--report`` that does not exist or cannot be read exits
+here with the OSError's message; the message of a document that does not
+parse starts with its path. 2 for any OSError inside ``_emit``: an output
+that cannot be written, and for ``compact`` a run or an archive read that
+fails once writing has started; and for usage errors, which print the
+command's ``usage:`` line: a missing option, an ``--out`` of ``snapshot``
 or ``compact`` that is a directory, an ``--amount-msat`` outside the u64
 range or given twice, a bad LNTM_THREADS, or a report label that cannot
 name a file or a CSV cell.
@@ -244,18 +245,9 @@ def compact(args: argparse.Namespace):
 
 
 def _file_path(path: str) -> str:
-    """A file path, output or input: not a directory."""
+    """An output file path: not a directory."""
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
-    return path
-
-
-def _input_file(path: str) -> str:
-    """An input document or archive: a readable file that exists."""
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"{path!r} does not exist")
-    if not os.access(_file_path(path), os.R_OK):
-        raise argparse.ArgumentTypeError(f"{path!r} is not readable")
     return path
 
 
@@ -304,12 +296,12 @@ def _parser() -> argparse.ArgumentParser:
         return sub
 
     sub = command(snapshot)
-    sub.add_argument("--store", required=True, type=_input_file, metavar="PATH", help="GSR1 archive or JSON-lines debug file.")
+    sub.add_argument("--store", required=True, metavar="PATH", help="GSR1 archive or JSON-lines debug file.")
     sub.add_argument("--at", required=True, type=int, metavar="SECONDS", help="Query instant (Unix seconds, inclusive).")
     sub.add_argument("--out", required=True, type=_file_path, metavar="PATH", help="Snapshot JSON output path.")
 
     sub = command(centrality)
-    sub.add_argument("--snapshot", required=True, type=_input_file, metavar="PATH", help="Snapshot JSON produced by the snapshot command.")
+    sub.add_argument("--snapshot", required=True, metavar="PATH", help="Snapshot JSON produced by the snapshot command.")
     sub.add_argument("--amount-msat", action="append", type=_int_in(0, U64_MAX), metavar="MSAT", help="Transaction size in msat (repeatable). Defaults to 10^7, 10^9, 10^10.")
     sub.add_argument("--enforce-htlc-bounds", action="store_true", help="Drop arcs whose htlc_minimum/htlc_maximum exclude the amount.")
     sub.add_argument("--prune-stale-after", type=_int_in(0), metavar="SECONDS", help="Drop arcs whose policy is older than as_of minus this many seconds.")
@@ -326,7 +318,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True, metavar="PREFIX", help="Prefix for inequality files.")
 
     sub = command(compact)
-    sub.add_argument("--store", required=True, type=_input_file, metavar="PATH", help="GSR1 archive or JSON-lines debug file.")
+    sub.add_argument("--store", required=True, metavar="PATH", help="GSR1 archive or JSON-lines debug file.")
     sub.add_argument("--out", required=True, type=_file_path, metavar="PATH", help="Compacted GSR1 output path.")
     return parser
 

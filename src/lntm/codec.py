@@ -22,20 +22,20 @@ the start of the message, i.e. they include the leading u16 type code.
         fee_proportional_millionths:u32
         [htlc_maximum_msat:u64 iff message_flags bit 0 is set]
 
-``_LAYOUTS`` is the one statement of these layouts in the code: decode,
-peek, encode and ``field_reader`` all walk it. The message dataclasses
-serve decode/encode round trips; replay reads its records' fields with
-``field_reader`` and builds none.
+``_LAYOUTS`` is the one statement of these layouts in the code: the
+message classes are built from it, and decode, peek, encode and
+``field_reader`` all walk it.
 
 Any bytes past the defined fields are preserved verbatim as an opaque
 ``extension`` blob so that decode/encode round-trips are byte-identical.
-Signatures are carried opaquely and never verified.
+Features, addresses and signatures are carried opaquely; signatures are
+never verified.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Union
@@ -88,14 +88,6 @@ class MalformedFieldError(CodecError):
         self.offset = offset
 
 
-class FieldLengthError(CodecError):
-    """A fixed-size field has the wrong length or an integer is out of range."""
-
-    def __init__(self, field_name: str, detail: str):
-        super().__init__(f"bad field {field_name}: {detail}")
-        self.field_name = field_name
-
-
 @dataclass(frozen=True, order=True)
 class ShortChannelId:
     """Channel identifier packing block height, tx index and output index.
@@ -125,7 +117,7 @@ class ShortChannelId:
     @classmethod
     def unpack(cls, data: bytes) -> "ShortChannelId":
         if len(data) != 8:
-            raise FieldLengthError("short_channel_id", f"need 8 bytes, got {len(data)}")
+            raise ValueError(f"bad field short_channel_id: need 8 bytes, got {len(data)}")
         return cls(
             int.from_bytes(data[0:3], "big"),
             int.from_bytes(data[3:6], "big"),
@@ -147,70 +139,9 @@ class ShortChannelId:
         return scid
 
 
-@dataclass(frozen=True)
-class NodeAnnouncement:
-    signature: bytes
-    features: bytes
-    timestamp: int
-    node_id: NodeId
-    rgb_color: bytes
-    alias: bytes  # raw 32 bytes, zero padded, possibly invalid UTF-8
-    addresses: bytes  # opaque, not parsed
-    extension: bytes = b""
-
-
-@dataclass(frozen=True)
-class ChannelAnnouncement:
-    node_signature_1: bytes
-    node_signature_2: bytes
-    bitcoin_signature_1: bytes
-    bitcoin_signature_2: bytes
-    features: bytes
-    chain_hash: bytes
-    short_channel_id: ShortChannelId
-    node_id_1: NodeId
-    node_id_2: NodeId
-    bitcoin_key_1: bytes
-    bitcoin_key_2: bytes
-    extension: bytes = b""
-
-
-@dataclass(frozen=True)
-class ChannelUpdate:
-    signature: bytes
-    chain_hash: bytes
-    short_channel_id: ShortChannelId
-    timestamp: int
-    message_flags: int
-    channel_flags: int
-    cltv_expiry_delta: int
-    htlc_minimum_msat: int
-    fee_base_msat: int
-    fee_proportional_millionths: int
-    htlc_maximum_msat: int | None = None
-    extension: bytes = b""
-
-    @property
-    def direction(self) -> int:
-        """0 = node_id_1 -> node_id_2, 1 = node_id_2 -> node_id_1."""
-        return self.channel_flags & FLAG_DIRECTION
-
-    @property
-    def disabled(self) -> bool:
-        return bool(self.channel_flags & FLAG_DISABLED)
-
-
-GossipMessage = Union[NodeAnnouncement, ChannelAnnouncement, ChannelUpdate]
-
-
-def alias_text(alias: bytes) -> str:
-    """Lossy human-readable form of a raw alias (wild aliases may be invalid UTF-8)."""
-    return alias.rstrip(b"\x00").decode("utf-8", errors="replace")
-
-
 # Every message's fields after its u16 type code, in wire order, as
-# (name, struct format); each dataclass lists them in the same order. The
-# reader, the peek and the writer all walk this one table.
+# (name, struct format). The message classes, the reader, the peek and the
+# writer all follow this one table.
 _BLOB = "u16 length-prefixed bytes"
 _LAYOUTS = {
     MSG_CHANNEL_ANNOUNCEMENT: (
@@ -252,11 +183,36 @@ _LAYOUTS = {
 # present iff bit 0 of message_flags (the fifth channel_update field) is set
 _GATED = "htlc_maximum_msat"
 _NODE_IDS = ("node_id_1", "node_id_2", "node_id")
-_CLASSES = {
-    MSG_CHANNEL_ANNOUNCEMENT: ChannelAnnouncement,
-    MSG_NODE_ANNOUNCEMENT: NodeAnnouncement,
-    MSG_CHANNEL_UPDATE: ChannelUpdate,
-}
+
+
+def _message_class(name: str, type_code: int) -> type:
+    """The frozen dataclass of a message: its fields in wire order,
+    ``short_channel_id`` a ShortChannelId, the gated field None when absent,
+    then the bytes past the defined fields as ``extension``."""
+    fields = [
+        (field, ShortChannelId if field == "short_channel_id" else bytes if fmt == _BLOB or fmt.endswith("s") else int)
+        for field, fmt in _LAYOUTS[type_code]
+    ]
+    if fields[-1][0] == _GATED:
+        fields[-1] = (_GATED, int | None, None)
+    # the class keeps its type code, which encode_message writes
+    cls = make_dataclass(name, fields + [("extension", bytes, b"")], frozen=True, namespace={"_type_code": type_code})
+    cls.__module__ = __name__
+    return cls
+
+
+ChannelAnnouncement = _message_class("ChannelAnnouncement", MSG_CHANNEL_ANNOUNCEMENT)
+NodeAnnouncement = _message_class("NodeAnnouncement", MSG_NODE_ANNOUNCEMENT)
+ChannelUpdate = _message_class("ChannelUpdate", MSG_CHANNEL_UPDATE)
+GossipMessage = Union[NodeAnnouncement, ChannelAnnouncement, ChannelUpdate]
+_MESSAGES = {cls._type_code: cls for cls in (ChannelAnnouncement, NodeAnnouncement, ChannelUpdate)}
+
+
+def alias_text(alias: bytes) -> str:
+    """Lossy human-readable form of a raw alias (wild aliases may be invalid UTF-8)."""
+    return alias.rstrip(b"\x00").decode("utf-8", errors="replace")
+
+
 _U16 = struct.Struct(">H")
 
 
@@ -380,7 +336,7 @@ def decode_message(data: bytes) -> GossipMessage:
     fields = dict(zip((name for name, _ in _LAYOUTS[type_code]), values))
     if "short_channel_id" in fields:
         fields["short_channel_id"] = ShortChannelId.unpack(fields["short_channel_id"])
-    return _CLASSES[type_code](**fields, extension=data[end:])
+    return _MESSAGES[type_code](**fields, extension=data[end:])
 
 
 def peek_message(data: bytes) -> tuple[int, int | None, bytes, int]:
@@ -408,20 +364,20 @@ def peek_message(data: bytes) -> tuple[int, int | None, bytes, int]:
 
 def encode_message(msg: GossipMessage) -> bytes:
     """Encode a gossip message to wire bytes; exact inverse of decode_message."""
-    type_code = next((code for code, cls in _CLASSES.items() if isinstance(msg, cls)), None)
+    type_code = getattr(msg, "_type_code", None)
     if type_code is None:
         raise TypeError(f"not a gossip message: {type(msg).__name__}")
     if type_code == MSG_CHANNEL_UPDATE:
         has_max = msg.htlc_maximum_msat is not None
         if has_max != bool(msg.message_flags & FLAG_HTLC_MAXIMUM):
-            raise FieldLengthError(_GATED, "message_flags bit 0 must match presence of htlc_maximum_msat")
+            raise ValueError(f"bad field {_GATED}: message_flags bit 0 must match presence of htlc_maximum_msat")
     parts = [_U16.pack(type_code)]
     value = None
     for name, fmt in _LAYOUTS[type_code]:
         previous, value = value, getattr(msg, name)
         if fmt == _BLOB:
             if len(value) > 0xFFFF:
-                raise FieldLengthError(name, f"{len(value)} bytes exceeds u16 length prefix")
+                raise ValueError(f"bad field {name}: {len(value)} bytes exceeds u16 length prefix")
             parts += (_U16.pack(len(value)), value)
             continue
         if name == _GATED and value is None:
@@ -431,9 +387,9 @@ def encode_message(msg: GossipMessage) -> bytes:
         size = struct.calcsize(">" + fmt)
         if not fmt.endswith("s"):
             if not 0 <= value < 1 << (8 * size):
-                raise FieldLengthError(name, f"{value} out of u{8 * size} range")
+                raise ValueError(f"bad field {name}: {value} out of u{8 * size} range")
         elif len(value) != size:
-            raise FieldLengthError(name, f"need {size} bytes, got {len(value)}")
+            raise ValueError(f"bad field {name}: need {size} bytes, got {len(value)}")
         if name in _NODE_IDS:
             _check_node_id(name, value, 0, previous)
         parts.append(struct.pack(">" + fmt, value))

@@ -17,6 +17,7 @@ from lntm.replay import (
     snapshot_to_json,
 )
 from lntm.codec import (
+    FLAG_DISABLED,
     ChannelAnnouncement,
     ChannelUpdate,
     NodeAnnouncement,
@@ -266,7 +267,7 @@ def _policy_by_decode(payload: bytes) -> ChannelPolicy:
         cltv_expiry_delta=upd.cltv_expiry_delta,
         htlc_minimum_msat=upd.htlc_minimum_msat,
         htlc_maximum_msat=upd.htlc_maximum_msat,
-        disabled=upd.disabled,
+        disabled=bool(upd.channel_flags & FLAG_DISABLED),
         last_update_ts=upd.timestamp,
     )
 
