@@ -114,8 +114,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import pickle
-import signal
 import sys
 from collections import defaultdict
 from fractions import Fraction
@@ -581,10 +579,13 @@ class _ForkedShare:
     its credits, or the exception its share raised, into a pipe and leaves
     by ``os._exit``: it never returns into the parent's code, so nothing
     the parent buffered is flushed twice. The CLI starts no threads, so the
-    fork copies no lock held by another thread.
+    fork copies no lock held by another thread. ``pickle`` and ``signal``
+    are imported here, so a serial call loads neither.
     """
 
     def __init__(self, pgs: list[_PortGraph], share: int, workers: int):
+        import pickle
+
         self.share = share
         read_end, write_end = os.pipe()
         try:
@@ -614,6 +615,8 @@ class _ForkedShare:
         has exited and been reaped. Its exception is raised again; a child
         that died, by a signal, a non-zero exit or before its result was
         whole, raises ChildProcessError."""
+        import pickle
+
         with self.pipe:
             data = self.pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
@@ -632,6 +635,8 @@ class _ForkedShare:
 
     def kill(self) -> None:
         """Kill and reap the child unless it has been reaped."""
+        import signal
+
         if self.pid:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)

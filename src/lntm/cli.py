@@ -27,7 +27,12 @@ name a file or a CSV cell.
 
 The replay, centrality and inequality modules are imported only by the
 commands that use them, which keeps them out of every other call's
-startup: ``compact`` and ``--version`` load none of them.
+startup. Every call loads ``codec``, ``manifest`` and ``store``, and that
+is all ``--version`` and ``compact`` load; ``snapshot`` adds ``replay``;
+``centrality`` adds ``replay`` and ``centrality``; ``inequality`` adds
+those two as well, for the report reader, and ``inequality``. No command
+loads ``dataclasses``, as the message classes are built on first use,
+nor, unless a betweenness worker is forked, ``pickle`` and ``signal``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,12 @@ the start of the message, i.e. they include the leading u16 type code.
 
 ``_LAYOUTS`` is the one statement of these layouts in the code: the
 message classes are built from it, and decode, peek, encode and
-``field_reader`` all walk it.
+``field_reader`` all walk it. The classes (``NodeAnnouncement``,
+``ChannelAnnouncement``, ``ChannelUpdate`` and their union
+``GossipMessage``) are frozen dataclasses built on first use, through the
+module's ``__getattr__`` or ``decode_message``: the commands read messages
+through ``peek_message`` and ``field_reader`` only, so none of them pays
+for importing ``dataclasses`` and building the classes at startup.
 
 Any bytes past the defined fields are preserved verbatim as an opaque
 ``extension`` blob so that decode/encode round-trips are byte-identical.
@@ -35,10 +40,10 @@ never verified.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, make_dataclass
+from functools import cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 MSG_CHANNEL_ANNOUNCEMENT = 256
 MSG_NODE_ANNOUNCEMENT = 257
@@ -88,24 +93,35 @@ class MalformedFieldError(CodecError):
         self.offset = offset
 
 
-@dataclass(frozen=True, order=True)
-class ShortChannelId:
-    """Channel identifier packing block height, tx index and output index.
-
-    Packs to 8 bytes on the wire (3 + 3 + 2). Renders as "BxTxO".
-    """
-
+class _ShortChannelIdFields(NamedTuple):
     block: int
     tx_index: int
     output_index: int
 
-    def __post_init__(self):
-        if not 0 <= self.block < 1 << 24:
-            raise ValueError(f"block {self.block} out of u24 range")
-        if not 0 <= self.tx_index < 1 << 24:
-            raise ValueError(f"tx_index {self.tx_index} out of u24 range")
-        if not 0 <= self.output_index < 1 << 16:
-            raise ValueError(f"output_index {self.output_index} out of u16 range")
+
+class ShortChannelId(_ShortChannelIdFields):
+    """Channel identifier packing block height, tx index and output index.
+
+    Packs to 8 bytes on the wire (3 + 3 + 2). Renders as "BxTxO". A tuple
+    of its three fields, so it is immutable and hashes and orders as that
+    tuple, which is the order of its packed bytes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, block: int, tx_index: int, output_index: int) -> "ShortChannelId":
+        if not 0 <= block < 1 << 24:
+            raise ValueError(f"block {block} out of u24 range")
+        if not 0 <= tx_index < 1 << 24:
+            raise ValueError(f"tx_index {tx_index} out of u24 range")
+        if not 0 <= output_index < 1 << 16:
+            raise ValueError(f"output_index {output_index} out of u16 range")
+        return tuple.__new__(cls, (block, tx_index, output_index))
+
+    @classmethod
+    def _make(cls, iterable) -> "ShortChannelId":
+        # the tuple's own _make, which _replace calls, skips the checks
+        return cls(*iterable)
 
     def pack(self) -> bytes:
         return (
@@ -185,10 +201,24 @@ _GATED = "htlc_maximum_msat"
 _NODE_IDS = ("node_id_1", "node_id_2", "node_id")
 
 
-def _message_class(name: str, type_code: int) -> type:
+# each message class's name, in the order of the GossipMessage union
+_CLASS_NAMES = {
+    MSG_NODE_ANNOUNCEMENT: "NodeAnnouncement",
+    MSG_CHANNEL_ANNOUNCEMENT: "ChannelAnnouncement",
+    MSG_CHANNEL_UPDATE: "ChannelUpdate",
+}
+
+
+@cache
+def _message_class(type_code: int) -> type:
     """The frozen dataclass of a message: its fields in wire order,
     ``short_channel_id`` a ShortChannelId, the gated field None when absent,
-    then the bytes past the defined fields as ``extension``."""
+    then the bytes past the defined fields as ``extension``.
+
+    Built on first use and then kept, so only a call that decodes or
+    builds a message imports ``dataclasses``; no command does."""
+    from dataclasses import make_dataclass
+
     fields = [
         (field, ShortChannelId if field == "short_channel_id" else bytes if fmt == _BLOB or fmt.endswith("s") else int)
         for field, fmt in _LAYOUTS[type_code]
@@ -196,16 +226,20 @@ def _message_class(name: str, type_code: int) -> type:
     if fields[-1][0] == _GATED:
         fields[-1] = (_GATED, int | None, None)
     # the class keeps its type code, which encode_message writes
-    cls = make_dataclass(name, fields + [("extension", bytes, b"")], frozen=True, namespace={"_type_code": type_code})
+    cls = make_dataclass(_CLASS_NAMES[type_code], fields + [("extension", bytes, b"")], frozen=True, namespace={"_type_code": type_code})
     cls.__module__ = __name__
     return cls
 
 
-ChannelAnnouncement = _message_class("ChannelAnnouncement", MSG_CHANNEL_ANNOUNCEMENT)
-NodeAnnouncement = _message_class("NodeAnnouncement", MSG_NODE_ANNOUNCEMENT)
-ChannelUpdate = _message_class("ChannelUpdate", MSG_CHANNEL_UPDATE)
-GossipMessage = Union[NodeAnnouncement, ChannelAnnouncement, ChannelUpdate]
-_MESSAGES = {cls._type_code: cls for cls in (ChannelAnnouncement, NodeAnnouncement, ChannelUpdate)}
+def __getattr__(name: str):
+    """The message classes and ``GossipMessage``, their union, each built
+    on first use by ``_message_class``."""
+    if name == "GossipMessage":
+        return Union[tuple(map(_message_class, _CLASS_NAMES))]
+    for type_code, class_name in _CLASS_NAMES.items():
+        if name == class_name:
+            return _message_class(type_code)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def alias_text(alias: bytes) -> str:
@@ -336,7 +370,7 @@ def decode_message(data: bytes) -> GossipMessage:
     fields = dict(zip((name for name, _ in _LAYOUTS[type_code]), values))
     if "short_channel_id" in fields:
         fields["short_channel_id"] = ShortChannelId.unpack(fields["short_channel_id"])
-    return _MESSAGES[type_code](**fields, extension=data[end:])
+    return _message_class(type_code)(**fields, extension=data[end:])
 
 
 def peek_message(data: bytes) -> tuple[int, int | None, bytes, int]:

@@ -891,6 +891,53 @@ def test_importing_the_cli_leaves_out_the_compute_modules():
     assert _modules_loaded_by("lntm.centrality", {"lntm.centrality", "multiprocessing"}) == ["lntm.centrality"]
 
 
+# modules no serial command needs: the message dataclasses are built on
+# first use, and only a forked betweenness worker pickles or kills
+UNUSED_AT_STARTUP = {"dataclasses", "inspect", "pickle", "signal"}
+
+# run each command in turn in one interpreter and list what it has loaded
+# of the unused modules when the command returns; then decode an update
+# and pickle it, which finds its class by name in lntm.codec
+_IMPORT_PROBE = """
+import json, sys
+from lntm.cli import main
+commands, unused, update = json.loads(sys.argv[1])
+loaded = {}
+for name, argv in commands:
+    try:
+        main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, (name, exc.code)
+    loaded[name] = sorted(set(unused) & set(sys.modules))
+import pickle
+from lntm import codec
+msg = codec.decode_message(bytes.fromhex(update))
+data = pickle.dumps(msg)
+again = pickle.loads(data)
+by_name = b"lntm.codec" in data and b"ChannelUpdate" in data and type(again) is codec.ChannelUpdate
+print(json.dumps([loaded, by_name, again == msg]))
+"""
+
+
+def test_commands_leave_out_dataclasses_pickle_and_signal(tmp_path):
+    build_corpus(tmp_path / "corpus.gsr")
+    base = str(tmp_path / "run")
+    commands = [
+        ("--version", ["--version"]),
+        ("snapshot", ["snapshot", "--store", str(tmp_path / "corpus.gsr"), "--at", "400", "--out", base + ".json"]),
+        ("compact", ["compact", "--store", str(tmp_path / "corpus.gsr"), "--out", base + ".gsr"]),
+        ("centrality", ["centrality", "--snapshot", base + ".json", "--amount-msat", "1000", "--out", base]),
+        ("inequality", ["inequality", "--report", base + "-centrality-1000.json", "--out", base]),
+    ]
+    update = msggen.record(110, msggen.make_channel_update(msggen.scid(12), 110, direction=0, fee_base_msat=10)).payload
+    env = dict(os.environ, PYTHONPATH=str(Path(lntm.__file__).parents[1]), LNTM_THREADS="1")
+    probe = json.dumps([commands, sorted(UNUSED_AT_STARTUP), update.hex()])
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, probe], env=env, capture_output=True, text=True, check=True)
+    loaded, by_name, round_trips = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == {name: [] for name, _ in commands}
+    assert by_name and round_trips
+
+
 # each command's required options, with a valid value; "{file}" is an
 # existing file
 REQUIRED_OPTIONS = {

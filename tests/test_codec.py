@@ -1,5 +1,6 @@
 """Wire codec tests: layouts, structured errors, round-trips, fuzz safety."""
 
+import pickle
 import random
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -56,8 +57,32 @@ class TestShortChannelId:
             ShortChannelId(0, 1 << 24, 0)
         with pytest.raises(ValueError, match=r"^output_index 65536 out of u16 range$"):
             ShortChannelId(0, 0, 1 << 16)
+        with pytest.raises(ValueError, match=r"^tx_index 16777216 out of u24 range$"):
+            ShortChannelId(1, 2, 3)._replace(tx_index=1 << 24)
         with pytest.raises(ValueError, match=r"^bad field short_channel_id: need 8 bytes, got 7$"):
             ShortChannelId.unpack(bytes(7))
+
+    def test_immutable(self):
+        s = ShortChannelId(654321, 1234, 7)
+        for field in ("block", "tx_index", "output_index", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, field, 1)
+        assert s == ShortChannelId(654321, 1234, 7)
+
+    def test_repr(self):
+        assert repr(ShortChannelId(654321, 1234, 7)) == "ShortChannelId(block=654321, tx_index=1234, output_index=7)"
+
+    def test_pickles(self):
+        s = ShortChannelId(654321, 1234, 7)
+        again = pickle.loads(pickle.dumps(s))
+        assert type(again) is ShortChannelId and again == s and hash(again) == hash(s)
+
+    @given(st.lists(st.builds(ShortChannelId, st.integers(0, (1 << 24) - 1), st.integers(0, (1 << 24) - 1), st.integers(0, (1 << 16) - 1)), min_size=2, max_size=8))
+    def test_sorts_as_its_packed_bytes(self, scids):
+        # replay orders channels by their packed ids
+        assert sorted(scids) == sorted(scids, key=ShortChannelId.pack)
+        a, b = scids[:2]
+        assert (a < b, a == b) == (a.pack() < b.pack(), a.pack() == b.pack())
 
 
 class TestChannelUpdateDecode:
