@@ -85,11 +85,22 @@ of that walk never costs more, as weights are >= 0. Out-port distances are node
 distances, the same for every member of a zero-fee cluster, so this holds
 for a cluster member's out port too; and that port holds plain arcs only,
 so bundles are never touched. The pass keeps only its tight arcs, ``dist(s)
-+ w == dist(x)``, ties included. Dropping an arc changes no distance, no
-sigma and no shortest-path arc, so every later pass in the same process,
-serial or in a worker, computes the same values over fewer arcs. Sources run
-in order of out-degree, largest first (ties by index): hubs have the most
-arcs to drop, so the passes after theirs relax the fewest arcs.
++ w == dist(x)``, ties included.
+
+The same distances bound the arcs of the source's in-neighbours. For each
+plain arc ``p->s`` of weight ``w_ps``, an arc ``p->x`` with weight ``w >
+w_ps + dist(s, x)`` is dearer than the walk ``p->s`` and a shortest route
+from ``s`` to ``x``, so by the same argument it is on no shortest path from
+any source; the pass drops it. Ties are kept, and so are zero arcs and arcs
+to ports the pass did not reach (their distance exceeds every weight). The
+bound still holds once ``p->s`` itself is dropped, as dropping arcs changes
+no distance and so ``p`` keeps a route to ``s`` no dearer than ``w_ps``;
+the in-arcs recorded by ``_prepare`` never need updating. Dropping an arc
+changes no distance, no sigma and no shortest-path arc, so every later pass
+in the same process, serial or in a worker, computes the same values over
+fewer arcs. Sources run in order of out-degree, largest first (ties by
+index): hubs have the most arcs to drop, and the most in-neighbours to
+prune, so the passes after theirs relax the fewest arcs.
 
 ``L`` exceeds 1 in almost every pass, but only tens of distinct ``L`` occur
 per graph, and most values stay ints, much cheaper to add and to send
@@ -98,8 +109,10 @@ the report writers, each the correctly rounded exact value.
 
 The per-source loop is embarrassingly parallel. Worker ``i`` of ``W`` runs
 the passes ``sources[i::W]`` of every graph, still hubs first, and prunes
-its own copy of the port graphs. The calling process is worker ``0``, and
-each other worker is a child forked once the graphs are prepared, which
+its own copy of the port graphs. As each pass also prunes the arcs of its
+source's in-neighbours, a worker's copy loses many of the arcs that the
+other workers' passes drop. The calling process is worker ``0``, and each
+other worker is a child forked once the graphs are prepared, which
 sends back its credits through a pipe; a serial run is share ``0`` of ``1``
 and forks nothing. A child that raises has its exception raised again in
 the parent, and one that dies (a signal, a non-zero exit, a result cut
@@ -342,16 +355,21 @@ class _PortGraph(NamedTuple):
     ``_prepare`` reads the arcs twice. The first read gives the zero-fee
     clusters and the leaves; numbering the ports fills ``h_in_of``,
     ``h_out_of`` and ``node_of`` and sets ``target`` to 1 per out port; the
-    second read fills ``plain``, ``far``, ``leaves`` and ``leaf_targets``,
-    and adds 1 to a hub's ``target`` per leaf it has an arc to.
+    second read fills ``plain``, ``in_arcs``, ``far``, ``leaves`` and
+    ``leaf_targets``, and adds 1 to a hub's ``target`` per leaf it has an
+    arc to. ``in_arcs`` lists, per in port, the graph's own ``(src, dst,
+    weight)`` triples of the plain arcs into it, so it adds no object per
+    arc.
 
-    Source passes drop the dominated arcs of their source's out port from
-    ``plain`` (see the module docstring).
+    Source passes drop the dominated arcs of their source's out port, and of
+    its in-neighbours' out ports, from ``plain`` (see the module docstring);
+    ``in_arcs`` is never changed.
     """
 
     h_in_of: list[int]
     h_out_of: list[int]
     plain: list[list[tuple[int, int]]]
+    in_arcs: list[list[tuple[int, int, int]]]  # per in port: the graph's own triples of its plain in-arcs
     bundles: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]]
     far: int  # exceeds every path cost: the distance of an unreached port
     target: list[int]  # per port: 1 + the leaves u has an arc to on u's out port, 0 on an entry-only port
@@ -407,12 +425,14 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
     # second read: plain arcs between kept nodes, a leaf's arcs in its hub's
     # counts; a hub's leaf_targets count a leaf once both its arcs are seen
     plain: list[list[tuple[int, int]]] = [[] for _ in node_of]
+    in_arcs: list[list[tuple[int, int, int]]] = [[] for _ in node_of]
     far = 1
     leaves = [0] * n
     leaf_targets = [0] * n
     to_hub = bytearray(n)  # per leaf: its arc to its hub was seen
     from_hub = bytearray(n)  # per leaf: its hub's arc to it was seen
-    for src, dst, weight in graph.arcs:
+    for arc in graph.arcs:
+        src, dst, weight = arc
         if stripped[src]:
             leaves[dst] += 1
             leaf_targets[dst] += from_hub[src]
@@ -425,6 +445,7 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
             # not inside a cluster: a zero arc there is in the bundles, and
             # a positive one is on no shortest path (a zero route exists)
             plain[h_out_of[src]].append((h_in_of[dst], weight))
+            in_arcs[h_in_of[dst]].append(arc)
             far += weight
     bundles: list[list] = [[] for _ in node_of]
     for members in clusters:
@@ -438,6 +459,7 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
         h_in_of=h_in_of,
         h_out_of=h_out_of,
         plain=plain,
+        in_arcs=in_arcs,
         bundles=bundles,
         far=far,
         target=target,
@@ -451,8 +473,10 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
 def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> None:
     """Dependency accumulation for one source and the leaves folded into
     it: adds each reached node's credit numerator over the pass's
-    denominator ``L`` to ``sums[L]``. Drops the source's out arcs that are
-    on no shortest path (see the module docstring)."""
+    denominator ``L`` to ``sums[L]``. Drops the arcs its distances prove to
+    be on no shortest path: the source's out arcs that are not tight, and
+    each in-neighbour ``p``'s arcs ``p->x`` dearer than its arc ``p->s`` and
+    ``dist(s, x)`` together (see the module docstring)."""
     plain, bundles, target = pg.plain, pg.bundles, pg.target
     heappop, heappush = heapq.heappop, heapq.heappush
     ports = len(plain)
@@ -504,11 +528,17 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
                 elif d == known:
                     sigma[dst] += sv * mult
 
-    # keep only the tight arcs out of s: the others are on no shortest path
-    # from any source, so no later pass needs them
-    home = pg.h_out_of[s]
+    # keep only the tight arcs out of s, and out of each in-neighbour p only
+    # the arcs p->x that cost no more than p->s and a shortest route from s
+    # to x: the others are on no shortest path from any source, so no later
+    # pass needs them
+    h_out_of = pg.h_out_of
+    home = h_out_of[s]
     base = dist[home]
     plain[home] = [arc for arc in plain[home] if base + arc[1] == dist[arc[0]]]
+    for p, _, w_ps in pg.in_arcs[src]:
+        out = h_out_of[p]
+        plain[out] = [arc for arc in plain[out] if arc[1] <= w_ps + dist[arc[0]]]
 
     # pull E over the shortest-path arcs, successors first (see the module
     # docstring). An out port's E is final once pulled, so its node is

@@ -165,12 +165,16 @@ def centrality(args: argparse.Namespace):
     for i, amount in enumerate(amounts):
         if amount in amounts[:i]:
             raise argparse.ArgumentError(None, f"argument --amount-msat: amount {amount} is given more than once")
-    snap = _read_document(args.snapshot, snapshot_from_json)
     processes = _thread_count()
     view = routing_view(
-        snap, prune_stale_after=args.prune_stale_after, include_disabled=args.include_disabled
+        _read_document(args.snapshot, snapshot_from_json),
+        prune_stale_after=args.prune_stale_after,
+        include_disabled=args.include_disabled,
     )
     graphs = [build_graph(view, amount, enforce_htlc_bounds=args.enforce_htlc_bounds) for amount in amounts]
+    # the snapshot and its view are not needed past here: their memory goes
+    # to the port graphs
+    del view
     files = []
     for amount, report in zip(amounts, betweenness_reports(graphs, processes=processes)):
         files += [

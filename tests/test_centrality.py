@@ -1,5 +1,6 @@
 """Centrality kernel tests: fee weighting, hand fixtures, oracle equivalence."""
 
+import heapq
 import json
 import os
 import pickle
@@ -631,6 +632,32 @@ def out_targets(pg, graph, ids, label):
     return {entry[dst] for dst, _ in pg.plain[pg.h_out_of[graph.node_ids.index(ids[label])]]}
 
 
+def plain_arcs(pg):
+    """The plain arcs left in the port graph, as (src, dst, weight) over
+    node indices."""
+    node_at = {pg.h_in_of[u]: u for u in range(len(pg.h_in_of))}
+    return {(pg.node_of[p], node_at[dst], w) for p, arcs in enumerate(pg.plain) for dst, w in arcs}
+
+
+def arc_distances(graph, source):
+    """Cheapest cost from SOURCE to every node it reaches over graph.arcs,
+    by a plain Dijkstra."""
+    out = [[] for _ in graph.node_ids]
+    for u, v, w in graph.arcs:
+        out[u].append((v, w))
+    dist = {}
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = d
+        for v, w in out[u]:
+            if v not in dist:
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
 def port_arcs(pg, weight=None):
     """Arcs left in the port graph, or those of one weight; bundles weigh 0."""
     weights = [w for arcs in pg.plain for _, w in arcs] + [0 for bundles in pg.bundles for _ in bundles]
@@ -648,10 +675,18 @@ class TestArcPruning:
             pg = _prepare(graph)
             with_clusters += pg.h_in_of != pg.h_out_of
             arcs, zero_arcs = port_arcs(pg), port_arcs(pg, 0)
+            start = plain_arcs(pg)
             credit = _credit(pg, pg.sources)
             dropped += arcs - port_arcs(pg)
             # a zero arc is always tight
             assert port_arcs(pg, 0) == zero_arcs
+            # every arc gone is dearer than its tail-to-head distance, and
+            # none that costs exactly that distance is gone
+            distance = {u: arc_distances(graph, u) for u in range(len(graph.node_ids))}
+            gone = start - plain_arcs(pg)
+            assert all(w > distance[u][v] for u, v, w in gone)
+            tight = {(u, v, w) for u, v, w in graph.arcs if w == distance[u][v]}
+            assert not tight & gone
             want = brute_force_betweenness(graph).values
             assert dict(zip(graph.node_ids, credit)) == want
             assert betweenness(graph).values == want
@@ -691,6 +726,23 @@ class TestArcPruning:
         assert out_targets(pg, graph, ids, "s") == {"t", "m"}
         assert credit[graph.node_ids.index(ids["m"])] == Fraction(1, 2)
         assert betweenness(graph).values == brute_force_betweenness(graph).values
+
+    def test_in_neighbours_dominated_arc_is_dropped(self):
+        # p->s->x costs 3, so the pass of s drops p->x (10); p->y ties with
+        # p->s->y and stays, as does p's zero arc; q has no arc into s and
+        # keeps q->x, though q->p->s->x costs 4
+        graph, ids = make_graph("psxyzq", [
+            ("p", "s", 1), ("s", "x", 2), ("p", "x", 10), ("s", "y", 3), ("p", "y", 4),
+            ("p", "z", 0), ("x", "z", 5), ("z", "x", 1), ("q", "p", 1), ("q", "x", 10),
+        ])
+        pg = _prepare(graph)
+        assert out_targets(pg, graph, ids, "p") == {"s", "x", "y", "z"}
+        _credit(pg, [graph.node_ids.index(ids["s"])])
+        assert out_targets(pg, graph, ids, "p") == {"s", "y", "z"}
+        assert out_targets(pg, graph, ids, "q") == {"p", "x"}
+        want = brute_force_betweenness(graph).values
+        assert dict(zip(graph.node_ids, _credit(pg, pg.sources))) == want
+        assert betweenness(graph).values == want
 
     def test_workers_prune_different_arcs_and_write_the_same_bytes(self):
         rng = random.Random(1401)

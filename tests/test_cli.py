@@ -326,6 +326,15 @@ class TestCentralityCommand:
         assert "LNTM_THREADS='abc' is not an integer" in result.stderr
         assert not list(tmp_path.glob("r-*"))
 
+    def test_non_integer_thread_count_is_caught_before_the_snapshot_is_read(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("LNTM_THREADS", "abc")
+        result = runner.invoke(
+            main, ["centrality", "--snapshot", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "LNTM_THREADS='abc' is not an integer" in result.stderr
+        assert not list(tmp_path.glob("r-*"))
+
     def test_failure_at_a_later_amount_writes_nothing(self, runner, tmp_path):
         snap = make_snapshot(runner, tmp_path, at=150)
         doc = json.loads(snap.read_text())
