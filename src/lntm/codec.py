@@ -23,8 +23,8 @@ the start of the message, i.e. they include the leading u16 type code.
         [htlc_maximum_msat:u64 iff message_flags bit 0 is set]
 
 ``_LAYOUTS`` is the one statement of these layouts in the code: the
-message classes are built from it, and decode, peek, encode and
-``field_reader`` all walk it. The classes (``NodeAnnouncement``,
+message classes are built from it, decode, peek and encode walk it, and
+``field_reader`` compiles its plans from it. The classes (``NodeAnnouncement``,
 ``ChannelAnnouncement``, ``ChannelUpdate`` and their union
 ``GossipMessage``) are frozen dataclasses built on first use, through the
 module's ``__getattr__`` or ``decode_message``: the commands read messages
@@ -250,6 +250,11 @@ def alias_text(alias: bytes) -> str:
 _U16 = struct.Struct(">H")
 
 
+def _padded(run: tuple, names) -> struct.Struct:
+    """A Struct of a run of fixed fields, with pad bytes for those not in ``names``."""
+    return struct.Struct(">" + "".join(fmt if name in names else f"{struct.calcsize('>' + fmt)}x" for name, fmt in run))
+
+
 def _steps(layout: tuple) -> tuple:
     """Cut a layout into the steps the reader takes: each blob alone (no
     Struct), the gated field alone, and each run of fixed fields between
@@ -274,15 +279,7 @@ def _steps(layout: tuple) -> tuple:
 _STEPS = {type_code: _steps(layout) for type_code, layout in _LAYOUTS.items()}
 # the fixed channel_update fields with pad bytes for all but the four a
 # peek unpacks, so a complete update is read with one unpack
-_PEEKED = ("short_channel_id", "timestamp", "message_flags", "channel_flags")
-_UPDATE_PEEK = struct.Struct(
-    ">"
-    + "".join(
-        fmt if name in _PEEKED else f"{struct.calcsize('>' + fmt)}x"
-        for name, fmt in _LAYOUTS[MSG_CHANNEL_UPDATE]
-        if name != _GATED
-    )
-)
+_UPDATE_PEEK = _padded(_STEPS[MSG_CHANNEL_UPDATE][0][1], ("short_channel_id", "timestamp", "message_flags", "channel_flags"))
 _UPDATE_TYPE = _U16.pack(MSG_CHANNEL_UPDATE)
 _UPDATE_END = 2 + _UPDATE_PEEK.size
 
@@ -351,13 +348,39 @@ def _read(data: bytes) -> tuple[int, list, int]:
 
 
 def field_reader(type_code: int, *names: str) -> Callable[[bytes], tuple]:
-    """A reader of two or more named fields of a valid ``type_code``
-    message: it walks the message's layout once and returns the raw values
-    of ``names`` in the order named, with no dataclass and no
-    ShortChannelId built."""
-    order = [name for name, _ in _LAYOUTS[type_code]]
-    pick = itemgetter(*map(order.index, names))
-    return lambda data: pick(_read(data)[1])
+    """A reader of two or more named fields of a ``type_code`` message
+    that ``peek_message`` or ``decode_message`` has validated: it returns
+    their raw values in the order named through a plan compiled once, one
+    Struct per run of fixed fields up to the last one named, with pad bytes
+    for the others, a blob read by its u16 length and htlc_maximum_msat
+    only when bit 0 of message_flags is set."""
+    # message_flags says whether the gated field is there
+    wanted = {*names, "message_flags"} if _GATED in names else set(names)
+    steps = list(_STEPS[type_code])
+    while wanted.isdisjoint(name for name, _ in steps[-1][1]):
+        steps.pop()
+    plan = [(packer and _padded(fields, wanted), fields[0][0]) for packer, fields, _ in steps]
+    read = [name for _, fields, _ in steps for name, _ in fields if name in wanted]
+    pick = itemgetter(*map(read.index, names))
+    flags = read.index("message_flags") if _GATED in names else None
+
+    def reader(data: bytes) -> tuple:
+        values: list = []
+        pos = 2
+        for packer, name in plan:
+            if packer is None:
+                end = pos + 2 + _U16.unpack_from(data, pos)[0]
+                if name in wanted:
+                    values.append(data[pos + 2 : end])
+                pos = end
+            elif name == _GATED and not values[flags] & FLAG_HTLC_MAXIMUM:
+                values.append(None)
+            else:
+                values += packer.unpack_from(data, pos)
+                pos += packer.size
+        return pick(values)
+
+    return reader
 
 
 def decode_message(data: bytes) -> GossipMessage:

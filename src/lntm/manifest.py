@@ -1,8 +1,10 @@
 """Output files and the one JSON and CSV layer: the canonical form every
-JSON document is written in, the one CSV form every table is written in,
-the loader of versioned documents, the typed-field checks of every JSON
-input, atomic writes, and the reproducibility manifests written alongside
-every command's outputs.
+JSON document is written in (lntm's own writer makes its text, byte for
+byte that of ``json.dumps(doc, sort_keys=True, indent=2)``, streamed every
+``_WRITE_CHUNKS`` lines), the one CSV form every table is written in, the
+loader of versioned documents, the typed-field checks of every JSON input,
+atomic writes, and the reproducibility manifests written alongside every
+command's outputs.
 
 A manifest records the tool version, input digests, parameters and output
 digests; two runs with identical manifests produced byte-identical files.
@@ -14,7 +16,8 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from itertools import islice
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -22,27 +25,68 @@ TOOL_NAME = "lntm"
 
 T = TypeVar("T")
 
-# the canonical JSON form: keys sorted, two-space indent
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-# encoder chunks joined into one write
+# lines of text joined into one write
 _WRITE_CHUNKS = 1 << 10
+# each JSON scalar type's text, in the order json tests them with isinstance
+_SCALARS: dict[type, Callable] = {
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: lambda value: float.__repr__(value) if isfinite(value) else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity",
+}
+
+
+def _write_canonical(doc, write: Callable[[str], object]) -> None:
+    """Pass the canonical text of ``doc`` to ``write`` in batches of
+    ``_WRITE_CHUNKS`` lines, each line built as one string. A value of no
+    JSON type, or a dict key that is not a str, is a TypeError."""
+    lines: list[str] = []
+
+    def emit(head: str, value, tail: str, pad: str) -> None:
+        if not isinstance(value, (dict, list, tuple)):
+            text = next((text for cls, text in _SCALARS.items() if isinstance(value, cls)), None)
+            if text is None:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            lines.append(f"{head}{text(value)}{tail}")
+            return
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            lines.append(f"{head}{brackets}{tail}")
+            return
+        lines.append(head + brackets[0])
+        inner, last = pad + "  ", len(value) - 1
+        for i, item in enumerate(sorted(value.items()) if brackets == "{}" else value):
+            item_head, item = (f"{inner}{encode_basestring_ascii(item[0])}: ", item[1]) if brackets == "{}" else (inner, item)
+            item_tail = "," if i < last else ""
+            # a scalar of an exact JSON type, most items, takes no call
+            text = _SCALARS.get(type(item))
+            if text is None:
+                emit(item_head, item, item_tail, inner)
+            else:
+                lines.append(f"{item_head}{text(item)}{item_tail}")
+            if len(lines) >= _WRITE_CHUNKS:
+                write("\n".join(lines) + "\n")
+                lines.clear()
+        lines.append(pad + brackets[1] + tail)
+
+    emit("", doc, "", "")
+    write("\n".join(lines) + "\n")
 
 
 def dump_document(doc) -> str:
     """The canonical JSON form with a final newline, so equal documents are
     byte-identical (diffable and hashable)."""
-    return _ENCODER.encode(doc) + "\n"
+    parts: list[str] = []
+    _write_canonical(doc, parts.append)
+    return "".join(parts)
 
 
 def write_document(path: str | Path, doc) -> None:
-    """Write ``dump_document(doc)`` atomically at ``path``, streamed: the
-    encoder's chunks are joined ``_WRITE_CHUNKS`` to a write, so the whole
-    text is never held."""
-    chunks = _ENCODER.iterencode(doc)
+    """Write ``dump_document(doc)`` atomically at ``path``, streamed
+    ``_WRITE_CHUNKS`` lines to a write, so the whole text is never held."""
     with atomic_write(path) as fh:
-        while batch := list(islice(chunks, _WRITE_CHUNKS)):
-            fh.write("".join(batch))
-        fh.write("\n")
+        _write_canonical(doc, fh.write)
 
 
 def dump_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:

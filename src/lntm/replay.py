@@ -10,9 +10,9 @@ ones per (channel, direction). The optional staleness window on the routing
 view approximates liveness (two weeks, 1209600 s, is the conventional
 cutoff).
 
-Each governing payload is read by ``codec.field_reader``, the walk of the
-codec's ``_LAYOUTS`` that decode also takes, straight into the records
-below; the message dataclasses serve decode/encode round trips only.
+Each governing payload, validated by its peek, is read by a compiled
+``codec.field_reader`` straight into the records below; the message
+dataclasses serve decode/encode round trips only.
 
 Snapshots are written and read as JSON documents through the JSON layer in
 ``manifest``.
@@ -110,8 +110,8 @@ class RoutingView(NamedTuple):
     arcs: tuple[Arc, ...]
 
 
-# the governing fields, each read with one walk of its message's layout; a
-# policy's first five fields are named as their channel_update fields
+# the governing fields, each read through a plan compiled once; a policy's
+# first five fields are named as their channel_update fields
 _ENDPOINTS = field_reader(MSG_CHANNEL_ANNOUNCEMENT, "node_id_1", "node_id_2")
 _POLICY_FIELDS = field_reader(MSG_CHANNEL_UPDATE, "channel_flags", *ChannelPolicy._fields[:5])
 _NODE_FIELDS = field_reader(MSG_NODE_ANNOUNCEMENT, "alias", "rgb_color")

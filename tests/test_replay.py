@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,9 @@ from lntm.replay import (
     routing_view,
     snapshot_from_json,
     snapshot_to_json,
+    _ENDPOINTS,
+    _NODE_FIELDS,
+    _POLICY_FIELDS,
 )
 from lntm.codec import (
     FLAG_DISABLED,
@@ -342,6 +346,47 @@ class TestGoverningReads:
         assert repr(snap.channels) == repr({want.short_channel_id: want})
         other = node_2 if node.node_id == node_1 else node_1
         assert repr(snap.nodes) == repr(dict(sorted({node.node_id: info, other: NodeInfo()}.items())))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_readers_return_the_decoded_fields(self, data):
+        """Each compiled reader returns exactly the raw fields decode gives,
+        whatever the blob lengths, with or without htlc_maximum_msat, and
+        with bytes past the defined fields."""
+        node_1, node_2 = sorted(data.draw(st.lists(_node_ids, min_size=2, max_size=2, unique=True)))
+        extensions = st.binary(min_size=1, max_size=24)
+        # lengths drawn evenly, so that a blob longer than 255 bytes is common
+        blobs = st.integers(0, 300).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+        ann = ChannelAnnouncement(
+            *data.draw(st.lists(st.binary(min_size=64, max_size=64), min_size=4, max_size=4)),
+            features=data.draw(blobs),
+            chain_hash=data.draw(st.binary(min_size=32, max_size=32)),
+            short_channel_id=data.draw(_scids),
+            node_id_1=node_1,
+            node_id_2=node_2,
+            bitcoin_key_1=data.draw(st.binary(min_size=33, max_size=33)),
+            bitcoin_key_2=data.draw(st.binary(min_size=33, max_size=33)),
+            extension=data.draw(extensions),
+        )
+        node = NodeAnnouncement(
+            signature=data.draw(st.binary(min_size=64, max_size=64)),
+            features=data.draw(blobs),
+            timestamp=data.draw(_u32),
+            node_id=node_1,
+            rgb_color=data.draw(st.binary(min_size=3, max_size=3)),
+            alias=data.draw(st.binary(min_size=32, max_size=32)),
+            addresses=data.draw(blobs),
+            extension=data.draw(extensions),
+        )
+        update = replace(data.draw(_updates(ann.short_channel_id, data.draw(st.integers(0, 1)))), extension=data.draw(extensions))
+        for reader, msg, names in (
+            (_ENDPOINTS, ann, ("node_id_1", "node_id_2")),
+            (_NODE_FIELDS, node, ("alias", "rgb_color")),
+            (_POLICY_FIELDS, update, ("channel_flags", *ChannelPolicy._fields[:5])),
+        ):
+            payload = encode_message(msg)
+            decoded = decode_message(payload)
+            assert reader(payload) == tuple(getattr(decoded, name) for name in names)
 
 
 class TestRoutingView:
