@@ -102,24 +102,41 @@ fewer arcs. Sources run in order of out-degree, largest first (ties by
 index): hubs have the most arcs to drop, and the most in-neighbours to
 prune, so the passes after theirs relax the fewest arcs.
 
+The prune leaves many in-neighbours ``p`` of ``s`` with the one arc ``p->s``
+(source folding, Puzis et al., SocialCom 2012). Every shortest ``p->t``
+path is then that arc and a shortest ``s->t`` path, none of which re-enters
+``p`` (that takes a zero-fee cycle), so ``p``'s pass is ``s``'s one arc
+further out, as a leaf's is: ``s``'s pass folds ``p`` in and ``p`` never
+runs, unless a zero-fee cluster holds ``p`` or ``s``, or ``p`` is another
+share's. With ``k_p`` the leaves folded into ``p``, every target then
+counts ``M = 1 + k_s + sum(1 + k_p)`` times, less ``(1 + k_p) * t(p)`` at
+each reached ``p``; a port credits ``sigma(v) * E(v) - M * L`` and a bundle
+``sigma(v) * E(w) * count``. Each ``p`` adds ``(1 + k_p) * L`` to its own
+numerator if reached (so ``1 + k_p`` to its credit), ``(1 + k_p) * (R -
+g_p)`` to ``s``'s credit and ``k_p * (R - g_p + t(p)) - leaf_targets[p]``
+to its own, with ``g_p = t(p)`` if reached, else 0. Its in-neighbours
+``q`` are pruned with the bound ``w(q, p) + w(p, s) + dist(s, x)``, which
+is the bound ``p``'s pass would use.
+
 ``L`` exceeds 1 in almost every pass, but only tens of distinct ``L`` occur
 per graph, and most values stay ints, much cheaper to add and to send
 between processes than ``Fraction``s. Values are written as floats only by
 the report writers, each the correctly rounded exact value.
 
 The per-source loop is embarrassingly parallel. Worker ``i`` of ``W`` runs
-the passes ``sources[i::W]`` of every graph, still hubs first, and prunes
-its own copy of the port graphs. As each pass also prunes the arcs of its
-source's in-neighbours, a worker's copy loses many of the arcs that the
-other workers' passes drop. The calling process is worker ``0``, and each
-other worker is a child forked once the graphs are prepared, which
-sends back its credits through a pipe; a serial run is share ``0`` of ``1``
-and forks nothing. A child that raises has its exception raised again in
-the parent, and one that dies (a signal, a non-zero exit, a result cut
-short) raises ``ChildProcessError``; either way the other children are
-killed and reaped first, so a call never waits on a dead worker. Exact sums
-do not depend on their order, so the worker count never changes the
-output, nor does which worker ran which pass and so dropped which arcs.
+the passes ``sources[i::W]`` of every graph, still hubs first, folds only
+those sources, and prunes its own copy of the port graphs. As each pass
+also prunes the arcs of its source's in-neighbours, a worker's copy loses
+many of the arcs that the other workers' passes drop. The calling process
+is worker ``0``, and each other worker is a child forked once the graphs
+are prepared, which sends back its credits through a pipe; a serial run is
+share ``0`` of ``1`` and forks nothing. A child that raises has its
+exception raised again in the parent, and one that dies (a signal, a
+non-zero exit, a result cut short) raises ``ChildProcessError``; either way
+the other children are killed and reaped first, so a call never waits on a
+dead worker. Exact sums do not depend on their order, so the worker count
+never changes the output, nor does which worker ran which pass and so
+dropped which arcs.
 """
 
 from __future__ import annotations
@@ -470,13 +487,15 @@ def _prepare(graph: WeightedDigraph) -> _PortGraph:
     )
 
 
-def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> None:
-    """Dependency accumulation for one source and the leaves folded into
-    it: adds each reached node's credit numerator over the pass's
-    denominator ``L`` to ``sums[L]``. Drops the arcs its distances prove to
-    be on no shortest path: the source's out arcs that are not tight, and
-    each in-neighbour ``p``'s arcs ``p->x`` dearer than its arc ``p->s`` and
-    ``dist(s, x)`` together (see the module docstring)."""
+def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]], pending: bytearray) -> list[int]:
+    """Dependency accumulation for one source, the leaves folded into it and
+    the in-neighbours folded into its pass: adds each reached node's credit
+    numerator over the pass's denominator ``L`` to ``sums[L]``. Drops the
+    arcs its distances prove to be on no shortest path: the source's out
+    arcs that are not tight, and each in-neighbour ``p``'s arcs ``p->x``
+    dearer than its arc ``p->s`` and ``dist(s, x)`` together. Folds each
+    ``pending`` in-neighbour left with the one arc ``p->s``, clears it in
+    ``pending`` and returns those folded (see the module docstring)."""
     plain, bundles, target = pg.plain, pg.bundles, pg.target
     heappop, heappush = heapq.heappop, heapq.heappush
     ports = len(plain)
@@ -532,60 +551,88 @@ def _source_pass(pg: _PortGraph, s: int, sums: defaultdict[int, list[int]]) -> N
     # the arcs p->x that cost no more than p->s and a shortest route from s
     # to x: the others are on no shortest path from any source, so no later
     # pass needs them
-    h_out_of = pg.h_out_of
+    h_in_of, h_out_of, in_arcs = pg.h_in_of, pg.h_out_of, pg.in_arcs
+    leaves, leaf_targets, extra = pg.leaves, pg.leaf_targets, sums[1]
     home = h_out_of[s]
     base = dist[home]
     plain[home] = [arc for arc in plain[home] if base + arc[1] == dist[arc[0]]]
-    for p, _, w_ps in pg.in_arcs[src]:
+    # each folded leaf repeats this pass one arc further out, so every
+    # target counts M times; s is interior to no pair of its own, only to
+    # every pair (leaf, t) for t reached and not the leaf
+    M = 1 + leaves[s]
+    extra[s] += (M - 1) * reached - leaf_targets[s]
+    E = [0] * ports
+    folded = []
+    for p, _, w_ps in in_arcs[src]:
         out = h_out_of[p]
-        plain[out] = [arc for arc in plain[out] if arc[1] <= w_ps + dist[arc[0]]]
+        arcs = plain[out] = [arc for arc in plain[out] if arc[1] <= w_ps + dist[arc[0]]]
+        # left with only p->s, p's pass and its leaves' repeat this one arc
+        # further out too: fold p, unless a zero-fee cluster holds p or s,
+        # or p is another share's or has run. Prune p's in-neighbours as
+        # its pass would, and count every target M times but p's own port,
+        # which p and its leaves do not reach through s.
+        if len(arcs) == 1 and pending[p] and arcs[0][0] == src == home and h_in_of[p] == out:
+            pending[p] = 0
+            folded.append(p)
+            for q, _, w_qp in in_arcs[out]:
+                q_out = h_out_of[q]
+                plain[q_out] = [arc for arc in plain[q_out] if arc[1] <= w_qp + w_ps + dist[arc[0]]]
+            kp = 1 + leaves[p]
+            M += kp
+            gp = target[out] if dist[out] < pg.far else 0
+            if gp:
+                E[out] = -(kp * gp * L // sigma[out])
+                extra[p] += kp
+            extra[s] += kp * (reached - gp)
+            extra[p] += (kp - 1) * (reached - gp + target[out]) - leaf_targets[p]
 
     # pull E over the shortest-path arcs, successors first (see the module
     # docstring). An out port's E is final once pulled, so its node is
     # credited then, and a bundle credits the members it visits as it is
-    # pulled; each folded leaf repeats this pass one arc further out, so
-    # every credit counts 1 + k times.
-    k = pg.leaves[s]
-    multiplier = 1 + k
+    # pulled.
+    LM = L * M
     numerators = sums[L]
     node_of = pg.node_of
-    E = [0] * ports
     for v in reversed(order):
         d, sv = dist[v], sigma[v]
         t = target[v]
         if t:
-            e = t * L // sv
+            e = E[v] + t * LM // sv
             for w, weight in plain[v]:
                 if d + weight == dist[w]:
                     e += E[w]
             E[v] = e
             u = node_of[v]
             if u != s:
-                numerators[u] += multiplier * (sv * e - L)
+                numerators[u] += sv * e - LM
         else:
             e = 0
             for w, mult, visits in bundles[v]:
                 if d == dist[w]:
                     ew = E[w]
                     e += mult * ew
-                    credit = multiplier * sv * ew
+                    credit = sv * ew
                     for member, count in visits:
                         if member != s:
                             numerators[member] += credit * count
             E[v] = e
-    # s is interior to no pair of its own, only to every pair (leaf, t)
-    # for t reached and not the leaf
-    if k:
-        sums[1][s] += k * reached - pg.leaf_targets[s]
+    return folded
 
 
 def _credit(pg: _PortGraph, sources: list[int]) -> list[Value]:
-    """Summed credits of the passes of ``sources``: each pass adds to the
-    numerators of its denominator, and each (denominator, node) divides once."""
+    """Summed credits of the passes of ``sources``, each run unless an
+    earlier one folded it in: each pass adds to the numerators of its
+    denominator, and each (denominator, node) divides once. A node outside
+    ``sources`` is another share's and never folds here."""
     n = len(pg.h_out_of)
     sums: defaultdict[int, list[int]] = defaultdict(lambda: [0] * n)
+    pending = bytearray(n)
     for s in sources:
-        _source_pass(pg, s, sums)
+        pending[s] = 1
+    for s in sources:
+        if pending[s]:
+            pending[s] = 0
+            _source_pass(pg, s, sums, pending)
     total: list[Value] = sums.pop(1, [0] * n)
     for L, numerators in sums.items():
         for u, numerator in enumerate(numerators):
@@ -685,8 +732,8 @@ def betweenness_reports(graphs: list[WeightedDigraph], processes: Optional[int] 
     """``betweenness`` of each graph, with one set of workers for all of them.
 
     Every graph is checked and prepared before a worker starts. At most
-    ``processes`` workers run, no more than the largest graph has source
-    passes and no more than the usable CPUs; each runs one strided share of
+    ``processes`` workers run, no more than the largest graph has sources
+    and no more than the usable CPUs; each runs one strided share of
     every graph's passes, share 0 in this process and each other share in a
     forked child, and the results are independent of ``processes``. A
     child's exception is raised again, and a child that died raises
@@ -722,11 +769,11 @@ def betweenness(
     For node v this is the sum over ordered pairs (s, t), s != t, v not in
     {s, t}, of the fraction of minimum-fee s->t paths passing through v,
     exactly: an int, or a Fraction where shortest-path ties leave one. One
-    source pass runs per node that keeps a port; degree-1 leaves have none
-    and are accounted for by their neighbour's pass (see the module
-    docstring). Up to ``processes`` workers each run a strided share of
-    the passes, capped as in ``betweenness_reports``; the result is
-    independent of ``processes``.
+    source pass runs per node that keeps a port, unless a neighbour's pass
+    folds it in; degree-1 leaves have none and are accounted for by their
+    neighbour's pass (see the module docstring). Up to ``processes`` workers
+    each run a strided share of the passes, capped as in
+    ``betweenness_reports``; the result is independent of ``processes``.
     """
     return betweenness_reports([graph], processes)[0]
 

@@ -7,6 +7,7 @@ import pickle
 import random
 import signal
 import time
+from collections import defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -59,6 +60,22 @@ def make_graph(labels, edges, amount=0):
 
 def by_label(report, ids):
     return {label: report.values[nid] for label, nid in ids.items()}
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The (source, folded) pairs of every pass this process runs while the
+    test does: each in-neighbour folded into its neighbour's pass."""
+    pairs = []
+    real_pass = centrality._source_pass
+
+    def recording_pass(pg, s, sums, pending):
+        folded = real_pass(pg, s, sums, pending)
+        pairs.extend((s, p) for p in folded)
+        return folded
+
+    monkeypatch.setattr(centrality, "_source_pass", recording_pass)
+    return pairs
 
 
 def make_view(labels, arc_defs, as_of=0):
@@ -377,7 +394,7 @@ class TestZeroWeights:
         graph, _ = make_graph("sabcdt", edges)
         assert betweenness(graph).values == brute_force_betweenness(graph).values
 
-    def test_random_zero_heavy_graphs(self):
+    def test_random_zero_heavy_graphs(self, folds):
         rng = random.Random(4242)
         for _ in range(150):
             n = rng.randrange(2, 7)
@@ -390,6 +407,7 @@ class TestZeroWeights:
                         arcs.append((u, v, weight))
             graph = WeightedDigraph.from_arcs(node_ids, arcs)
             assert betweenness(graph).values == brute_force_betweenness(graph).values
+        assert len(folds) > 25
 
     def test_cluster_budget_counts_visit_work(self, monkeypatch):
         # four mutually zero-fee nodes: 60 route extensions, which write
@@ -496,7 +514,7 @@ def leafy_graph(rng, core=6, leaves=5, zero_prob=0.3, max_weight=20):
 
 
 class TestLeafFolding:
-    def test_exact_matches_brute_force_with_forced_leaves(self):
+    def test_exact_matches_brute_force_with_forced_leaves(self, folds):
         rng = random.Random(1012)
         folded = 0
         hubs_in_clusters = 0
@@ -513,6 +531,8 @@ class TestLeafFolding:
         # the fold must actually have applied, also on zero-fee cluster hubs
         assert folded > 300
         assert hubs_in_clusters > 10
+        # and some sources folded into a neighbour's pass
+        assert len(folds) > 40
 
     def test_star_plus_core_runs_one_pass_per_unfolded_node(self, monkeypatch):
         # core a-b-c-d; hub a gets a two-way leaf e, an f->a-only leaf f, an
@@ -523,17 +543,21 @@ class TestLeafFolding:
         edges += [("h", "a", 0), ("a", "h", 7), ("i", "j", 1), ("j", "i", 1)]
         graph, ids = make_graph("abcdefghijk", edges)
         index = {nid: i for i, nid in enumerate(graph.node_ids)}
-        folded = {index[ids[x]] for x in "efghj"}
-        calls = []
+        calls, folds = [], []
         real_pass = centrality._source_pass
 
-        def counting_pass(pg, s, sums):
+        def counting_pass(pg, s, sums, pending):
             calls.append(s)
-            return real_pass(pg, s, sums)
+            folded = real_pass(pg, s, sums, pending)
+            folds.extend(folded)
+            return folded
 
         monkeypatch.setattr(centrality, "_source_pass", counting_pass)
         report = betweenness(graph)
-        assert sorted(calls) == sorted(set(range(len(graph.node_ids))) - folded)
+        # every core node keeps two tight arcs, so no source folds into
+        # another's pass: each node with a port runs its own
+        assert sorted(calls) == sorted(index[ids[x]] for x in "abcdik")
+        assert folds == []
         assert report.values == brute_force_betweenness(graph).values
         assert by_label(report, ids)["a"] > 0
 
@@ -608,6 +632,42 @@ class TestLeafFolding:
                 assert all(credit[u] == 0 for u in stripped)
 
 
+def feeder_graph(rng, core=4, feeders=3, zero_prob=0.1, max_weight=20):
+    """Random core plus feeders, sources whose one useful arc leads to a
+    neighbour: each feeder f has an arc f->s to an earlier node and an arc
+    f->x dearer than f->s and a shortest route from s to x, and may get an
+    arc back from s or in from another node and a leaf of any kind. A zero
+    arc back from s puts f and s in a zero-fee cluster."""
+
+    def weight():
+        return 0 if rng.random() < zero_prob else rng.randrange(1, max_weight + 1)
+
+    arcs = [(u, v, weight()) for u in range(core) for v in range(core) if u != v and rng.random() < 0.4]
+    n = core
+    for _ in range(feeders):
+        f, n = n, n + 1
+        s, w = rng.randrange(f), weight()
+        arcs.append((f, s, w))
+        dist = arc_distances(WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(n)), arcs), s)
+        beyond = [x for x in dist if x != s]
+        if beyond:
+            x = rng.choice(beyond)
+            arcs.append((f, x, w + dist[x] + rng.randrange(1, 4)))
+        into = rng.random()
+        if into < 0.4:
+            arcs.append((s, f, weight()))
+        elif into < 0.6:
+            arcs.append((rng.randrange(f), f, weight()))
+        kind = rng.choice(("none", "both", "out", "in"))
+        if kind != "none":
+            leaf, n = n, n + 1
+            if kind in ("both", "out"):
+                arcs.append((leaf, f, weight()))
+            if kind in ("both", "in"):
+                arcs.append((f, leaf, weight()))
+    return WeightedDigraph.from_arcs(tuple(msggen.node_id(i) for i in range(n)), arcs)
+
+
 def plant_dominated_arcs(rng, graph, count):
     """GRAPH plus up to COUNT arcs u->v, each dearer than a two-hop route
     u->m->v, between nodes that had no arc u->v."""
@@ -665,7 +725,7 @@ def port_arcs(pg, weight=None):
 
 
 class TestArcPruning:
-    def test_planted_dominated_arcs_are_dropped_and_values_stay_exact(self):
+    def test_planted_dominated_arcs_are_dropped_and_values_stay_exact(self, folds):
         rng = random.Random(1400)
         dropped = with_clusters = 0
         for _ in range(150):
@@ -694,6 +754,7 @@ class TestArcPruning:
             assert _credit(pg, pg.sources) == credit
         assert dropped > 100
         assert with_clusters > 20
+        assert len(folds) > 200
 
     @staticmethod
     def cluster_graph():
@@ -769,12 +830,120 @@ class TestArcPruning:
             assert report_to_json(betweenness_reports([graph], processes=processes)[0]) == want
 
 
+# h is the neighbour whose pass p folds into: p->h costs 1 and p->x costs
+# 5, dearer than p->h->x at 2, so once h's pass has pruned p's arcs only
+# p->h is left. y's only arc leads to x, so y folds into x's pass.
+FOLD_BASE = [("h", "x", 1), ("x", "h", 1), ("h", "y", 2), ("x", "y", 1), ("y", "x", 1), ("p", "h", 1), ("p", "x", 5)]
+
+# name: (labels, arcs, the (source, folded) pairs at 1, 2 and 3 workers);
+# sources run hubs first, and a share folds only its own sources
+FOLD_CASES = {
+    "p reached": ("hpxy", FOLD_BASE + [("h", "p", 1)], ({"hp", "xy"}, set(), set())),
+    "p not reached": ("hpxy", FOLD_BASE, ({"hp", "xy"}, set(), set())),
+    # l and m are leaves folded into p: k_p = 2
+    "p with folded leaves": ("hlmpxy", FOLD_BASE + [("h", "p", 1), ("l", "p", 2), ("m", "p", 1)], ({"hp", "xy"}, set(), set())),
+    # p's port stands for p, m and n (t(p) = 3); m also folds into p
+    "p with leaf targets": ("hmnpxy", FOLD_BASE + [("h", "p", 1), ("m", "p", 1), ("p", "m", 3), ("p", "n", 2)], ({"hp", "xy"}, set(), set())),
+    "p with leaf targets not reached": ("hmnpxy", FOLD_BASE + [("m", "p", 1), ("p", "m", 3), ("p", "n", 2)], ({"hp", "xy"}, set(), set())),
+    # q (reached) and r fold into h too: q->y costs 9, r->x 4
+    "several on one source": (
+        "hpqrxy",
+        FOLD_BASE + [("q", "h", 2), ("q", "y", 9), ("r", "h", 1), ("r", "x", 4), ("h", "q", 3)],
+        ({"hp", "hq", "hr", "xy"}, {"hq"}, {"hr"}),
+    ),
+    # a and b fold into h, which has an arc to a and c
+    "source with its own leaves": (
+        "abchpxy",
+        FOLD_BASE + [("h", "p", 1), ("a", "h", 1), ("h", "a", 1), ("b", "h", 2), ("h", "c", 1)],
+        ({"hp", "xy"}, set(), set()),
+    ),
+    # q->z costs 10, but q->p->h->z only 4: see the test below
+    "borrowed bound": (
+        "hpqxz",
+        [("h", "x", 1), ("x", "h", 1), ("p", "h", 1), ("q", "p", 1), ("q", "z", 10), ("h", "z", 2), ("z", "x", 1)],
+        ({"hp", "hx"}, {"hp"}, {"hx"}),
+    ),
+    # p and c charge each other nothing: p keeps only p->h but runs its pass
+    "p in a zero-fee cluster": ("chpxy", FOLD_BASE + [("p", "c", 0), ("c", "p", 0)], ({"xy"}, set(), set())),
+    # h and c charge each other nothing: p->h enters h's cluster
+    "h in a zero-fee cluster": ("chpxy", FOLD_BASE + [("h", "c", 0), ("c", "h", 0)], ({"xy"}, set(), set())),
+}
+
+
+def share_credits(graph, workers):
+    """Summed credits of WORKERS shares of GRAPH's passes, each share run on
+    its own port graph, as a worker runs it."""
+    total = [0] * len(graph.node_ids)
+    for share in range(workers):
+        pg = _prepare(graph)
+        total = [a + b for a, b in zip(total, _credit(pg, pg.sources[share::workers]))]
+    return total
+
+
+class TestInNeighbourFolding:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", FOLD_CASES)
+    def test_hand_built_folds_match_brute_force(self, folds, case, workers):
+        labels, edges, want_folds = FOLD_CASES[case]
+        graph, ids = make_graph(labels, edges)
+        label_of = {graph.node_ids.index(nid): x for x, nid in ids.items()}
+        want = brute_force_betweenness(graph).values
+        assert dict(zip(graph.node_ids, share_credits(graph, workers))) == want
+        assert {label_of[s] + label_of[p] for s, p in folds} == want_folds[workers - 1]
+        assert len(folds) == len(want_folds[workers - 1])
+        assert betweenness(graph, processes=workers).values == want
+
+    @pytest.mark.parametrize("case", ["p in a zero-fee cluster", "h in a zero-fee cluster"])
+    def test_a_zero_fee_cluster_member_never_folds(self, case):
+        labels, edges, _ = FOLD_CASES[case]
+        graph, ids = make_graph(labels, edges)
+        pg = _prepare(graph)
+        h, p = (graph.node_ids.index(ids[x]) for x in "hp")
+        pending = bytearray(len(graph.node_ids))
+        pending[p] = 1
+        # h's pass leaves p with only p->h, and still p runs its own
+        assert centrality._source_pass(pg, h, defaultdict(lambda: [0] * len(graph.node_ids)), pending) == []
+        assert out_targets(pg, graph, ids, "p") == {"h"}
+        assert pending[p] == 1
+
+    def test_a_folded_sources_in_neighbours_drop_arcs_to_the_borrowed_bound(self, folds):
+        labels, edges, _ = FOLD_CASES["borrowed bound"]
+        graph, ids = make_graph(labels, edges)
+        pg = _prepare(graph)
+        h, p = (graph.node_ids.index(ids[x]) for x in "hp")
+        # p's pass does not run, yet its in-neighbour q loses q->z as that
+        # pass would have dropped it: 10 > w(q,p) + w(p,h) + dist(h, z) = 4
+        assert out_targets(pg, graph, ids, "q") == {"p", "z"}
+        _credit(pg, [h, p])
+        assert folds == [(h, p)]
+        assert out_targets(pg, graph, ids, "q") == {"p"}
+        want = brute_force_betweenness(graph).values
+        assert dict(zip(graph.node_ids, _credit(pg, pg.sources))) == want
+
+    def test_random_feeder_graphs_match_brute_force_at_every_share_count(self, folds):
+        rng = random.Random(1500)
+        folded = {1: 0, 2: 0, 3: 0}
+        for _ in range(120):
+            core = rng.randrange(2, 6)
+            graph = feeder_graph(rng, core=core, feeders=rng.randrange(1, (12 - core) // 2 + 1))
+            assert len(graph.node_ids) <= 12
+            want = [brute_force_betweenness(graph).values[nid] for nid in graph.node_ids]
+            for workers in folded:
+                before = len(folds)
+                assert share_credits(graph, workers) == want
+                folded[workers] += len(folds) - before
+        assert folded[1] > 150
+        assert folded[2] > 40
+        assert folded[3] > 20
+
+
 class TestOracleEquivalence:
-    def test_exact_match_on_random_graphs(self):
+    def test_exact_match_on_random_graphs(self, folds):
         rng = random.Random(20_21)
         for _ in range(120):
             graph = random_graph(rng)
             assert betweenness(graph).values == brute_force_betweenness(graph).values
+        assert len(folds) > 60
 
     def test_written_values_are_correctly_rounded(self):
         # the same graphs as the exact match: every value in the report
@@ -996,9 +1165,14 @@ class TestWorkerCap:
         assert forks.forked == []
 
 
+# the (source, folded) pairs of a serial run on feeder_graph(Random(67),
+# core=12, feeders=20)
+FEEDER_FOLDS = [(3, 22), (4, 24), (4, 43), (8, 29), (10, 7), (11, 25), (12, 45), (14, 15), (14, 39), (16, 17), (31, 32), (31, 41)]
+
+
 class TestSourceShares:
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
-    def test_exact_totals_do_not_depend_on_the_share_count(self, forks, workers):
+    def test_exact_totals_do_not_depend_on_the_share_count(self, forks, folds, workers):
         # the fixture's 64 CPUs allow more shares than this host has; the
         # fake children run them in this process
         rng = random.Random(64)
@@ -1006,11 +1180,14 @@ class TestSourceShares:
         graphs += [random_graph(rng, max_nodes=12, zero_prob=0.2) for _ in range(20)]
         wide = leafy_graph(rng, core=30, leaves=30, zero_prob=0.1)
         want = betweenness(wide).values
+        serial_folds = len(folds)
         assert betweenness(wide, processes=workers).values == want
         assert forks.forked == forked(workers)
         for graph in graphs:
             assert len(graph.node_ids) <= 12
             assert betweenness(graph, processes=workers).values == brute_force_betweenness(graph).values
+        # sources folded in each share count's passes too
+        assert len(folds) > serial_folds
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_every_source_runs_exactly_once(self, forks, monkeypatch, workers):
@@ -1019,26 +1196,44 @@ class TestSourceShares:
             leafy_graph(random.Random(66), core=30, leaves=10, zero_prob=0.1),
             make_graph("abc", [("a", "b", 1), ("b", "c", 1)])[0],
             many_pass_graph(),
+            feeder_graph(random.Random(67), core=12, feeders=20),
         ]
         assert pass_count(graphs[1]) < 3
         # calls name their graph by its node count
-        assert len({len(g.node_ids) for g in graphs}) == 3
+        assert len({len(g.node_ids) for g in graphs}) == 4
         calls = []
         real_pass = centrality._source_pass
 
-        def counting_pass(pg, s, sums):
-            calls.append((len(pg.h_out_of), s))
-            return real_pass(pg, s, sums)
+        def counting_pass(pg, s, sums, pending):
+            folded = real_pass(pg, s, sums, pending)
+            calls.append((len(pg.h_out_of), s, folded))
+            return folded
 
         monkeypatch.setattr(centrality, "_source_pass", counting_pass)
         betweenness_reports(graphs, processes=workers)
         assert forks.forked == forked(workers)
         sources = [(len(g.node_ids), _prepare(g).sources) for g in graphs]
-        assert sorted(calls) == sorted((n, s) for n, order in sources for s in order)
         # the parent runs share 0, then each fake child runs its share as
         # its result is read: each takes every workers-th source of each
-        # graph, hubs first
-        assert calls == [(n, s) for share in range(workers) for n, order in sources for s in order[share::workers]]
+        # graph, hubs first, and skips those that an earlier pass of the
+        # same share folded in
+        runs = [(n, s) for n, s, _ in calls]
+        folds = {(n, p): s for n, s, folded in calls for p in folded}
+        assert len(folds) == sum(len(folded) for _, _, folded in calls)
+        # only the feeder graph's sources fold, each (graph, folded) into
+        # its source's pass; three shares keep 3 of the serial run's 12
+        want_folds = {(50, p): s for s, p in FEEDER_FOLDS if workers == 1 or p in (7, 25, 32)}
+        assert folds == want_folds
+        want = []
+        for share in range(workers):
+            for n, order in sources:
+                mine = order[share::workers]
+                want += [(n, s) for s in mine if (n, s) not in folds]
+                # a source folds into an earlier pass of its own share
+                assert all(mine.index(folds[n, p]) < mine.index(p) for p in mine if (n, p) in folds)
+        assert runs == want
+        # so every source runs or folds exactly once
+        assert sorted(runs + list(folds)) == sorted((n, s) for n, order in sources for s in order)
 
     def test_reports_match_single_calls_with_real_forks(self):
         rng = random.Random(65)
@@ -1123,19 +1318,25 @@ class TestForkedShares:
 
     def test_a_childs_exception_is_the_serial_runs(self, monkeypatch, children):
         graph = many_pass_graph()
-        failing = _prepare(graph).sources[1]  # the first pass of share 1 of 2
+        sources = _prepare(graph).sources
+        failing = sources[1]  # the first pass of share 1 of 2
         real_pass = centrality._source_pass
+        calls = []
 
-        def bad_pass(pg, s, sums):
+        def bad_pass(pg, s, sums, pending):
+            calls.append(s)
             if s == failing:
                 raise ValueError(f"pass of source {s} failed")
-            return real_pass(pg, s, sums)
+            return real_pass(pg, s, sums, pending)
 
         monkeypatch.setattr(centrality, "_source_pass", bad_pass)
         for processes in (1, 2):
             with within(10), pytest.raises(ValueError, match=rf"^pass of source {failing} failed$"):
                 betweenness_reports([graph], processes=processes)
         assert len(children) == 1
+        # no source of this graph folds: the serial run reaches the failing
+        # pass second, and with 2 workers this process runs all of share 0
+        assert calls == sources[:2] + sources[0::2]
 
     def test_a_failing_parent_kills_its_children(self, monkeypatch, children):
         def share_credits(pgs, share, workers):
