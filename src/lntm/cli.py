@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 from . import __version__
 from .codec import U64_MAX
 from .manifest import atomic_write, dump_table, manifested, write_document
-from .store import open_store, write_compacted
+from .store import compact_peeked, peek_store
 
 if TYPE_CHECKING:
     from .centrality import CentralityReport
@@ -116,9 +116,9 @@ def _emit(
 
 def snapshot(args: argparse.Namespace):
     """Replay an archive up to an instant and write the network snapshot."""
-    from .replay import replay, snapshot_document
+    from .replay import replay_peeked, snapshot_document
 
-    snap = replay(open_store(args.store), args.at)
+    snap = replay_peeked(peek_store(args.store), args.at)
     _emit(
         Path(f"{args.out}.manifest.json"),
         "snapshot",
@@ -241,14 +241,14 @@ def inequality(args: argparse.Namespace):
 def compact(args: argparse.Namespace):
     """Rewrite an archive as its deduplicated, time-ordered equivalent, in
     bounded memory: sorted runs are spilled beside the output and merged."""
-    records = open_store(args.store)
+    records = peek_store(args.store)
     written = []
     _emit(
         Path(f"{args.out}.manifest.json"),
         "compact",
         [args.store],
         {},
-        [(Path(args.out), lambda path: written.append(write_compacted(path, records)))],
+        [(Path(args.out), lambda path: written.append(compact_peeked(path, records)))],
     )
     print(f"wrote {written[0]} records")
 

@@ -10,7 +10,8 @@ ones per (channel, direction). The optional staleness window on the routing
 view approximates liveness (two weeks, 1209600 s, is the conventional
 cutoff).
 
-Each governing payload, validated by its peek, is read by a compiled
+The fold takes records already validated and keyed where the archive is
+read (``store.peek_store``). Each governing payload is read by a compiled
 ``codec.field_reader`` straight into the records below; the message
 dataclasses serve decode/encode round trips only.
 
@@ -28,16 +29,14 @@ from .codec import (
     MSG_CHANNEL_ANNOUNCEMENT,
     MSG_CHANNEL_UPDATE,
     MSG_NODE_ANNOUNCEMENT,
-    CodecError,
     NodeId,
     ShortChannelId,
     alias_text,
     field_reader,
     parse_node_id,
-    peek_message,
 )
 from .manifest import dump_document, load_document, typed, uint
-from .store import DecodeFailureError, StoreRecord
+from .store import Peeked, StoreRecord, peek_records
 
 SNAPSHOT_FORMAT = "gossip-network-snapshot"
 SNAPSHOT_VERSION = 1
@@ -118,7 +117,13 @@ _NODE_FIELDS = field_reader(MSG_NODE_ANNOUNCEMENT, "alias", "rgb_color")
 
 
 def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
-    """Fold archive records into the snapshot as of ``as_of`` (inclusive).
+    """``replay_peeked`` of plain records."""
+    return replay_peeked(peek_records(records), as_of)
+
+
+def replay_peeked(peeked: Iterable[Peeked], as_of: int) -> NetworkSnapshot:
+    """Fold peeked archive records into the snapshot as of ``as_of``
+    (inclusive).
 
     The snapshot holds every channel announced at or before as_of; per
     (channel, direction) the policy with the greatest timestamp <= as_of;
@@ -127,9 +132,8 @@ def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
     and announcements for unreferenced nodes are tallied, not fatal; both
     tallies count distinct messages.
 
-    Every record is validated, those after as_of too: the first that does
-    not decode raises DecodeFailureError with its index in ``records``.
-    Only the payloads that govern the snapshot are read past their peek.
+    Every record is read, and so validated, those after as_of too. Only
+    the payloads that govern the snapshot are read past their peek.
     """
     # per scid the least (arrival, payload) announcement: endpoints never
     # change, so snapshots stay monotone even if a conflicting
@@ -142,11 +146,7 @@ def replay(records: Iterable[StoreRecord], as_of: int) -> NetworkSnapshot:
     unannounced: dict[bytes, set[tuple[int, int]]] = {}
     # per node every distinct (timestamp, payload); the greatest governs
     node_versions: dict[NodeId, set[tuple[int, bytes]]] = {}
-    for index, (arrival_ts, payload) in enumerate(records):
-        try:
-            type_code, timestamp, key, flags = peek_message(payload)
-        except CodecError as exc:
-            raise DecodeFailureError(index, exc) from exc
+    for arrival_ts, payload, type_code, timestamp, key, flags in peeked:
         if type_code == MSG_CHANNEL_UPDATE:
             if timestamp > as_of:
                 continue

@@ -2,8 +2,11 @@
 
 Archive framing ("GSR1", bit-exact): 4-byte magic ``GSR1`` followed by zero
 or more frames of ``arrival_ts:u64 BE | msg_len:u32 BE | msg bytes``. The
-message bytes start with the u16 gossip type code. ``read_store`` reads an
-archive through a file buffered in blocks of ``BLOCK_BYTES``.
+message bytes start with the u16 gossip type code. One block scanner reads
+archives in blocks of ``BLOCK_BYTES`` and keys each frame as it reads it,
+with ``codec.peek_message`` or, for a channel_update, one unpack of the
+frame. Replay and compaction read these peeked records (``peek_store``),
+validated once, at the read; ``read_store`` yields plain records.
 
 A JSON-lines debug format is also read: one object per line with fields
 ``arrival_ts`` (a JSON integer in [0, 2^64), seconds) and ``hex``
@@ -19,13 +22,13 @@ Ordering model: compaction keeps *every* distinct message version, so the
 compacted archive still answers "state at time T" for any T. Only exact
 duplicates, later arrivals of a channel_announcement and same-timestamp
 channel_update clones are collapsed, by the rules ``_collapse`` states.
-Records are keyed with ``codec.peek_message`` and no message object is
-kept. A compacted record is the same ``(int, bytes)`` pair as any other;
-its arrival time is its effective timestamp, and ``FeedEntry`` names its
-fields that way. A payload starts with its type code, so compacted records
-sort as plain tuples in ``(effective_ts, type_code, payload)`` order.
-Replay does not need that order: it folds records in any order (see
-``replay``).
+Records, the sorted runs' too, are keyed by their peeked fields, and no
+message object is kept. A compacted record is the same ``(int, bytes)``
+pair as any other; its arrival time is its effective timestamp, and
+``FeedEntry`` names its fields that way. A payload starts with its type
+code, so compacted records sort as plain tuples in ``(effective_ts,
+type_code, payload)`` order. Replay does not need that order: it folds
+records in any order (see ``replay``).
 
 Compaction runs in bounded memory. Every record goes into a buffer of
 ``RUN_RECORDS``; each full buffer is written as a sorted GSR1 run to a
@@ -39,11 +42,13 @@ from __future__ import annotations
 import heapq
 import os
 import struct
+from functools import partial
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .codec import FLAG_DIRECTION, MSG_CHANNEL_ANNOUNCEMENT, MSG_CHANNEL_UPDATE, CodecError, peek_message
+from .codec import _U16, _UPDATE_END, _UPDATE_PEEK, FLAG_DIRECTION, FLAG_HTLC_MAXIMUM, MSG_CHANNEL_ANNOUNCEMENT, MSG_CHANNEL_UPDATE, CodecError, peek_message
 from .manifest import atomic_write, parse_json, typed, uint
 
 STORE_MAGIC = b"GSR1"
@@ -53,12 +58,19 @@ RUN_RECORDS = 1 << 14
 # runs read at once, each through one BLOCK_BYTES buffer (4 MiB in all);
 # beyond that the oldest are first merged into one run
 FAN_IN = 64
-# bytes a file of frames is buffered in
+# bytes a file of frames is read in
 BLOCK_BYTES = 1 << 16
 # frames joined into one write
 _WRITE_BATCH = 1 << 10
 
 _FRAME_HEADER = struct.Struct(">QI")
+# a frame header, its type code and a channel_update's peek fields
+_UPDATE_FRAME = struct.Struct(_FRAME_HEADER.format + _U16.format[1:] + _UPDATE_PEEK.format[1:])
+
+# a record followed by the peek_message of its payload
+Peeked = tuple[int, bytes, int, Optional[int], bytes, int]
+# the plain record a peeked one starts with, which orders compacted records
+_PLAIN = itemgetter(0, 1)
 
 
 class CorruptFrameError(ValueError):
@@ -91,29 +103,82 @@ class FeedEntry(NamedTuple):
     payload: bytes
 
 
-def read_store(path: str | Path) -> Iterator[StoreRecord]:
-    """Stream records from a GSR1 archive in file order, through a file
-    buffered in blocks of ``BLOCK_BYTES``. Each frame's end is checked
-    against the file's size before its message is read, so a corrupt length
-    never sets the size of a read."""
-    header = _FRAME_HEADER.size
-    unpack = _FRAME_HEADER.unpack
-    new = tuple.__new__  # a StoreRecord without the Python frame of its constructor
+def _scan(path: str | Path, peek: Callable[[bytes], tuple]) -> Iterator[Peeked]:
+    """A GSR1 archive's records in file order, a complete channel_update
+    peeked from its frame and any other message by ``peek``, in blocks of
+    ``BLOCK_BYTES`` or the rest of the file. A frame's end is checked
+    against the file's size before more is read, so a corrupt length never
+    sizes a read. The first bad frame raises CorruptFrameError and the
+    first message ``peek`` rejects DecodeFailureError."""
+    header, fast = _FRAME_HEADER.size, _UPDATE_FRAME.size
+    unpack_header, unpack_update = _FRAME_HEADER.unpack_from, _UPDATE_FRAME.unpack_from
+    update, short = MSG_CHANNEL_UPDATE, _UPDATE_END
     with open(path, "rb", buffering=BLOCK_BYTES) as fh:
-        magic = fh.read(4)
-        if magic != STORE_MAGIC:
-            raise ValueError(f"{path}: not a gossip archive: magic {magic!r} != {STORE_MAGIC!r}")
-        file_size = os.fstat(fh.fileno()).st_size
-        pos = len(magic)
-        while head := fh.read(header):
-            if len(head) < header:
-                raise CorruptFrameError(path, pos, "frame header truncated")
-            arrival_ts, msg_len = unpack(head)
-            end = pos + header + msg_len
-            if end > file_size:
-                raise CorruptFrameError(path, pos, f"length field {msg_len} exceeds remaining bytes")
-            yield new(StoreRecord, (arrival_ts, fh.read(msg_len)))
-            pos = end
+        size = os.fstat(fh.fileno()).st_size
+        buf = fh.read(min(BLOCK_BYTES, size))
+        if buf[:4] != STORE_MAGIC:
+            raise ValueError(f"{path}: not a gossip archive: magic {buf[:4]!r} != {STORE_MAGIC!r}")
+        base, pos, index = 0, 4, 0  # buf holds the file from offset base
+        while True:
+            have = len(buf)
+            while pos + header <= have:
+                if pos + fast <= have:
+                    arrival_ts, msg_len, type_code, key, timestamp, message_flags, flags = unpack_update(buf, pos)
+                else:
+                    arrival_ts, msg_len = unpack_header(buf, pos)
+                    type_code = None
+                end = pos + header + msg_len
+                if end > have:
+                    break
+                payload = buf[pos + header : end]
+                # an update with room for its flagged htlc_maximum_msat
+                if type_code == update and msg_len >= short + (8 if message_flags & FLAG_HTLC_MAXIMUM else 0):
+                    yield arrival_ts, payload, update, timestamp, key, flags
+                else:
+                    try:
+                        peeked = peek(payload)
+                    except CodecError as exc:
+                        raise DecodeFailureError(index, exc) from exc
+                    yield arrival_ts, payload, *peeked
+                index += 1
+                pos = end
+            # read on to the end of the frame, or of its header if buf ends first
+            offset = base + pos
+            end = offset + header + (msg_len if pos + header <= have else 0)
+            if end > size:
+                if offset == size:
+                    return
+                raise CorruptFrameError(path, offset, "frame header truncated" if offset + header > size else f"length field {msg_len} exceeds remaining bytes")
+            parts, read_to = [buf[pos:]], base + have
+            while read_to < end:
+                block = fh.read(min(BLOCK_BYTES, size - read_to))
+                if not block:  # the file shrank: its frames are checked again
+                    size = read_to
+                    break
+                parts.append(block)
+                read_to += len(block)
+            buf, base, pos = b"".join(parts), offset, 0
+
+
+def _type_only(payload: bytes) -> tuple:
+    """The peek of a record read unvalidated: its type code alone."""
+    return int.from_bytes(payload[:2], "big"), None, None, 0
+
+
+def peek_records(records: Iterable[StoreRecord]) -> Iterator[Peeked]:
+    """Plain records peeked in order; the first that does not decode raises
+    DecodeFailureError with its index."""
+    for index, (arrival_ts, payload) in enumerate(records):
+        try:
+            peeked = peek_message(payload)
+        except CodecError as exc:
+            raise DecodeFailureError(index, exc) from exc
+        yield arrival_ts, payload, *peeked
+
+
+def read_store(path: str | Path) -> Iterator[StoreRecord]:
+    """Stream a GSR1 archive's records in file order, unvalidated."""
+    return map(partial(tuple.__new__, StoreRecord), map(_PLAIN, _scan(path, _type_only)))
 
 
 def _write_frames(fh: IO[bytes], records: Iterable[StoreRecord]) -> int:
@@ -123,7 +188,8 @@ def _write_frames(fh: IO[bytes], records: Iterable[StoreRecord]) -> int:
     records = iter(records)
     count = 0
     while batch := list(islice(records, _WRITE_BATCH)):
-        fh.write(b"".join([pack(arrival_ts, len(payload)) + payload for arrival_ts, payload in batch]))
+        # a record's first two fields are its arrival time and payload
+        fh.write(b"".join([pack(rec[0], len(rec[1])) + rec[1] for rec in batch]))
         count += len(batch)
     return count
 
@@ -156,39 +222,51 @@ def read_store_jsonl(path: str | Path) -> Iterator[StoreRecord]:
             yield StoreRecord(arrival_ts, payload)
 
 
-def open_store(path: str | Path) -> Iterator[StoreRecord]:
-    """Read an archive: JSON lines when its first byte other than ASCII
-    whitespace is ``{``, an empty archive when it holds only ASCII
-    whitespace, and otherwise GSR1, so that a file without the magic fails
-    as ``read_store`` does."""
+def _is_json_lines(path: str | Path) -> bool:
+    """Whether the first byte other than ASCII whitespace is ``{`` or there
+    is none (an empty archive); any other file is GSR1, so that a file
+    without the magic fails as ``read_store`` does."""
     with open(path, "rb") as fh:
         first = b""
         while not first and (block := fh.read(BLOCK_BYTES)):
             first = block.lstrip()[:1]
-    if first in (b"{", b""):
-        return read_store_jsonl(path)
-    return read_store(path)
+    return first in (b"{", b"")
+
+
+def open_store(path: str | Path) -> Iterator[StoreRecord]:
+    """Read an archive in either format as plain records."""
+    return read_store_jsonl(path) if _is_json_lines(path) else read_store(path)
+
+
+def peek_store(path: str | Path) -> Iterator[Peeked]:
+    """Read an archive in either format as peeked records."""
+    return peek_records(read_store_jsonl(path)) if _is_json_lines(path) else _scan(path, peek_message)
 
 
 def write_compacted(path: str | Path, records: Iterable[StoreRecord]) -> int:
-    """Write the compacted archive of ``records`` at ``path``, a GSR1 file
-    that appears only once it is complete; returns the record count.
+    """``compact_peeked`` of plain records."""
+    return compact_peeked(path, peek_records(records))
+
+
+def compact_peeked(path: str | Path, peeked: Iterable[Peeked]) -> int:
+    """Write the compacted archive of ``peeked`` records at ``path``, a
+    GSR1 file that appears only once it is complete; returns the record
+    count.
 
     Arrival times are rewritten to the effective timestamps, duplicates
     and clones collapse as ``_collapse`` states, and records come out in
     (effective_ts, type_code, payload) order.
 
-    Every record is validated before the output is started; the first that
-    does not decode raises DecodeFailureError with its index. Sorted runs
-    go to dot-named files in the real directory of ``path``, and every run
-    is removed before this returns or raises. An OSError on the archive, a
-    run or the output propagates.
+    Every record is read, so validated, before the output is started.
+    Sorted runs go to dot-named files in the real directory of ``path``,
+    and every run is removed before this returns or raises. An OSError on
+    the archive, a run or the output propagates.
     """
     real = Path(os.path.realpath(path))
     prefix = real.parent / f".{real.name}.run-"
     runs: list[Path] = []
     try:
-        held = _first_pass(records, prefix, runs)
+        held = _first_pass(peeked, prefix, runs)
         while len(runs) > FAN_IN:
             oldest = runs[:FAN_IN]
             _write_run(prefix, runs, _merge(oldest))
@@ -202,21 +280,18 @@ def write_compacted(path: str | Path, records: Iterable[StoreRecord]) -> int:
             run.unlink(missing_ok=True)
 
 
-def _first_pass(records: Iterable[StoreRecord], prefix: Path, runs: list[Path]) -> list[tuple[int, bytes]]:
-    """Validate every record and buffer it as ``(effective_ts, payload)``;
-    a record that arrives while ``RUN_RECORDS`` are held first spills them
-    as a sorted run. Returns the last buffer, unsorted."""
-    held: list[tuple[int, bytes]] = []
-    for index, (arrival_ts, payload) in enumerate(records):
-        try:
-            timestamp = peek_message(payload)[1]
-        except CodecError as exc:
-            raise DecodeFailureError(index, exc) from exc
+def _first_pass(peeked: Iterable[Peeked], prefix: Path, runs: list[Path]) -> list[Peeked]:
+    """Buffer every record keyed by its effective timestamp; a record that
+    arrives while ``RUN_RECORDS`` are held first spills them as a sorted
+    run. Returns the last buffer, unsorted."""
+    held: list[Peeked] = []
+    append = held.append
+    for arrival_ts, payload, type_code, timestamp, key, flags in peeked:
         if len(held) == RUN_RECORDS:
             held.sort()
             _write_run(prefix, runs, held)
-            held = []
-        held.append((arrival_ts if timestamp is None else timestamp, payload))
+            held.clear()
+        append((arrival_ts if timestamp is None else timestamp, payload, type_code, timestamp, key, flags))
     return held
 
 
@@ -230,12 +305,14 @@ def _write_run(prefix: Path, runs: list[Path], records: Iterable[StoreRecord]) -
         _write_frames(fh, records)
 
 
-def _merge(runs: list[Path], held: Iterable[tuple[int, bytes]] = ()) -> Iterator[StoreRecord]:
-    """The collapsed merge of sorted runs and a sorted list held in memory."""
-    return _collapse(heapq.merge(*map(read_store, runs), held))
+def _merge(runs: list[Path], held: Iterable[Peeked] = ()) -> Iterator[Peeked]:
+    """The collapsed merge of sorted runs and a sorted list held in memory;
+    a run's records were validated when first read, so any but a
+    channel_update is peeked for its type code alone."""
+    return _collapse(heapq.merge(*(_scan(run, _type_only) for run in runs), held, key=_PLAIN))
 
 
-def _collapse(records: Iterable[StoreRecord]) -> Iterator[StoreRecord]:
+def _collapse(peeked: Iterable[Peeked]) -> Iterator[Peeked]:
     """The compaction rules, on a sorted stream of records keyed by their
     effective timestamps; every distinct version of a message survives
     except:
@@ -249,32 +326,30 @@ def _collapse(records: Iterable[StoreRecord]) -> Iterator[StoreRecord]:
       depend on arrival order; clone keys are taken only in timestamp
       groups of two or more
     """
-    announcement = MSG_CHANNEL_ANNOUNCEMENT.to_bytes(2, "big")
     announced: set[bytes] = set()
     group_ts, first, seen = None, None, None
-    for rec in records:
-        ts, payload = rec
-        if payload[:2] == announcement:
+    for rec in peeked:
+        ts, payload, type_code, _, _, _ = rec
+        if type_code == MSG_CHANNEL_ANNOUNCEMENT:
             if payload in announced:
                 continue
             announced.add(payload)
         if ts != group_ts:
-            group_ts, first, seen = ts, payload, None
+            group_ts, first, seen = ts, rec, None
             yield rec
             continue
         if seen is None:
             seen = {_clone_key(first)}
-        key = _clone_key(payload)
+        key = _clone_key(rec)
         if key not in seen:
             seen.add(key)
             yield rec
 
 
-def _clone_key(payload: bytes) -> object:
+def _clone_key(rec: Peeked) -> object:
     """A channel_update collapses with the others of its (scid, direction)
     at its timestamp; any other record only with its own bytes."""
-    type_code, _, key, flags = peek_message(payload)
-    return (key, flags & FLAG_DIRECTION) if type_code == MSG_CHANNEL_UPDATE else payload
+    return (rec[4], rec[5] & FLAG_DIRECTION) if rec[2] == MSG_CHANNEL_UPDATE else rec[1]
 
 
 def deduplicate_and_order(records: Iterable[StoreRecord]) -> tuple[FeedEntry, ...]:

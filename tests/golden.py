@@ -1,11 +1,11 @@
-"""Golden output digests of the benchmark's centrality and inequality calls.
+"""Golden output digests of the benchmark's CLI pass.
 
-``golden.json`` maps every file that the benchmark's CLI pass writes with
-``centrality`` and ``inequality`` on the seed-1 ``study`` and ``exact``
-archives, at ``LNTM_THREADS=1``, to its SHA-256: each report, CSV, histogram
-and manifest, plus what each call prints. ``test_golden.py`` rebuilds them
-in-process and compares. A change that alters an output on purpose rewrites
-the file with::
+``golden.json`` maps every file that the benchmark's CLI pass writes on the
+seed-1 ``history``, ``study`` and ``exact`` archives, at ``LNTM_THREADS=1``,
+to its SHA-256: the archive itself, each snapshot, compacted archive,
+report, CSV, histogram and manifest, plus what each call prints.
+``test_golden.py`` rebuilds them in-process and compares. A change that
+alters an output on purpose rewrites the file with::
 
     python tests/golden.py
 
@@ -34,15 +34,15 @@ from workloads import WORKLOADS  # noqa: E402
 from lntm.cli import main  # noqa: E402
 
 GOLDEN = TESTS / "golden.json"
-PINNED = ("study", "exact")
+PINNED = ("history", "study", "exact")
 SEED = 1
 
 
 def cli_pass(name: str, work: Path) -> dict[str, str]:
-    """Run the benchmark's snapshot, centrality and inequality calls for
-    workload NAME (seed 1) in WORK, serially; returns the SHA-256 of each
-    centrality and inequality output, keyed ``NAME/file``, and of each of
-    those calls' stdout, keyed ``NAME/call.stdout``."""
+    """Run the benchmark's snapshot, compact, centrality and inequality
+    calls for workload NAME (seed 1) in WORK, serially; returns the SHA-256
+    of each file in WORK, the archive included, keyed ``NAME/file``, and of
+    each call's stdout, keyed ``NAME/call.stdout``."""
     w = WORKLOADS[name]
     archive = work / "gossip.gsr"
     corpus.write_archive(archive, corpus.generate(w.corpus, SEED, salt=name))
@@ -50,7 +50,8 @@ def cli_pass(name: str, work: Path) -> dict[str, str]:
     reports = []
     calls = []
     for i, at in enumerate(w.instants):
-        calls.append(("snapshot", ["snapshot", "--store", str(archive), "--at", str(at), "--out", str(work / f"snapshot-{i}.json")]))
+        calls.append((f"snapshot-{i}", ["snapshot", "--store", str(archive), "--at", str(at), "--out", str(work / f"snapshot-{i}.json")]))
+    calls.append(("compact", ["compact", "--store", str(archive), "--out", str(work / "compact.gsr")]))
     for i in range(len(w.instants)):
         calls.append((f"c{i}", ["centrality", "--snapshot", str(work / f"snapshot-{i}.json"), "--out", str(work / f"c{i}"), *w.centrality_flags()]))
         reports += [(f"A{amount}" if single else f"T{i + 1}", work / f"c{i}-centrality-{amount}.json") for amount in w.amounts]
@@ -63,17 +64,14 @@ def cli_pass(name: str, work: Path) -> dict[str, str]:
             result = CliRunner().invoke(main, argv)
             if result.exit_code != 0:
                 raise RuntimeError(f"{name}: {' '.join(argv[:1])} exited {result.exit_code}: {result.output}")
-            if call != "snapshot":
-                digests[f"{name}/{call}.stdout"] = hashlib.sha256(result.stdout.encode()).hexdigest()
+            digests[f"{name}/{call}.stdout"] = hashlib.sha256(result.stdout.encode()).hexdigest()
     finally:
         if before is None:
             del os.environ["LNTM_THREADS"]
         else:
             os.environ["LNTM_THREADS"] = before
-    prefixes = tuple(f"{call}-" for call, _ in calls if call != "snapshot")
     for path in sorted(work.iterdir()):
-        if path.name.startswith(prefixes):
-            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
 
 

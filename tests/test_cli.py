@@ -780,9 +780,10 @@ class TestCompactRuns:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.gsr"]
 
     def test_archive_read_failing_partway_exits_2(self, runner, tmp_path, monkeypatch, runs):
-        # the archive opens and its first 13 records are read, six runs
-        # spill, then the read of the 14th frame fails: compact has started
-        # writing by then
+        # the archive opens and, read in blocks of 16 bytes, its first 13
+        # records are read, six runs spill, then the read of the 14th frame
+        # fails: compact has started writing by then
+        monkeypatch.setattr(store, "BLOCK_BYTES", 16)
         archive = tmp_path / "corpus.gsr"
         records = spill_corpus(archive)
         failing = len(store.STORE_MAGIC) + sum(12 + len(rec.payload) for rec in records[:13])

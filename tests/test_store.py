@@ -4,12 +4,13 @@ import json
 import random
 import re
 import struct
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lntm import store
-from lntm.codec import decode_message
+from lntm.codec import _UPDATE_END, CodecError, decode_message, encode_message, peek_message
 from lntm.manifest import atomic_write
 from lntm.store import (
     CorruptFrameError,
@@ -19,6 +20,7 @@ from lntm.store import (
     deduplicate_and_order,
     feed_to_records,
     open_store,
+    peek_store,
     read_store,
     read_store_jsonl,
     write_store,
@@ -78,64 +80,124 @@ class TestFraming:
         assert blob[16:] == rec.payload
 
 
-def reference_frames(blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | None]:
-    """The records of a GSR1 file read field by field, and the offset and
-    detail of the CorruptFrameError that ends them, if one does."""
+def reference_peek(payload: bytes):
+    """What ``peek_message`` returns for a payload, or the CodecError it raises."""
+    try:
+        return peek_message(payload)
+    except CodecError as exc:
+        return exc
+
+
+def reference_frames(blob: bytes) -> tuple[list[StoreRecord], Iterator, tuple[int, str] | None]:
+    """The records of a GSR1 file read field by field, the
+    ``reference_peek`` of each payload, made as it is asked for, and the
+    offset and detail of the CorruptFrameError that ends them, if one does."""
     records, pos = [], 4
+    peeks = map(reference_peek, (rec.payload for rec in records))
     while pos < len(blob):
         if pos + 12 > len(blob):
-            return records, (pos, "frame header truncated")
+            return records, peeks, (pos, "frame header truncated")
         arrival_ts = int.from_bytes(blob[pos : pos + 8], "big")
         msg_len = int.from_bytes(blob[pos + 8 : pos + 12], "big")
         if pos + 12 + msg_len > len(blob):
-            return records, (pos, f"length field {msg_len} exceeds remaining bytes")
+            return records, peeks, (pos, f"length field {msg_len} exceeds remaining bytes")
         records.append(StoreRecord(arrival_ts, blob[pos + 12 : pos + 12 + msg_len]))
         pos += 12 + msg_len
-    return records, None
+    return records, peeks, None
 
 
-def read_frames(path) -> tuple[list[StoreRecord], tuple[int, str] | None]:
-    """What ``read_store`` yields on a GSR1 file before it stops, and the
-    offset and message of the CorruptFrameError it stops with, if any."""
+def read_frames(path, read=read_store) -> tuple[list, tuple[int, str] | None]:
+    """What ``read`` yields on a file before it stops, and the offset or
+    record index and the message of the CorruptFrameError or
+    DecodeFailureError it stops with, if any."""
     records = []
     try:
-        for rec in read_store(path):
+        for rec in read(path):
             records.append(rec)
     except CorruptFrameError as exc:
         return records, (exc.offset, str(exc))
+    except DecodeFailureError as exc:
+        return records, (exc.index, str(exc))
     return records, None
 
 
-def expected_frames(path, blob: bytes) -> tuple[list[StoreRecord], tuple[int, str] | None]:
-    """``reference_frames`` with its error as ``read_store`` words it for
-    ``path``."""
-    records, error = reference_frames(blob)
+def with_peeks(records, peeks, error) -> tuple[list, tuple[int, str] | None]:
+    """Each record with its peek, as ``peek_store`` yields them, up to the
+    first payload that does not decode; its DecodeFailureError comes before
+    ``error``."""
+    peeked = []
+    for index, (rec, peek) in enumerate(zip(records, peeks)):
+        if isinstance(peek, CodecError):
+            return peeked, (index, f"record {index} does not decode: {peek}")
+        peeked.append((*rec, *peek))
+    return peeked, error
+
+
+def expected_frames(path, blob: bytes, peeked: bool = False) -> tuple[list, tuple[int, str] | None]:
+    """``reference_frames`` as ``read_store`` yields it on ``path``, with
+    its error as ``read_store`` words it, or, if ``peeked``, as
+    ``peek_store`` yields it."""
+    records, peeks, error = reference_frames(blob)
     if error is not None:
         error = (error[0], f"{path}: corrupt frame at byte offset {error[0]}: {error[1]}")
-    return records, error
+    return with_peeks(records, peeks, error) if peeked else (records, error)
+
+
+@st.composite
+def payloads(draw) -> bytes:
+    """Frame messages: channel_updates with and without htlc_maximum_msat,
+    whole or cut (at the ends of the fixed fields and of a flagged
+    htlc_maximum_msat most often), announcements, unknown type codes and
+    short or random bytes."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["update", "cut update", "announcement", "unknown type", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=90))  # empty payloads are drawn often
+    if kind == "unknown type":
+        type_code = draw(st.integers(0, 0xFFFF).filter(lambda t: t not in (256, 257, 258)))
+        return type_code.to_bytes(2, "big") + draw(st.binary(max_size=140))
+    if kind == "announcement":
+        return encode_message(rng.choice([msggen.random_node_announcement, msggen.random_channel_announcement])(rng))
+    update = encode_message(msggen.random_channel_update(rng))
+    if kind == "update":
+        return update
+    return update[: draw(st.one_of(st.integers(_UPDATE_END - 1, _UPDATE_END + 8), st.integers(0, len(update))))]
 
 
 class TestBlockReader:
     @settings(max_examples=150, deadline=None)
     @given(
-        frames=st.lists(
-            st.tuples(st.integers(0, 2**64 - 1), st.binary(max_size=90)), max_size=12
-        ),
+        frames=st.lists(st.tuples(st.integers(0, 2**64 - 1), payloads()), max_size=12),
         tail=st.binary(max_size=16),
     )
     def test_matches_a_field_by_field_reader(self, tmp_path_factory, frames, tail):
-        # empty payloads are drawn often
-        path = tmp_path_factory.mktemp("frames") / "blob.gsr"
+        directory = tmp_path_factory.mktemp("frames")
+        path = directory / "blob.gsr"
         blob = b"GSR1" + b"".join(struct.pack(">QI", ts, len(p)) + p for ts, p in frames) + tail
         last = len(blob) - len(tail) - (12 + len(frames[-1][1]) if frames else 0)
-        # the whole file, then a cut at every byte of the last frame
-        for cut in [len(blob), *range(last, len(blob) - len(tail))]:
-            path.write_bytes(blob[:cut])
-            assert read_frames(path) == expected_frames(path, blob[:cut])
+        jsonl = directory / "blob.jsonl"
+        jsonl.write_text("".join(json.dumps({"arrival_ts": ts, "hex": p.hex()}) + "\n" for ts, p in frames))
+        records = [StoreRecord(ts, p) for ts, p in frames]
+        for block in (16, store.BLOCK_BYTES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(store, "BLOCK_BYTES", block)
+                # the whole file, then a cut at every byte of the last
+                # frame, or of its header and every ninth byte of its
+                # message when that is longer than 90 bytes
+                step = 1 if not frames or len(frames[-1][1]) <= 90 else 9
+                for cut in [len(blob), *range(last, last + 12), *range(last + 12, len(blob) - len(tail), step)]:
+                    path.write_bytes(blob[:cut])
+                    assert read_frames(path) == expected_frames(path, blob[:cut])
+                    peeked = read_frames(path, peek_store)
+                    assert peeked == expected_frames(path, blob[:cut], peeked=True)
+                    assert all(type(rec[1]) is bytes for rec in peeked[0])  # copies, not views of a block
+        # the JSON-lines adapter peeks the same records the same way
+        assert read_frames(jsonl, peek_store) == with_peeks(records, [reference_peek(p) for _, p in frames], None)
 
-    # the file is buffered in blocks of ``block`` bytes; at the module's
-    # BLOCK_BYTES and 2048 good frames the last one's message crosses the
-    # first buffer's end, and the bad frame is read from the second
+    # the file is read in blocks of ``block`` bytes, the last one the rest
+    # of the file; at the module's BLOCK_BYTES and 2048 good frames the last
+    # one's message crosses the first block's end, and the bad frame's
+    # header is read from the second
     @pytest.mark.parametrize("block", [16, store.BLOCK_BYTES])
     @pytest.mark.parametrize("frames", [0, 3, 2048])
     def test_a_corrupt_length_never_sets_the_size_of_a_read(self, tmp_path, monkeypatch, block, frames):
@@ -173,7 +235,8 @@ class TestBlockReader:
         records, error = expected_frames(path, blob)
         assert error[1].endswith("length field 4294967295 exceeds remaining bytes")
         assert read_frames(path) == (records, error)
-        assert len(overreach) == 2 + 2 * frames  # the magic, each good frame's header and message, the bad header
+        # one read per block, up to the block that holds the bad header's end
+        assert len(overreach) == -(-(len(blob) - 10) // block)
         assert max(overreach) <= 12
         assert buffering == [block]
 
